@@ -2,18 +2,23 @@
 
 Every subcommand reads the same parameter JSON object
 {"alpha": r, "beta": r, "gamma": r, "delta": r, "theta": r, "mass": r}
-and writes either a JSON object or a CSV table to standard output.
+and writes either a JSON object or a CSV table to standard output
+(`verify` also writes a human-readable table to standard error).
 Floats are always rendered with 17 significant digits and field order is
 fixed, so repeated runs are byte-identical. Exit codes: 0 on success,
-1 on usage or validation errors, 2 when a verification suite fails.
+1 on usage or validation errors or a closed standard output, 2 when a verification suite fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
+import os
 import sys
+
+import numpy as np
 
 from . import __version__, diffraction, many_body, one_body, scattering, suites
 from .core import params_from_dict
@@ -274,25 +279,24 @@ def _cmd_scatter(args) -> int:
         "k", "|T|^2", "|R|^2",
         "re(T+)", "im(T+)", "re(R+)", "im(R+)", "re(R-)", "im(R-)",
     ]
-    rows = []
-    for k in _parse_range(args.k_range):
-        if k <= 0.0:
-            raise InputError("k-range must stay strictly positive")
-        amps = scattering.amplitudes(params, k)
-        rows.append(
-            [
-                k,
-                abs(amps.t_plus) ** 2,
-                abs(amps.r_plus) ** 2,
-                amps.t_plus.real,
-                amps.t_plus.imag,
-                amps.r_plus.real,
-                amps.r_plus.imag,
-                amps.r_minus.real,
-                amps.r_minus.imag,
-            ]
+    ks = np.array(_parse_range(args.k_range))
+    if not np.all(ks > 0.0):
+        raise InputError("k-range must stay strictly positive")
+    amps = scattering.amplitudes(params, ks)
+    table = np.column_stack(
+        (
+            ks,
+            np.hypot(amps.t_plus.real, amps.t_plus.imag) ** 2,
+            np.hypot(amps.r_plus.real, amps.r_plus.imag) ** 2,
+            amps.t_plus.real,
+            amps.t_plus.imag,
+            amps.r_plus.real,
+            amps.r_plus.imag,
+            amps.r_minus.real,
+            amps.r_minus.imag,
         )
-    _emit_table(columns, rows, args.output)
+    )
+    _emit_table(columns, table.tolist(), args.output)
     return 0
 
 
@@ -403,21 +407,13 @@ def _cmd_verify(args) -> int:
         status = "PASS" if rep.passed else "FAIL"
         print(
             f"{rep.check_name:<{name_width}}  max={rep.max_residual:.3e}  "
-            f"tol={rep.tolerance:.1e}  n={rep.samples:<6d} {status}"
+            f"tol={rep.tolerance:.1e}  n={rep.samples:<6d} {status}",
+            file=sys.stderr,
         )
     all_passed = all(r.passed for r in reports)
     payload = {
         "suite": args.suite,
-        "checks": [
-            {
-                "check_name": r.check_name,
-                "max_residual": r.max_residual,
-                "samples": r.samples,
-                "passed": r.passed,
-                "tolerance": r.tolerance,
-            }
-            for r in reports
-        ],
+        "checks": [dataclasses.asdict(r) for r in reports],
         "notes": list(notes),
         "all_passed": all_passed,
     }
@@ -468,9 +464,16 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 1
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows up here, not at interpreter exit
+        return code
     except PointFamError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader is gone; what is still buffered goes to devnull, not to a second error at exit.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
         return 1
 
 

@@ -88,10 +88,14 @@ def validate_params(
 ) -> InteractionParams:
     """Check the inputs and return them packaged, or raise.
 
-    Raises ConstraintViolation when alpha*gamma - beta*delta strays from 1
-    by more than CONSTRAINT_TOL, and NonPositiveMass when mass <= 0. The
+    Raises InputError when any value is NaN or infinite,
+    ConstraintViolation when alpha*gamma - beta*delta strays from 1 by
+    more than CONSTRAINT_TOL, and NonPositiveMass when mass <= 0. The
     values are never adjusted.
     """
+    for name, value in zip(PARAM_FIELDS, (alpha, beta, gamma, delta, theta, mass)):
+        if not math.isfinite(value):
+            raise InputError(f"{name} must be finite, got {value!r}")
     defect = abs(alpha * gamma - beta * delta - 1.0)
     if not defect <= CONSTRAINT_TOL:
         raise ConstraintViolation(

@@ -20,14 +20,12 @@ parameter sets.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from scipy.stats import qmc
+import numpy as np
 
 from .core import InteractionParams
-from .errors import GrazingAngle, InputError
+from .errors import GrazingAngle, InputError, InvariantViolation
 from .scattering import amplitudes
 
 PHI_MAX = math.pi / 3.0
@@ -36,53 +34,62 @@ PHI_MAX = math.pi / 3.0
 # violations show up many orders of magnitude above this.
 NO_DIFFRACTION_TOL = 1e-10
 
-# Scan margins keep rays away from grazing incidence where k_i -> 0.
-_SCAN_K_RANGE = (1e-3, 10.0)
-_SCAN_PHI_MARGIN = 0.01
+# Corners (k, phi) of the scan box; the margins keep rays away from
+# grazing incidence where k_i -> 0.
+_SCAN_LO = np.array([1e-3, 0.01])
+_SCAN_HI = np.array([10.0, PHI_MAX - 0.01])
 
 
 @dataclass(frozen=True)
 class RayKinematics:
-    """The three incidence angles and normal wavenumbers derived from (k, phi)."""
+    """Incidence angles and normal wavenumbers derived from (k, phi), or arrays of them."""
 
-    k: float
-    phi: float
-    phi1: float
-    phi2: float
-    phi3: float
-    k1: float
-    k2: float
-    k3: float
+    k: float | np.ndarray
+    phi: float | np.ndarray
+    phi1: float | np.ndarray
+    phi2: float | np.ndarray
+    phi3: float | np.ndarray
+    k1: float | np.ndarray
+    k2: float | np.ndarray
+    k3: float | np.ndarray
 
 
 @dataclass(frozen=True)
 class DiffractionReport:
     """Outgoing amplitudes of the two equal-length ray geometries."""
 
-    amp_two_path: complex  # geometry hitting the x12 line first
-    amp_one_path: complex  # geometry hitting the x31 line first
-    residual: complex
-    residual_norm: float
+    amp_two_path: complex | np.ndarray  # geometry hitting the x12 line first
+    amp_one_path: complex | np.ndarray  # geometry hitting the x31 line first
+    residual: complex | np.ndarray
+    residual_norm: float | np.ndarray
 
 
-def ray_kinematics(k: float, phi: float) -> RayKinematics:
+def ray_kinematics(k: float | np.ndarray, phi: float | np.ndarray) -> RayKinematics:
     """Angles phi, phi + pi/3, -phi + pi/3 and the normal components k_i = k sin(phi_i).
 
-    phi must lie strictly inside (0, pi/3) so that every k_i is positive.
-    The construction forces k1 + k3 = k2 identically; this is asserted.
+    k and phi are floats or broadcastable arrays. Every k must be finite
+    and positive, and every phi must lie strictly inside (0, pi/3) so that
+    every k_i is positive. The construction forces k1 + k3 = k2
+    identically; a violation raises InvariantViolation.
     """
-    if not k > 0.0:
-        raise InputError(f"total wavenumber must be positive, got {k!r}")
-    if not 0.0 < phi < PHI_MAX:
-        raise GrazingAngle(f"phi = {phi!r} is outside the open interval (0, pi/3)")
-    phi1 = phi
+    k = np.asarray(k, dtype=float)[()]
+    phi = np.asarray(phi, dtype=float)[()]
+    ok = (k > 0.0) & np.isfinite(k)
+    if not ok.all():
+        bad = float(np.extract(~ok, k)[0])
+        raise InputError(f"total wavenumber must be finite and positive, got {bad!r}")
+    ok = (0.0 < phi) & (phi < PHI_MAX)
+    if not ok.all():
+        bad = float(np.extract(~ok, phi)[0])
+        raise GrazingAngle(f"phi = {bad!r} is outside the open interval (0, pi/3)")
     phi2 = phi + PHI_MAX
     phi3 = -phi + PHI_MAX
-    k1 = k * math.sin(phi1)
-    k2 = k * math.sin(phi2)
-    k3 = k * math.sin(phi3)
-    assert abs(k1 + k3 - k2) <= 1e-12 * max(1.0, k)
-    return RayKinematics(k, phi, phi1, phi2, phi3, k1, k2, k3)
+    k1 = k * np.sin(phi)
+    k2 = k * np.sin(phi2)
+    k3 = k * np.sin(phi3)
+    if not (np.abs(k1 + k3 - k2) <= 1e-12 * np.maximum(1.0, k)).all():
+        raise InvariantViolation("normal wavenumbers break k1 + k3 = k2")
+    return RayKinematics(k, phi, phi, phi2, phi3, k1, k2, k3)
 
 
 def outgoing_amplitudes(
@@ -95,7 +102,8 @@ def outgoing_amplitudes(
     The incident wave has unit amplitude. Writing t_i/r_i for the
     amplitudes at normal wavenumber k_i, the two-path geometry sums
     r1- r2- t3- with t1- r2(mr) r3+, where mr is the middle_reflection
-    suffix; the one-path geometry contributes r3- t2+ r1+.
+    suffix; the one-path geometry contributes r3- t2+ r1+. Every field
+    has the shape of the kinematics arrays.
     """
     if middle_reflection not in ("minus", "plus"):
         raise InputError(f"unknown middle_reflection {middle_reflection!r}")
@@ -110,68 +118,45 @@ def outgoing_amplitudes(
         amp_two_path=two_path,
         amp_one_path=one_path,
         residual=residual,
-        residual_norm=abs(residual),
+        residual_norm=np.hypot(residual.real, residual.imag),
     )
 
 
-def scan_points(samples: int) -> list[tuple[float, float]]:
-    """Deterministic low-discrepancy (k, phi) sample set for residual scans."""
+def _radical_inverse(index: np.ndarray, base: int) -> np.ndarray:
+    """Van der Corput radical inverse of each integer index in the given base."""
+    result = np.zeros(index.shape)
+    scale = 1.0
+    while np.any(index):
+        scale /= base
+        index, digit = np.divmod(index, base)
+        result += digit * scale
+    return result
+
+
+def scan_points(samples: int) -> np.ndarray:
+    """Deterministic low-discrepancy (k, phi) rows for residual scans, shape (samples, 2).
+
+    The Halton sequence in bases 2 and 3 (Halton 1960) from index 1, which
+    skips the degenerate (0, 0) point, mapped into the scan box.
+    """
     if samples < 1:
         raise InputError("samples must be at least 1")
-    sampler = qmc.Halton(d=2, scramble=False)
-    sampler.fast_forward(1)  # skip the degenerate (0, 0) leading point
-    unit = sampler.random(samples)
-    k_lo, k_hi = _SCAN_K_RANGE
-    phi_lo = _SCAN_PHI_MARGIN
-    phi_hi = PHI_MAX - _SCAN_PHI_MARGIN
-    return [
-        (float(k_lo + (k_hi - k_lo) * u), float(phi_lo + (phi_hi - phi_lo) * v))
-        for u, v in unit
-    ]
-
-
-def default_workers() -> int:
-    """Worker cap for scans: POINTFAM_THREADS if set, else machine parallelism."""
-    env = os.environ.get("POINTFAM_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise InputError(f"POINTFAM_THREADS must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
+    index = np.arange(1, samples + 1)
+    unit = np.column_stack((_radical_inverse(index, 2), _radical_inverse(index, 3)))
+    return _SCAN_LO + (_SCAN_HI - _SCAN_LO) * unit
 
 
 def no_diffraction_scan(
     params: InteractionParams,
     samples: int,
     middle_reflection: str = "minus",
-    workers: int | None = None,
 ) -> tuple[float, bool]:
     """Max residual over a quasi-random (k, phi) sweep and the verdict.
 
     The verdict is True when the maximum residual stays at or below
-    NO_DIFFRACTION_TOL. Points are independent; the max reduction is
-    deterministic regardless of the worker count.
+    NO_DIFFRACTION_TOL.
     """
     points = scan_points(samples)
-    if workers is None:
-        workers = default_workers()
-
-    def chunk_max(chunk: list[tuple[float, float]]) -> float:
-        worst = 0.0
-        for k, phi in chunk:
-            report = outgoing_amplitudes(
-                params, ray_kinematics(k, phi), middle_reflection
-            )
-            if report.residual_norm > worst:
-                worst = report.residual_norm
-        return worst
-
-    if workers <= 1 or len(points) < 256:
-        max_residual = chunk_max(points)
-    else:
-        size = max(1, (len(points) + workers - 1) // workers)
-        chunks = [points[i : i + size] for i in range(0, len(points), size)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            max_residual = max(pool.map(chunk_max, chunks))
+    kin = ray_kinematics(points[:, 0], points[:, 1])
+    max_residual = float(outgoing_amplitudes(params, kin, middle_reflection).residual_norm.max())
     return max_residual, max_residual <= NO_DIFFRACTION_TOL

@@ -43,3 +43,7 @@ class InputError(PointFamError):
 
 class UsageError(PointFamError):
     """Command line was not understood."""
+
+
+class InvariantViolation(PointFamError):
+    """An identity that the construction guarantees failed to hold."""

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .core import InteractionParams
-from .errors import InvalidSlice
+from .errors import InvalidSlice, InvariantViolation
 
 # Roots at or below this are treated as non-normalizable and dropped.
 KAPPA_MIN = 1e-12
@@ -97,7 +97,8 @@ def bound_spectrum(params: InteractionParams) -> list[BoundState]:
         )
     states.sort(key=lambda st: st.energy)
     # A double root cannot occur over the reals; two surviving states are distinct.
-    assert len({st.kappa for st in states}) == len(states)
+    if len({st.kappa for st in states}) != len(states):
+        raise InvariantViolation(f"decay constants coincide: {[st.kappa for st in states]!r}")
     return states
 
 

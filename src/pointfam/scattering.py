@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import InteractionParams
 from .errors import SingularDenominator
 
@@ -19,28 +21,31 @@ DENOMINATOR_MIN = 1e-300
 
 @dataclass(frozen=True)
 class ScatteringAmplitudes:
-    """Amplitudes for both incidence directions at one wavenumber k > 0."""
+    """Amplitudes for both incidence directions; every field has the shape of k."""
 
-    k: float
-    t_plus: complex
-    t_minus: complex
-    r_plus: complex
-    r_minus: complex
-    denominator: complex
+    k: float | np.ndarray
+    t_plus: complex | np.ndarray
+    t_minus: complex | np.ndarray
+    r_plus: complex | np.ndarray
+    r_minus: complex | np.ndarray
+    denominator: complex | np.ndarray
 
 
-def amplitudes(params: InteractionParams, k: float) -> ScatteringAmplitudes:
-    """Closed-form amplitudes at wavenumber k > 0.
+def amplitudes(params: InteractionParams, k: float | np.ndarray) -> ScatteringAmplitudes:
+    """Closed-form amplitudes at a wavenumber k > 0, or at each entry of an array k.
 
-    Raises SingularDenominator if the common denominator vanishes, which
+    Raises ValueError if any k is not positive (NaN included), and
+    SingularDenominator if the common denominator vanishes anywhere, which
     cannot happen for a valid parameter set and real positive k.
     """
-    if not k > 0.0:
-        raise ValueError(f"wavenumber must be positive, got {k!r}")
+    k = np.asarray(k, dtype=float)[()]
+    if not (k > 0.0).all():  # the minimum is NaN or a non-positive entry
+        raise ValueError(f"wavenumber must be positive, got {float(np.min(k))!r}")
     a, b, g, d, m = params.alpha, params.beta, params.gamma, params.delta, params.mass
     den = d * k * k + 2j * k * m * (a + g) - 4.0 * b * m * m
-    if abs(den) < DENOMINATOR_MIN:
-        raise SingularDenominator(f"denominator vanished at k = {k!r}")
+    small = np.abs(den) < DENOMINATOR_MIN
+    if small.any():
+        raise SingularDenominator(f"denominator vanished at k = {float(np.extract(small, k)[0])!r}")
     ph = params.phase
     t_common = 4j * k * m / den
     cross = 2j * k * m * (a - g)
@@ -55,8 +60,12 @@ def amplitudes(params: InteractionParams, k: float) -> ScatteringAmplitudes:
     )
 
 
-def unitarity_defect(amps: ScatteringAmplitudes) -> float:
-    """Largest deviation of |t|^2 + |r|^2 from 1 over the two directions."""
-    plus = abs(amps.t_plus) ** 2 + abs(amps.r_plus) ** 2 - 1.0
-    minus = abs(amps.t_minus) ** 2 + abs(amps.r_minus) ** 2 - 1.0
-    return max(abs(plus), abs(minus))
+def unitarity_defect(amps: ScatteringAmplitudes) -> float | np.ndarray:
+    """Largest deviation of |t|^2 + |r|^2 from 1 over the two directions, per k."""
+
+    def norm2(z):  # np.hypot rounds like abs() of a Python complex; np.abs may not
+        return np.hypot(z.real, z.imag) ** 2
+
+    plus = norm2(amps.t_plus) + norm2(amps.r_plus) - 1.0
+    minus = norm2(amps.t_minus) + norm2(amps.r_minus) - 1.0
+    return np.maximum(np.abs(plus), np.abs(minus))

@@ -150,27 +150,22 @@ def run_diffraction_suite(samples: int = 2000) -> tuple[list[ResidualReport], li
         )
         if off >= 0.1:
             violators.append(params)
-    missed = 0
-    for params in violators:
-        found = False
-        for k, phi in diffraction.scan_points(64):
-            rep = diffraction.outgoing_amplitudes(params, diffraction.ray_kinematics(k, phi))
-            if rep.residual_norm > 1e-6:
-                found = True
-                break
-        if not found:
-            missed += 1
+    points = diffraction.scan_points(64)
+    kin = diffraction.ray_kinematics(points[:, 0], points[:, 1])
+    missed = sum(
+        not np.any(diffraction.outgoing_amplitudes(params, kin).residual_norm > 1e-6)
+        for params in violators
+    )
     reports.append(
         ResidualReport.build(
             "violating parameter sets show diffraction", float(missed), len(violators), 0.5
         )
     )
     rng_phi = np.random.default_rng(_SEED + 3)
-    worst_identity = 0.0
     n_phi = 10_000
-    for phi in rng_phi.uniform(1e-6, diffraction.PHI_MAX - 1e-6, size=n_phi):
-        kin = diffraction.ray_kinematics(1.0, float(phi))
-        worst_identity = max(worst_identity, abs(kin.k1 + kin.k3 - kin.k2))
+    phis = rng_phi.uniform(1e-6, diffraction.PHI_MAX - 1e-6, size=n_phi)
+    kin = diffraction.ray_kinematics(1.0, phis)
+    worst_identity = np.max(np.abs(kin.k1 + kin.k3 - kin.k2))
     reports.append(
         ResidualReport.build("normal-momentum additivity", worst_identity, n_phi, 1e-15)
     )

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import InteractionParams, boundary_matrix, validate_params
 from .errors import SingularSystem
@@ -40,6 +39,7 @@ class ResidualReport:
     def build(
         cls, check_name: str, max_residual: float, samples: int, tolerance: float
     ) -> "ResidualReport":
+        max_residual = float(max_residual)
         return cls(
             check_name=check_name,
             max_residual=max_residual,
@@ -83,10 +83,12 @@ def oracle_bound_kappas(params: InteractionParams, grid_points: int = 4096) -> l
     coefficient-based bound with the Cauchy root bound so that no root can
     escape the scanned interval.
     """
+    from scipy.optimize import brentq  # deferred, so importing pointfam never loads scipy
+
     a, g, d, m = params.alpha, params.gamma, params.delta, params.mass
     b = params.beta
 
-    def poly(k: float) -> float:
+    def poly(k: float | np.ndarray) -> float | np.ndarray:
         return d * k * k + 2.0 * (a + g) * k * m + 4.0 * b * m * m
 
     if d == 0.0:
@@ -99,16 +101,10 @@ def oracle_bound_kappas(params: InteractionParams, grid_points: int = 4096) -> l
     k_max = max(k_max, cauchy)
 
     grid = np.linspace(_KAPPA_MIN, k_max, grid_points)
-    values = d * grid * grid + 2.0 * (a + g) * grid * m + 4.0 * b * m * m
-    roots = []
-    for i in range(grid_points - 1):
-        lo, hi = values[i], values[i + 1]
-        if lo == 0.0:
-            roots.append(float(grid[i]))
-        elif lo * hi < 0.0:
-            roots.append(float(brentq(poly, grid[i], grid[i + 1], xtol=1e-15)))
-    if values[-1] == 0.0:
-        roots.append(float(grid[-1]))
+    values = poly(grid)
+    roots = grid[values == 0.0].tolist()
+    for i in np.flatnonzero(values[:-1] * values[1:] < 0.0):
+        roots.append(float(brentq(poly, grid[i], grid[i + 1], xtol=1e-15)))
     deduped: list[float] = []
     for r in sorted(roots):
         if r > _KAPPA_MIN and (not deduped or r - deduped[-1] > 1e-9):

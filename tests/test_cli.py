@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +51,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def python_child(*args, **kwargs):
+    """Popen of a fresh interpreter that imports pointfam from this checkout."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.Popen([sys.executable, *args], env=env, text=True, **kwargs)
 
 
 def test_parse_range():
@@ -223,12 +236,50 @@ def test_mcguire_nonbinding_exit(capsys):
 
 
 def test_verify_subcommand_bound(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "bound")
+    code, out, err = run_cli(capsys, "verify", "--suite", "bound")
     assert code == 0
-    table, json_part = out.split("{", 1)
-    payload = json.loads("{" + json_part)
+    payload = json.loads(out)
     assert payload["all_passed"] is True
-    assert "PASS" in table
+    assert "PASS" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "scatter"],  # may finish writing before the pipe closes
+    # ~1 MB of CSV: the writer blocks on the full pipe until the reader closes it
+    ["scatter", "--params", None, "--k-range", "0.001:10:0.001"],
+])
+def test_closed_stdout_pipe_exits_quietly(argv, delta_file):
+    argv = [delta_file if a is None else a for a in argv]
+    entry = "import sys; from pointfam.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = python_child("-c", entry, *argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    code = proc.wait(timeout=120)
+    proc.stderr.close()
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+    if argv[0] == "scatter":
+        assert code == 1
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, pointfam, pointfam.cli; "
+        "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])"
+    )
+    proc = python_child("-c", code, stdout=subprocess.PIPE)
+    out, _ = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert out.strip() == "[]"
+
+
+def test_params_check_rejects_non_finite(capsys, tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text('{"alpha": -1, "beta": 2, "gamma": -1, "delta": 0, "theta": NaN, "mass": 0.5}')
+    code, out, err = run_cli(capsys, "params-check", "--params", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "theta" in err
 
 
 def test_usage_errors_exit_one(capsys, delta_file):

@@ -40,6 +40,17 @@ def test_validate_rejects_bad_mass():
         validate_params(1.0, 0.0, 1.0, 0.0, 0.0, -2.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["alpha", "beta", "gamma", "delta", "theta", "mass"])
+def test_validate_rejects_non_finite(field, bad):
+    values = dict(alpha=-1.0, beta=2.0, gamma=-1.0, delta=0.0, theta=math.pi, mass=0.5)
+    values[field] = bad
+    with pytest.raises(InputError, match=field):
+        validate_params(**values)
+    with pytest.raises(InputError, match=field):
+        params_from_dict(values)
+
+
 def test_from_abcd_mapping():
     p = from_abcd(a=-1.0, b=0.0, c=2.0, d=-1.0, theta=math.pi, mass=1.0)
     assert (p.gamma, p.delta, p.beta, p.alpha) == (-1.0, 0.0, 2.0, -1.0)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from pointfam.core import canonical_interaction, validate_params
@@ -148,7 +149,7 @@ def test_residual_scale_invariance(rng):
 
 
 def test_scan_points_deterministic():
-    assert scan_points(100) == scan_points(100)
+    assert scan_points(100).tolist() == scan_points(100).tolist()
     pts = scan_points(1000)
     assert all(0.0 < k <= 10.0 for k, _ in pts)
     assert all(0.01 < phi < math.pi / 3.0 - 0.01 + 1e-12 for _, phi in pts)
@@ -156,7 +157,38 @@ def test_scan_points_deterministic():
         scan_points(0)
 
 
-def test_scan_worker_count_does_not_change_result():
-    seq = no_diffraction_scan(GENERIC, 600, workers=1)
-    par = no_diffraction_scan(GENERIC, 600, workers=4)
-    assert seq == par
+def test_scan_points_are_the_halton_sequence():
+    # radical inverses of 1, 2, 3 in bases 2 and 3, mapped into the scan box
+    # k in [1e-3, 10], phi in [0.01, pi/3 - 0.01]
+    unit = [(1 / 2, 1 / 3), (1 / 4, 2 / 3), (3 / 4, 1 / 9)]
+    expected = [(1e-3 + (10.0 - 1e-3) * u, 0.01 + (math.pi / 3.0 - 0.02) * v) for u, v in unit]
+    pts = scan_points(3)
+    assert pts.shape == (3, 2)
+    np.testing.assert_allclose(pts, expected, rtol=1e-15, atol=0.0)
+
+
+def test_array_kinematics_and_amplitudes_match_scalar_calls():
+    pts = scan_points(200)
+    kin = ray_kinematics(pts[:, 0], pts[:, 1])
+    batch = outgoing_amplitudes(GENERIC, kin, "plus")
+    assert batch.residual_norm.shape == (200,)
+    for i, (k, phi) in enumerate(pts.tolist()):
+        one_kin = ray_kinematics(k, phi)
+        one = outgoing_amplitudes(GENERIC, one_kin, "plus")
+        assert (kin.k1[i], kin.k2[i], kin.k3[i]) == (one_kin.k1, one_kin.k2, one_kin.k3)
+        assert abs(batch.residual[i] - one.residual) <= 1e-15 * max(1.0, abs(one.residual))
+
+
+def test_array_kinematics_reject_any_bad_entry():
+    with pytest.raises(GrazingAngle):
+        ray_kinematics(1.0, np.array([0.3, 0.0, 0.5]))
+    with pytest.raises(InputError):
+        ray_kinematics(np.array([1.0, -1.0]), 0.3)
+    with pytest.raises(InputError):
+        ray_kinematics(math.inf, 0.3)
+    with pytest.raises(GrazingAngle):
+        ray_kinematics(1.0, math.nan)
+
+
+def test_repeated_scans_are_identical():
+    assert no_diffraction_scan(GENERIC, 600) == no_diffraction_scan(GENERIC, 600)

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from pointfam.core import canonical_interaction, validate_params
@@ -45,6 +46,41 @@ def test_rejects_nonpositive_wavenumber():
         amplitudes(p, 0.0)
     with pytest.raises(ValueError):
         amplitudes(p, -1.0)
+
+
+def python_complex_amplitudes(p, k):
+    """The closed form in plain Python complex arithmetic, one wavenumber at a time."""
+    a, b, g, d, m, ph = p.alpha, p.beta, p.gamma, p.delta, p.mass, p.phase
+    den = d * k * k + 2j * k * m * (a + g) - 4.0 * b * m * m
+    t_common = 4j * k * m / den
+    cross = 2j * k * m * (a - g)
+    r_num = d * k * k + 4.0 * b * m * m
+    return dict(t_plus=t_common / ph, t_minus=t_common * ph, r_plus=(r_num - cross) / den,
+                r_minus=(r_num + cross) / den, denominator=den)
+
+
+def test_array_amplitudes_match_scalar_calls(rng):
+    ulp = np.finfo(float).eps
+    for _ in range(50):
+        p = random_params(rng)
+        ks = np.concatenate([rng.uniform(1e-3, 10.0, size=40), [1e-8, 1e-3, 1e3, 1e8]])
+        batch = amplitudes(p, ks)
+        assert batch.t_plus.shape == ks.shape
+        for i, k in enumerate(ks.tolist()):
+            one = amplitudes(p, k)
+            for field, want in python_complex_amplitudes(p, k).items():
+                got = getattr(batch, field)[i]
+                assert abs(got - want) <= 4 * ulp * abs(want), (field, k)
+                assert abs(got - getattr(one, field)) <= 4 * ulp * abs(want), (field, k)
+
+
+def test_array_amplitudes_reject_any_bad_entry():
+    p = canonical_interaction("delta", -2.0, 0.5)
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            amplitudes(p, np.array([0.5, bad, 2.0]))
+    with pytest.raises(ValueError):
+        amplitudes(p, math.nan)
 
 
 def test_unitarity_exact_for_valid_params(rng):
