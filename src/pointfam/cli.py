@@ -5,8 +5,14 @@ Every subcommand reads the same parameter JSON object
 and writes either a JSON object or a CSV table to standard output
 (`verify` also writes a human-readable table to standard error).
 Floats are always rendered with 17 significant digits and field order is
-fixed, so repeated runs are byte-identical. Exit codes: 0 on success,
-1 on usage or validation errors or a closed standard output, 2 when a verification suite fails.
+fixed, so repeated runs are byte-identical. Objects go through _json_dumps;
+every table (CSV, or JSON {"columns", "rows"}) goes through _write_table,
+which formats each row with one %-template and writes blocks of rows.
+A result that is inf or NaN is never written: the command fails with
+NonFiniteResult instead. Ranges, phase-diagram grids and --samples are
+capped at SIZE_CAP values. Exit codes: 0 on success, 1 on usage or
+validation errors, a non-finite result or a closed standard output,
+2 when a verification suite fails.
 """
 
 from __future__ import annotations
@@ -22,11 +28,25 @@ import numpy as np
 
 from . import __version__, diffraction, many_body, one_body, scattering, suites
 from .core import params_from_dict
-from .errors import InputError, PointFamError, UsageError
+from .errors import InputError, NonFiniteResult, PointFamError, UsageError
+
+
+# Largest number of values one lo:hi:step range, one phase-diagram grid or
+# one --samples may ask for. Larger requests are refused before anything is
+# allocated: a million scatter rows are already ~0.2 GB of CSV.
+SIZE_CAP = 1_000_000
+
+_FLOAT = "%.17g"
+
+# Tables are formatted and written this many rows at a time. That bounds the
+# text held in memory, and a reader that closed standard output is noticed at
+# the next block: a short write to a closed pipe can pass silently when
+# standard output is unbuffered (PYTHONUNBUFFERED), so one write is not enough.
+_BLOCK_ROWS = 1024
 
 
 def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+    return _FLOAT % value
 
 
 def _json_scalar(value) -> str:
@@ -35,6 +55,8 @@ def _json_scalar(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise NonFiniteResult(f"a result is {value!r}, not a finite number; nothing written")
         return _fmt(value)
     if isinstance(value, str):
         return json.dumps(value)
@@ -59,21 +81,12 @@ def _json_dumps(obj, indent: int = 0) -> str:
     return _json_scalar(obj)
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return _fmt(value)
-    return str(value)
-
-
 def _emit_object(data: dict, output: str) -> None:
     if output == "json":
-        print(_json_dumps(data))
+        sys.stdout.write(_json_dumps(data) + "\n")
     else:
         flat = _flatten(data)
-        print(",".join(flat.keys()))
-        print(",".join(_csv_cell(v) for v in flat.values()))
+        _write_table(list(flat), [tuple(flat.values())], "csv")
 
 
 def _flatten(data: dict, prefix: str = "") -> dict:
@@ -84,22 +97,68 @@ def _flatten(data: dict, prefix: str = "") -> dict:
             flat.update(_flatten(value, f"{name}."))
         elif isinstance(value, (list, tuple)):
             raise InputError("this result contains a table; request --output json")
+        elif isinstance(value, bool):
+            flat[name] = "true" if value else "false"
         else:
             flat[name] = value
     return flat
 
 
-def _emit_table(columns: list[str], rows: list[list], output: str) -> None:
+def _cell_template(value) -> str:
+    if isinstance(value, float):
+        return _FLOAT
+    return "%d" if isinstance(value, (int, np.integer)) else "%s"
+
+
+def _require_finite(columns: list[str], table: np.ndarray) -> None:
+    finite = np.isfinite(table)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise NonFiniteResult(
+            f"{columns[col]} is {float(table[row, col])!r}, not a finite number; nothing written"
+        )
+
+
+def _write_table(columns: list[str], rows, output: str) -> None:
+    """Write a table as CSV, or as JSON {"columns": [...], "rows": [[...], ...]}.
+
+    rows is a 2-D float or int array, or a list of row tuples whose cells
+    are floats, ints or str. One %-template is built from the first row:
+    "%.17g" for floats, "%d" for ints and "%s" for str cells, which are
+    written as they are (CSV words, or numbers the caller already formatted
+    with _fmt). A non-finite float raises NonFiniteResult before anything
+    is written.
+    """
+    if isinstance(rows, np.ndarray):
+        _require_finite(columns, rows)
+    elif rows:
+        floats = [j for j, v in enumerate(rows[0]) if isinstance(v, float)]
+        if floats:
+            table = np.array([[r[j] for j in floats] for r in rows])
+            _require_finite([columns[j] for j in floats], table)
+    cells = [_cell_template(v) for v in rows[0]] if len(rows) else []
     if output == "csv":
-        print(",".join(columns))
-        for row in rows:
-            print(",".join(_csv_cell(v) for v in row))
+        head, template, sep, tail = ",".join(columns) + "\n", ",".join(cells) + "\n", "", ""
     else:
-        print(_json_dumps({"columns": columns, "rows": [list(r) for r in rows]}))
+        head = '{\n  "columns": ' + _json_dumps(columns, 1) + ',\n  "rows": ['
+        template, sep = "    [\n      " + ",\n      ".join(cells) + "\n    ]", ",\n"
+        head, tail = (head + "\n", "\n  ]\n}\n") if len(rows) else (head, "]\n}\n")
+    sys.stdout.write(head)
+    lead = ""
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start:start + _BLOCK_ROWS]
+        if isinstance(block, np.ndarray):
+            block = block.tolist()
+        sys.stdout.write(lead + sep.join([template % tuple(r) for r in block]))
+        lead = sep
+    sys.stdout.write(tail)
 
 
 def _parse_range(text: str) -> list[float]:
-    """lo:hi:step, inclusive of lo; the upper end uses a step/2 rounding guard."""
+    """lo:hi:step, inclusive of lo; the upper end uses a step/2 rounding guard.
+
+    At most SIZE_CAP values; a longer range raises InputError before any is made.
+    """
     parts = text.split(":")
     if len(parts) != 3:
         raise InputError(f"range must be lo:hi:step, got {text!r}")
@@ -107,10 +166,14 @@ def _parse_range(text: str) -> list[float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError as exc:
         raise InputError(f"range must be numeric, got {text!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
+        raise InputError(f"range must be finite, got {text!r}")
     if step <= 0.0 or hi < lo:
         raise InputError(f"range needs hi >= lo and step > 0, got {text!r}")
-    count = int(math.floor((hi - lo) / step + 0.5)) + 1
-    return [lo + i * step for i in range(count)]
+    steps = (hi - lo) / step + 0.5  # inf when hi - lo overflows
+    if not steps < SIZE_CAP:
+        raise InputError(f"range {text!r} has more than {SIZE_CAP} values")
+    return [lo + i * step for i in range(int(steps) + 1)]
 
 
 def _load_params(path: str):
@@ -253,23 +316,20 @@ def _cmd_params_check(args) -> int:
     return 0
 
 
+def _emit_states(columns: list[str], rows: list[tuple], output: str) -> None:
+    if output == "json":
+        sys.stdout.write(_json_dumps({"states": [dict(zip(columns, r)) for r in rows]}) + "\n")
+    else:
+        _write_table(columns, rows, "csv")
+
+
 def _cmd_bound(args) -> int:
     params = _load_params(args.params)
-    states = one_body.bound_spectrum(params)
     rows = [
-        {
-            "kappa": st.kappa,
-            "energy": st.energy,
-            "eta_re": st.eta.real,
-            "eta_im": st.eta.imag,
-        }
-        for st in states
+        (st.kappa, st.energy, st.eta.real, st.eta.imag)
+        for st in one_body.bound_spectrum(params)
     ]
-    if args.output == "json":
-        print(_json_dumps({"states": rows}))
-    else:
-        columns = ["kappa", "energy", "eta_re", "eta_im"]
-        _emit_table(columns, [[r[c] for c in columns] for r in rows], "csv")
+    _emit_states(["kappa", "energy", "eta_re", "eta_im"], rows, args.output)
     return 0
 
 
@@ -296,47 +356,46 @@ def _cmd_scatter(args) -> int:
             amps.r_minus.imag,
         )
     )
-    _emit_table(columns, table.tolist(), args.output)
+    _write_table(columns, table, args.output)
     return 0
 
 
 def _cmd_phase_diagram(args) -> int:
+    if not math.isfinite(args.delta) or not math.isfinite(args.beta or 0.0):
+        raise InputError("delta and beta must be finite")
     alphas = _parse_range(args.alpha)
     gammas = _parse_range(args.gamma)
-    rows = []
-    for alpha in alphas:
-        for gamma in gammas:
-            count = one_body.phase_diagram_count(alpha, gamma, args.delta, args.beta)
-            rows.append([alpha, gamma, count])
-    _emit_table(["alpha", "gamma", "count"], rows, args.output)
+    if len(alphas) * len(gammas) > SIZE_CAP:
+        raise InputError(f"the grid has more than {SIZE_CAP} points")
+    counts = one_body.phase_diagram_count(
+        np.array(alphas)[:, None], np.array(gammas)[None, :], args.delta, args.beta
+    )
+    # Each grid value is formatted once, not once per cell it appears in.
+    gamma_text = [_fmt(g) for g in gammas]
+    rows = [
+        (a, g, c)
+        for a, line in zip(map(_fmt, alphas), counts.tolist())
+        for g, c in zip(gamma_text, line)
+    ]
+    _write_table(["alpha", "gamma", "count"], rows, args.output)
     return 0
 
 
 def _cmd_nbody(args) -> int:
     params = _load_params(args.params)
-    states = many_body.nbody_bound_states(params, args.n)
     rows = [
-        {
-            "kappa": st.kappa,
-            "energy": st.energy,
-            "eta_re": st.eta.real,
-            "eta_im": st.eta.imag,
-            "c_even_re": st.c_even.real,
-            "c_even_im": st.c_even.imag,
-            "c_odd_re": st.c_odd.real,
-            "c_odd_im": st.c_odd.imag,
-            "symmetry": many_body.symmetry_class(st),
-        }
-        for st in states
+        (
+            st.kappa, st.energy, st.eta.real, st.eta.imag,
+            st.c_even.real, st.c_even.imag, st.c_odd.real, st.c_odd.imag,
+            many_body.symmetry_class(st),
+        )
+        for st in many_body.nbody_bound_states(params, args.n)
     ]
-    if args.output == "json":
-        print(_json_dumps({"states": rows}))
-    else:
-        columns = list(rows[0].keys()) if rows else [
-            "kappa", "energy", "eta_re", "eta_im",
-            "c_even_re", "c_even_im", "c_odd_re", "c_odd_im", "symmetry",
-        ]
-        _emit_table(columns, [[r[c] for c in columns] for r in rows], "csv")
+    columns = [
+        "kappa", "energy", "eta_re", "eta_im",
+        "c_even_re", "c_even_im", "c_odd_re", "c_odd_im", "symmetry",
+    ]
+    _emit_states(columns, rows, args.output)
     return 0
 
 
@@ -347,14 +406,10 @@ def _cmd_nbody_eval(args) -> int:
         raise InputError(
             f"state index {args.state_index} out of range; {len(states)} state(s) available"
         )
-    state = states[args.state_index]
-    points = _load_points(args.points, args.n)
+    points = np.array(_load_points(args.points, args.n))
+    psi = many_body.eval_nbody_wavefunction(states[args.state_index], points)
     columns = [f"x{i}" for i in range(1, args.n + 1)] + ["re(psi)", "im(psi)"]
-    rows = []
-    for pt in points:
-        value = many_body.eval_nbody_wavefunction(state, pt)
-        rows.append(list(pt) + [value.real, value.imag])
-    _emit_table(columns, rows, args.output)
+    _write_table(columns, np.column_stack((points, psi.real, psi.imag)), args.output)
     return 0
 
 
@@ -384,6 +439,8 @@ def _cmd_diffraction(args) -> int:
 
 
 def _cmd_diffraction_scan(args) -> int:
+    if args.samples > SIZE_CAP:
+        raise InputError(f"--samples is capped at {SIZE_CAP}")
     params = _load_params(args.params)
     max_residual, verdict = diffraction.no_diffraction_scan(
         params, args.samples, args.middle_reflection
@@ -417,7 +474,7 @@ def _cmd_verify(args) -> int:
         "notes": list(notes),
         "all_passed": all_passed,
     }
-    print(_json_dumps(payload))
+    sys.stdout.write(_json_dumps(payload) + "\n")
     return 0 if all_passed else 2
 
 

@@ -47,3 +47,7 @@ class UsageError(PointFamError):
 
 class InvariantViolation(PointFamError):
     """An identity that the construction guarantees failed to hold."""
+
+
+class NonFiniteResult(PointFamError):
+    """A result to be written is inf or NaN, e.g. after overflowing double precision."""

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
+import numpy as np
+
 from .core import InteractionParams
 from .errors import InputError, NonBinding, OnBoundary
 from .one_body import bound_spectrum
@@ -91,6 +93,15 @@ class Configuration:
         return 1 if self.parity == "even" else -1
 
 
+def _check_apart(coords, where: str = "") -> None:
+    """Raise OnBoundary naming the first pair closer than COINCIDENCE_TOL."""
+    for i, j in combinations(range(len(coords)), 2):
+        if abs(coords[i] - coords[j]) < COINCIDENCE_TOL:
+            raise OnBoundary(
+                f"{where}coordinates {i + 1} and {j + 1} coincide within {COINCIDENCE_TOL}"
+            )
+
+
 def configuration_of(coords: list[float] | tuple[float, ...]) -> Configuration:
     """Classify a coordinate tuple into its ordering, parity, and (N=3) region.
 
@@ -100,11 +111,7 @@ def configuration_of(coords: list[float] | tuple[float, ...]) -> Configuration:
     n = len(coords)
     if n < 2:
         raise InputError("need at least two coordinates")
-    for i, j in combinations(range(n), 2):
-        if abs(coords[i] - coords[j]) < COINCIDENCE_TOL:
-            raise OnBoundary(
-                f"coordinates {i + 1} and {j + 1} coincide within {COINCIDENCE_TOL}"
-            )
+    _check_apart(coords)
     ordering = tuple(
         sorted(range(1, n + 1), key=lambda p: coords[p - 1], reverse=True)
     )
@@ -196,24 +203,50 @@ def nbody_bound_states(
 
 def eval_nbody_wavefunction(
     state: NBodyBoundState,
-    coords: list[float] | tuple[float, ...],
+    coords,
     configuration: Configuration | None = None,
-) -> complex:
+):
     """Unnormalized wavefunction value at the given particle coordinates.
 
+    coords is one point of N coordinates, which gives a complex, or a
+    (P, N) array of points, which gives a complex array of length P.
     The exponent is -kappa times the sum of all scaled pair distances
     |x_i - x_j|/sqrt(2), which is totally symmetric; only the coefficient
-    distinguishes configurations. On a coincidence boundary the caller
-    must pass the configuration of the intended side.
+    distinguishes configurations: c_odd where an odd number of pairs
+    i < j have x_j > x_i, else c_even. Each pass over a pair adds that
+    pair's distance to every point in the same order as a scalar loop,
+    so sums and values are bit-identical to evaluating point by point.
+    On a coincidence boundary the caller must pass the configuration of
+    the intended side; a configuration given applies to every point.
     """
-    if len(coords) != state.n:
-        raise InputError(f"expected {state.n} coordinates, got {len(coords)}")
-    if configuration is None:
-        configuration = configuration_of(coords)
-    total = 0.0
+    points = np.asarray(coords, dtype=float)
+    single = points.ndim <= 1
+    if single:
+        points = points.reshape(1, -1)
+    if points.ndim != 2 or points.shape[1] != state.n:
+        raise InputError(f"expected {state.n} coordinates, got {points.shape[-1]}")
+    total = np.zeros(len(points))
+    odd = np.zeros(len(points), dtype=bool)
+    close = np.zeros(len(points), dtype=bool)
     for i, j in combinations(range(state.n), 2):
-        total += abs(coords[i] - coords[j])
-    return state.coefficient(configuration) * math.exp(-state.kappa * total / SQRT2)
+        diff = points[:, i] - points[:, j]
+        distance = np.abs(diff)
+        total += distance
+        odd ^= diff < 0.0
+        close |= distance < COINCIDENCE_TOL
+    if configuration is not None:
+        odd[:] = configuration.parity == "odd"
+    elif close.any():
+        row = int(np.flatnonzero(close)[0])
+        _check_apart(points[row].tolist(), "" if single else f"row {row + 1}: ")
+    exponents = (-state.kappa * total / SQRT2).tolist()
+    # math.exp per point keeps the point-by-point values; np.exp differs from it
+    # in the last ulp for some inputs.
+    values = [
+        (state.c_odd if o else state.c_even) * math.exp(e)
+        for o, e in zip(odd.tolist(), exponents)
+    ]
+    return values[0] if single else np.array(values, dtype=complex)
 
 
 def symmetry_class(state: NBodyBoundState) -> str:

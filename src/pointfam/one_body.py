@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import InteractionParams
 from .errors import InvalidSlice, InvariantViolation
 
@@ -102,32 +104,34 @@ def bound_spectrum(params: InteractionParams) -> list[BoundState]:
     return states
 
 
-def phase_diagram_count(
-    alpha: float, gamma: float, delta: float, beta: float | None = None
-) -> int:
+def phase_diagram_count(alpha, gamma, delta: float, beta: float | None = None):
     """Number of bound states on the (alpha, gamma, delta) slice: 0, 1, or 2.
+
+    alpha and gamma are floats or arrays that broadcast together; floats
+    give an int, arrays give an int array of the broadcast shape, so
+    alpha[:, None] and gamma[None, :] count a whole grid in one call.
 
     For delta != 0, beta is pinned by the determinant constraint and the
     count is independent of mass and beta. For delta = 0 the slice is only
-    meaningful when alpha*gamma = 1, and the sign of the single candidate
-    root depends on beta, which the caller must supply.
+    meaningful when alpha*gamma = 1 at every point, and the sign of the
+    single candidate root depends on beta, which the caller must supply.
     """
+    alpha, gamma = np.asarray(alpha, dtype=float), np.asarray(gamma, dtype=float)
     if delta == 0.0:
-        if abs(alpha * gamma - 1.0) > 1e-12:
+        if (np.abs(alpha * gamma - 1.0) > 1e-12).any():
             raise InvalidSlice(
                 "delta = 0 requires alpha*gamma = 1 for a valid interaction"
             )
         if beta is None:
             raise InvalidSlice("delta = 0 needs an explicit beta to fix the root sign")
-        root = -2.0 * beta / (alpha + gamma)
-        return 1 if root > KAPPA_MIN else 0
-    s = math.hypot(alpha - gamma, 2.0)
-    trace = alpha + gamma
-    count = 0
-    for signed in ((-trace + s) / delta, (-trace - s) / delta):
-        if signed > KAPPA_MIN:
-            count += 1
-    return count
+        count = (-2.0 * beta / (alpha + gamma) > KAPPA_MIN).astype(int)
+    else:
+        s = np.hypot(alpha - gamma, 2.0)
+        trace = alpha + gamma
+        count = ((-trace + s) / delta > KAPPA_MIN).astype(int) + (
+            (-trace - s) / delta > KAPPA_MIN
+        )
+    return int(count) if count.ndim == 0 else count
 
 
 def orthogonality_sum(state_a: BoundState, state_b: BoundState) -> complex:

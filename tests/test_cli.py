@@ -5,9 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from pointfam import cli, many_body, one_body, scattering
 from pointfam.cli import _parse_range, main
+from pointfam.core import params_from_dict
 from pointfam.errors import InputError
 
 
@@ -315,3 +318,149 @@ def test_float_formatting_has_17_significant_digits(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "params-check", "--params", str(path))
     assert code == 0
     assert "0.33333333333333331" in out
+
+
+# ---------------------------------------------------------------- byte layout
+
+
+def _ref_cell(value) -> str:
+    return format(value, ".17g") if isinstance(value, float) else str(value)
+
+
+def _ref_table(columns, rows, output) -> str:
+    """Tables as the former per-cell writers printed them."""
+    if output == "csv":
+        lines = [",".join(columns)] + [",".join(_ref_cell(v) for v in row) for row in rows]
+        return "\n".join(lines) + "\n"
+
+    def array(items, indent):
+        if not items:
+            return "[]"
+        pad = "  " * indent
+        return "[\n" + ",\n".join(pad + "  " + item for item in items) + "\n" + pad + "]"
+
+    rows_text = array([array([_ref_cell(v) for v in row], 2) for row in rows], 1)
+    return '{\n  "columns": ' + array([json.dumps(c) for c in columns], 1) + ',\n  "rows": ' + rows_text + "\n}\n"
+
+
+@pytest.mark.parametrize("output", ["csv", "json"])
+def test_scatter_bytes_match_per_cell_reference(capsys, two_state_file, output):
+    # 2500 rows: the writer's blocks of rows meet several times.
+    code, out, _ = run_cli(
+        capsys, "scatter", "--params", two_state_file, "--k-range", "0.01:25:0.01", "--output", output
+    )
+    assert code == 0
+    ks = _parse_range("0.01:25:0.01")
+    amps = scattering.amplitudes(params_from_dict(json.loads(Path(two_state_file).read_text())), np.array(ks))
+    t2 = (np.hypot(amps.t_plus.real, amps.t_plus.imag) ** 2).tolist()
+    r2 = (np.hypot(amps.r_plus.real, amps.r_plus.imag) ** 2).tolist()
+    rows = [
+        [k, a, b, t.real, t.imag, r.real, r.imag, rm.real, rm.imag]
+        for k, a, b, t, r, rm in zip(ks, t2, r2, amps.t_plus.tolist(), amps.r_plus.tolist(), amps.r_minus.tolist())
+    ]
+    columns = ["k", "|T|^2", "|R|^2", "re(T+)", "im(T+)", "re(R+)", "im(R+)", "re(R-)", "im(R-)"]
+    assert out == _ref_table(columns, rows, output)
+
+
+@pytest.mark.parametrize("output", ["csv", "json"])
+@pytest.mark.parametrize("argv, delta, beta", [
+    (["--delta=-0.7", "--alpha=-3:3:0.1", "--gamma=-3:3:0.2"], -0.7, None),
+    (["--delta", "1", "--alpha=-4:4:0.25", "--gamma=-4:4:0.125"], 1.0, None),
+    (["--delta", "0", "--beta=-2", "--alpha=-1:-1:1", "--gamma=-1:-1:1"], 0.0, -2.0),
+    (["--delta", "0", "--beta", "2", "--alpha=-1:-1:1", "--gamma=-1:-1:1"], 0.0, 2.0),
+])
+def test_phase_diagram_bytes_match_per_cell_reference(capsys, argv, delta, beta, output):
+    code, out, _ = run_cli(capsys, "phase-diagram", *argv, "--output", output)
+    assert code == 0
+    alphas = _parse_range(argv[-2].split("=")[1])
+    gammas = _parse_range(argv[-1].split("=")[1])
+    rows = [[a, g, one_body.phase_diagram_count(a, g, delta, beta)] for a in alphas for g in gammas]
+    assert out == _ref_table(["alpha", "gamma", "count"], rows, output)
+
+
+@pytest.mark.parametrize("output", ["csv", "json"])
+@pytest.mark.parametrize("n, count", [(2, 50), (3, 1500), (8, 40)])
+def test_nbody_eval_bytes_match_per_point_reference(capsys, two_state_file, tmp_path, n, count, output):
+    rng = np.random.default_rng(n)
+    points = rng.uniform(-1.0, 1.0, size=(count, n)).tolist()
+    path = tmp_path / "points.csv"
+    path.write_text(",".join(f"x{i}" for i in range(1, n + 1)) + "\n"
+                    + "".join(",".join(map(repr, pt)) + "\n" for pt in points))
+    code, out, _ = run_cli(
+        capsys, "nbody-eval", "--params", two_state_file, "--n", str(n),
+        "--state-index", "1", "--points", str(path), "--output", output,
+    )
+    assert code == 0
+    params = params_from_dict(json.loads(Path(two_state_file).read_text()))
+    state = many_body.nbody_bound_states(params, n)[1]
+    rows = []
+    for pt in points:
+        value = many_body.eval_nbody_wavefunction(state, pt)
+        rows.append(pt + [value.real, value.imag])
+    columns = [f"x{i}" for i in range(1, n + 1)] + ["re(psi)", "im(psi)"]
+    assert out == _ref_table(columns, rows, output)
+
+
+def test_nbody_eval_names_the_coincident_row(capsys, delta_file, tmp_path):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x1,x2,x3\n1.0,0.0,-1.0\n2.0,0.5,-0.5\n0.25,-3.0,0.25\n1.0,1.0,1.0\n")
+    code, out, err = run_cli(
+        capsys, "nbody-eval", "--params", delta_file, "--n", "3",
+        "--state-index", "0", "--points", str(pts),
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"nbody-eval: row 3: coordinates 1 and 3 coincide within {many_body.COINCIDENCE_TOL}\n"
+
+
+# ---------------------------------------------------------------- refused results
+
+
+@pytest.mark.parametrize("output", ["csv", "json"])
+@pytest.mark.parametrize("command, params, extra", [
+    ("nbody", dict(alpha=-1.0, beta=2.0, gamma=-1.0, delta=0.0, theta=math.pi, mass=1e308), ["--n", "4"]),
+    ("bound", dict(alpha=-1.0, beta=-2.0, gamma=-1.0, delta=1e-300, theta=math.pi, mass=1.0), []),
+])
+def test_non_finite_results_are_refused(capsys, tmp_path, command, params, extra, output):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(params))
+    code, out, err = run_cli(capsys, command, "--params", str(path), *extra, "--output", output)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "not a finite number" in err and err.startswith(f"{command}: ")
+
+
+# ---------------------------------------------------------------- size cap
+
+
+def test_size_cap_refuses_before_allocating(capsys, delta_file):
+    # 1e18 values: building the list first would never finish.
+    with pytest.raises(InputError, match="more than"):
+        _parse_range("0:1e9:1e-9")
+    for bad in ("0:inf:1", "nan:1:1", "0:1:nan", "-1e308:1e308:1"):
+        with pytest.raises(InputError):
+            _parse_range(bad)
+    code, _, err = run_cli(capsys, "scatter", "--params", delta_file, "--k-range", "0:1e9:1e-9")
+    assert code == 1 and "more than" in err
+    side = f"0:{cli.SIZE_CAP // 1000}:1"  # each side passes, the grid does not
+    code, _, err = run_cli(capsys, "phase-diagram", "--delta", "1", f"--alpha={side}", f"--gamma={side}")
+    assert code == 1 and "grid" in err
+    code, _, err = run_cli(
+        capsys, "diffraction-scan", "--params", delta_file, "--samples", str(cli.SIZE_CAP + 1)
+    )
+    assert code == 1 and "samples" in err
+    code, _, err = run_cli(capsys, "phase-diagram", "--delta", "nan", "--alpha=0:1:1", "--gamma=0:1:1")
+    assert code == 1 and "finite" in err
+
+
+def test_size_cap_boundary(monkeypatch):
+    monkeypatch.setattr(cli, "SIZE_CAP", 10)
+    assert len(_parse_range("1:10:1")) == 10
+    with pytest.raises(InputError):
+        _parse_range("1:11:1")
+
+
+def test_size_cap_admits_documented_sizes():
+    assert cli.SIZE_CAP >= max(10_000, 201 * 201, 6000)  # the benchmark sizes
+    assert len(_parse_range("0.1:10:0.1")) == 100
+    assert len(_parse_range("-4:4:0.05")) == 161

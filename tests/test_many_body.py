@@ -206,6 +206,34 @@ def test_eval_wrong_arity():
         eval_nbody_wavefunction(st, [1.0, 0.0])
 
 
+def _eval_per_point(state, coords):
+    """The point-by-point evaluation the array kernel replaced."""
+    total = 0.0
+    for i, j in combinations(range(state.n), 2):
+        total += abs(coords[i] - coords[j])
+    return state.coefficient(configuration_of(coords)) * math.exp(-state.kappa * total / SQRT2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_eval_array_matches_per_point_exactly(rng, n):
+    for st in nbody_bound_states(TWO_STATE, n):
+        points = rng.normal(scale=1.5 / st.kappa, size=(500, n))
+        values = eval_nbody_wavefunction(st, points)
+        assert values.shape == (500,)
+        expected = [_eval_per_point(st, pt) for pt in points.tolist()]
+        assert values.tolist() == expected
+        assert [eval_nbody_wavefunction(st, pt) for pt in points.tolist()] == expected
+
+
+def test_eval_array_names_the_coincident_row():
+    st = nbody_bound_states(DELTA, 3)[0]
+    points = np.array([[1.0, 0.0, -1.0], [2.0, 0.5, -0.5], [3.0, 0.0, 3.0 + 1e-15], [1.0, 1.0, 0.0]])
+    with pytest.raises(OnBoundary, match="^row 3: coordinates 1 and 3 coincide"):
+        eval_nbody_wavefunction(st, points)
+    with pytest.raises(InputError):
+        eval_nbody_wavefunction(st, points[:, :2])
+
+
 def test_probability_density_is_theta_free(rng):
     base = dict(alpha=-2.0, beta=3.0, gamma=-2.0, delta=1.0, mass=0.5)
     ref_states = nbody_bound_states(validate_params(theta=0.0, **base), 3)
@@ -310,9 +338,7 @@ def test_pair_overlap_quadrature():
     s = np.linspace(-span, span, 40000)
 
     def values(state):
-        return np.array(
-            [eval_nbody_wavefunction(state, [v / 2.0, -v / 2.0]) for v in s]
-        )
+        return eval_nbody_wavefunction(state, np.column_stack((s / 2.0, -s / 2.0)))
 
     f, g = values(plus), values(minus)
     overlap = np.trapezoid(np.conj(f) * g, s)

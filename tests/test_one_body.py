@@ -154,6 +154,40 @@ def test_phase_diagram_matches_brute_force_grid():
             assert closed == brute
 
 
+def _count_per_cell(alpha, gamma, delta, beta=None):
+    """The scalar classifier the array kernel replaced, one cell at a time."""
+    if delta == 0.0:
+        return 1 if -2.0 * beta / (alpha + gamma) > 1e-12 else 0
+    s = math.hypot(alpha - gamma, 2.0)
+    trace = alpha + gamma
+    return sum(1 for signed in ((-trace + s) / delta, (-trace - s) / delta) if signed > 1e-12)
+
+
+@pytest.mark.parametrize("delta", [1.0, -0.7, 2.5])
+def test_phase_diagram_array_matches_per_cell(delta):
+    # The grid contains the 0/1/2 boundaries (alpha*gamma = 1 and exact zeros).
+    alphas = -4.0 + 0.05 * np.arange(161)
+    gammas = np.concatenate((-4.0 + 0.125 * np.arange(65), [0.5, 2.0, 0.25, 4.0]))
+    grid = phase_diagram_count(alphas[:, None], gammas[None, :], delta)
+    assert grid.shape == (161, 69)
+    assert set(np.unique(grid)) == {0, 1, 2}
+    for i, alpha in enumerate(alphas.tolist()):
+        for j, gamma in enumerate(gammas.tolist()):
+            assert grid[i, j] == _count_per_cell(alpha, gamma, delta)
+            assert grid[i, j] == phase_diagram_count(alpha, gamma, delta)
+
+
+def test_phase_diagram_array_delta_zero():
+    alphas = np.array([-4.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 4.0])
+    for beta in (2.0, -2.0):
+        counts = phase_diagram_count(alphas, 1.0 / alphas, 0.0, beta)
+        assert counts.tolist() == [_count_per_cell(a, 1.0 / a, 0.0, beta) for a in alphas.tolist()]
+    with pytest.raises(InvalidSlice, match=r"alpha\*gamma = 1"):
+        phase_diagram_count(alphas, np.append(1.0 / alphas[:-1], 1.0), 0.0, 2.0)
+    with pytest.raises(InvalidSlice, match="beta"):
+        phase_diagram_count(alphas, 1.0 / alphas, 0.0)
+
+
 def test_phase_diagram_count_matches_spectrum(rng):
     for _ in range(200):
         p = random_params(rng)
