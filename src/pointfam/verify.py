@@ -2,17 +2,24 @@
 
 Every function here recomputes physics directly from the boundary
 condition: decay constants by sign-change bracketing of the decay-rate
-polynomial, scattering amplitudes by solving the plane-wave matching
-system, and bound-state quality by residuals of the boundary condition
-and of the kinetic eigenvalue problem. None of them call the closed-form
-code paths they are meant to validate; the only package dependency is the
-parameter/boundary-matrix layer. N-body states are consumed as read-only
-data (kappa, energy, coefficient pair) and re-evaluated locally.
+polynomial and bisection to adjacent floats, scattering amplitudes by
+solving the plane-wave matching system, and bound-state quality by
+residuals of the boundary condition and of the kinetic eigenvalue
+problem. None of them call the closed-form code paths they are meant to
+validate; the only package dependency is the parameter/boundary-matrix
+layer. N-body states are consumed as read-only data (kappa, energy,
+coefficient pair) and re-evaluated locally.
+
+Each residual check evaluates all its samples in one array pass. Where
+numpy's complex arithmetic rounds differently from Python's, the oracles
+round as Python does, so every value equals that of the same formula
+applied one sample at a time.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -27,17 +34,28 @@ _KAPPA_MIN = 1e-12
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Outcome of one residual check over a batch of sample points."""
+    """Outcome of one residual check over a batch of sample points.
+
+    worst_at names the input that gave max_residual (coordinates, draw,
+    wavenumber, parameters or transverse offset), or is None where the
+    check has no single such input.
+    """
 
     check_name: str
     max_residual: float
     samples: int
     passed: bool
     tolerance: float
+    worst_at: dict | None = None
 
     @classmethod
     def build(
-        cls, check_name: str, max_residual: float, samples: int, tolerance: float
+        cls,
+        check_name: str,
+        max_residual: float,
+        samples: int,
+        tolerance: float,
+        worst_at: dict | None = None,
     ) -> "ResidualReport":
         max_residual = float(max_residual)
         return cls(
@@ -46,6 +64,7 @@ class ResidualReport:
             samples=samples,
             passed=max_residual <= tolerance,
             tolerance=tolerance,
+            worst_at=worst_at,
         )
 
 
@@ -74,17 +93,36 @@ def random_params(rng: np.random.Generator) -> InteractionParams:
         return validate_params(alpha, beta, gamma, delta, theta, mass)
 
 
+def _bisect(f, lo: float, hi: float) -> float:
+    """Root of f in the sign-change bracket [lo, hi].
+
+    The bracket is halved until its ends are adjacent floats; of those the
+    one with the smaller |f| is returned (an exact zero met on the way is
+    returned at once).
+    """
+    f_lo, f_hi = f(lo), f(hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return lo if abs(f_lo) <= abs(f_hi) else hi
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+
+
 def oracle_bound_kappas(params: InteractionParams, grid_points: int = 4096) -> list[float]:
     """Positive decay constants found numerically, ascending.
 
     The quadratic decay-rate polynomial is scanned for sign changes on
-    (KAPPA_MIN, k_max] and each bracket is polished with a root finder;
-    the delta = 0 case reduces to a direct linear solve. k_max combines a
-    coefficient-based bound with the Cauchy root bound so that no root can
-    escape the scanned interval.
+    (KAPPA_MIN, k_max] and each bracket is bisected down to adjacent
+    floats; the delta = 0 case reduces to a direct linear solve. k_max
+    combines a coefficient-based bound with the Cauchy root bound so that
+    no root can escape the scanned interval.
     """
-    from scipy.optimize import brentq  # deferred, so importing pointfam never loads scipy
-
     a, g, d, m = params.alpha, params.gamma, params.delta, params.mass
     b = params.beta
 
@@ -103,8 +141,8 @@ def oracle_bound_kappas(params: InteractionParams, grid_points: int = 4096) -> l
     grid = np.linspace(_KAPPA_MIN, k_max, grid_points)
     values = poly(grid)
     roots = grid[values == 0.0].tolist()
-    for i in np.flatnonzero(values[:-1] * values[1:] < 0.0):
-        roots.append(float(brentq(poly, grid[i], grid[i + 1], xtol=1e-15)))
+    for i in np.flatnonzero(values[:-1] * values[1:] < 0.0).tolist():
+        roots.append(_bisect(poly, float(grid[i]), float(grid[i + 1])))
     deduped: list[float] = []
     for r in sorted(roots):
         if r > _KAPPA_MIN and (not deduped or r - deduped[-1] > 1e-9):
@@ -112,69 +150,89 @@ def oracle_bound_kappas(params: InteractionParams, grid_points: int = 4096) -> l
     return deduped
 
 
+def _py_cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y rounded part by part as Python rounds a complex product.
+
+    numpy's complex multiply can round differently (its vector loops may
+    fuse a multiply and an add), which changes the last bits of the solve.
+    """
+    out = np.empty(np.broadcast(x, y).shape, dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
 def scattering_matching_oracle(
-    params: InteractionParams, k: float, incidence: str
-) -> tuple[complex, complex]:
+    params: InteractionParams | Sequence[InteractionParams],
+    k: float | np.ndarray,
+    incidence: str,
+) -> tuple[complex, complex] | tuple[np.ndarray, np.ndarray]:
     """(t, r) from a direct plane-wave matching solve at wavenumber k > 0.
 
     incidence "minus" sends the unit wave in from the left, "plus" from
     the right. The boundary condition applied to the two-sided ansatz
-    gives a 2x2 complex linear system in (t, r), solved as such.
+    gives a 2x2 complex linear system in (t, r), solved as such. One
+    parameter set with a float k gives complex t and r; a sequence of
+    parameter sets with an equal-length array of k gives arrays, from one
+    stacked solve. The value checks cover every entry.
     """
-    if not k > 0.0:
-        raise ValueError(f"wavenumber must be positive, got {k!r}")
+    single = isinstance(params, InteractionParams)
+    batch = [params] if single else list(params)
+    k = np.array(k, dtype=float).reshape(-1)
+    if k.size != len(batch):
+        raise ValueError(f"need one wavenumber per parameter set, got {k.size} for {len(batch)}")
+    bad = ~(k > 0.0)
+    if bad.any():
+        raise ValueError(f"wavenumber must be positive, got {float(k[bad][0])!r}")
     if incidence not in ("minus", "plus"):
         raise ValueError(f"incidence must be 'minus' or 'plus', got {incidence!r}")
-    a, b, g, d, m = params.alpha, params.beta, params.gamma, params.delta, params.mass
-    ph = params.phase
+    a, b, g, d, m = (
+        np.array([getattr(p, name) for p in batch])
+        for name in ("alpha", "beta", "gamma", "delta", "mass")
+    )
+    ph = np.array([p.phase for p in batch])
     ik = 1j * k
+    system = np.empty((len(batch), 2, 2), dtype=complex)
     if incidence == "minus":
         # x < 0: e^{ikx} + r e^{-ikx};  x > 0: t e^{ikx}
-        system = np.array(
-            [
-                [ik, ph * (ik * a - 2.0 * m * b)],
-                [2.0 * m, ph * (ik * d - 2.0 * m * g)],
-            ],
-            dtype=complex,
-        )
-        rhs = np.array(
-            [ph * (ik * a + 2.0 * m * b), ph * (ik * d + 2.0 * m * g)], dtype=complex
-        )
+        system[:, 0, 0] = ik
+        system[:, 0, 1] = _py_cmul(ph, ik * a - 2.0 * m * b)
+        system[:, 1, 0] = 2.0 * m
+        system[:, 1, 1] = _py_cmul(ph, ik * d - 2.0 * m * g)
+        rhs = np.stack([_py_cmul(ph, ik * a + 2.0 * m * b), _py_cmul(ph, ik * d + 2.0 * m * g)], -1)
     else:
         # x > 0: e^{-ikx} + r e^{ikx};  x < 0: t e^{-ikx}
-        system = np.array(
-            [
-                [ph * (ik * a - 2.0 * m * b), ik],
-                [ph * (ik * d - 2.0 * m * g), 2.0 * m],
-            ],
-            dtype=complex,
-        )
-        rhs = np.array([ik, -2.0 * m], dtype=complex)
-    det = system[0, 0] * system[1, 1] - system[0, 1] * system[1, 0]
-    if abs(det) < 1e-300:
-        raise SingularSystem(f"matching system singular at k = {k!r}")
-    t, r = np.linalg.solve(system, rhs)
-    return complex(t), complex(r)
+        system[:, 0, 0] = _py_cmul(ph, ik * a - 2.0 * m * b)
+        system[:, 0, 1] = ik
+        system[:, 1, 0] = _py_cmul(ph, ik * d - 2.0 * m * g)
+        system[:, 1, 1] = 2.0 * m
+        rhs = np.stack([ik, -2.0 * m], -1)
+    det = _py_cmul(system[:, 0, 0], system[:, 1, 1]) - _py_cmul(system[:, 0, 1], system[:, 1, 0])
+    singular = np.hypot(det.real, det.imag) < 1e-300
+    if singular.any():
+        raise SingularSystem(f"matching system singular at k = {float(k[singular][0])!r}")
+    t, r = np.linalg.solve(system, rhs[:, :, None])[:, :, 0].T
+    if single:
+        return complex(t[0]), complex(r[0])
+    return t, r
 
 
-def _local_parity_sign(ordering: tuple[int, ...]) -> int:
-    inversions = 0
-    for i, j in combinations(range(len(ordering)), 2):
-        if ordering[i] > ordering[j]:
-            inversions += 1
-    return 1 if inversions % 2 == 0 else -1
+def _local_parity_signs(orderings: np.ndarray) -> np.ndarray:
+    """+1 or -1 per row of a (P, N) array of orderings, from its inversion count."""
+    inversions = np.zeros(len(orderings), dtype=int)
+    for i, j in combinations(range(orderings.shape[1]), 2):
+        inversions += orderings[:, i] > orderings[:, j]
+    return np.where(inversions % 2 == 0, 1, -1)
 
 
-def _eval_state_local(state, coords: np.ndarray) -> complex:
-    """Wavefunction of an N-body state, rebuilt from its raw data fields."""
-    order = tuple(int(p) + 1 for p in np.argsort(-coords, kind="stable"))
-    coeff = state.c_even if _local_parity_sign(order) == 1 else state.c_odd
-    total = 0.0
-    n = len(coords)
-    for i in range(n):
-        for j in range(i + 1, n):
-            total += abs(coords[i] - coords[j])
-    return coeff * math.exp(-state.kappa * total / _SQRT2)
+def _eval_state_local(state, coords: np.ndarray) -> np.ndarray:
+    """Wavefunction of an N-body state at each row of a (P, N) array, rebuilt from its raw data fields."""
+    even = _local_parity_signs(np.argsort(-coords, axis=1, kind="stable")) == 1
+    total = np.zeros(len(coords))
+    for i, j in combinations(range(coords.shape[1]), 2):
+        total += np.abs(coords[:, i] - coords[:, j])
+    decay = np.array([math.exp(e) for e in (-state.kappa * total / _SQRT2).tolist()])
+    return np.where(even, state.c_even, state.c_odd) * decay
 
 
 # Cyclically oriented normal coordinate per coincidence line: the first
@@ -205,52 +263,48 @@ def boundary_residual_3body(
 
     half = max(1, (samples + 1) // 2)
     magnitudes = np.linspace(0.5 / kappa, 8.0 / kappa, half)
-    transverse = [v for mag in magnitudes for v in (mag, -mag)][:samples]
+    transverse = np.stack([magnitudes, -magnitudes], axis=1).reshape(-1)[:samples]
+    coords = np.zeros((len(transverse), 3))
+    coords[:, spect - 1] = -math.sqrt(1.5) * transverse
 
-    worst = 0.0
-    for v in transverse:
-        coords = np.zeros(3)
-        coords[spect - 1] = -math.sqrt(1.5) * v
+    total = 0.0
+    for a, b in combinations((1, 2, 3), 2):
+        total = total + np.abs(coords[:, a - 1] - coords[:, b - 1])
+    decay = np.array([math.exp(e) for e in (-kappa * total / _SQRT2).tolist()])
 
-        sides = {}
-        for side in (1, -1):
-            # Ordering on this side of the line: i above j for side = +1.
-            def key(p: int, side: int = side) -> tuple[float, int]:
-                tiebreak = 0
-                if p == i:
-                    tiebreak = -side
-                elif p == j:
-                    tiebreak = side
-                return (-coords[p - 1], tiebreak)
+    # One-sided derivatives are taken along the unit normal (e_i - e_j)/sqrt(2).
+    disp = {i: 1.0 / _SQRT2, j: -1.0 / _SQRT2, spect: 0.0}
+    columns = {}
+    for side in (1, -1):
+        # Ordering on this side of the line: i above j for side = +1; a
+        # second sort key breaks the tie x_i = x_j.
+        tiebreak = np.zeros(3)
+        tiebreak[i - 1], tiebreak[j - 1] = -side, side
+        order = np.lexsort((np.broadcast_to(tiebreak, coords.shape), -coords), axis=1)
+        psi = np.where(_local_parity_signs(order) == 1, state.c_even, state.c_odd) * decay
 
-            order = tuple(sorted((1, 2, 3), key=key))
-            coeff = state.c_even if _local_parity_sign(order) == 1 else state.c_odd
+        slope = 0.0
+        for a, b in combinations((1, 2, 3), 2):
+            if {a, b} == {i, j}:
+                sign = float(side if a == i else -side)
+            else:
+                sign = np.copysign(1.0, coords[:, a - 1] - coords[:, b - 1])
+            slope = slope + sign * (disp[a] - disp[b])
+        psi_prime = -(kappa / _SQRT2) * slope * psi
+        columns[side] = np.stack([psi_prime, m2 * psi], axis=1)
 
-            total = sum(
-                abs(coords[a - 1] - coords[b - 1])
-                for a, b in combinations((1, 2, 3), 2)
-            )
-            psi = coeff * math.exp(-kappa * total / _SQRT2)
-
-            # One-sided derivative along the unit normal (e_i - e_j)/sqrt(2).
-            disp = {i: 1.0 / _SQRT2, j: -1.0 / _SQRT2, spect: 0.0}
-            slope = 0.0
-            for a, b in combinations((1, 2, 3), 2):
-                diff = coords[a - 1] - coords[b - 1]
-                if {a, b} == {i, j}:
-                    sign = float(side if a == i else -side)
-                else:
-                    sign = math.copysign(1.0, diff)
-                slope += sign * (disp[a] - disp[b])
-            psi_prime = -(kappa / _SQRT2) * slope * psi
-            sides[side] = (psi_prime, psi)
-
-        lhs = np.array([sides[1][0], m2 * sides[1][1]], dtype=complex)
-        rhs = matrix @ np.array([sides[-1][0], m2 * sides[-1][1]], dtype=complex)
-        scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-300)
-        resid = float(np.max(np.abs(lhs - rhs)) / scale)
-        worst = max(worst, resid)
-    return ResidualReport.build(f"boundary-condition {line}", worst, len(transverse), 1e-10)
+    lhs = columns[1]
+    rhs = (matrix @ columns[-1][:, :, None])[:, :, 0]
+    scale = np.maximum(np.maximum(np.abs(lhs).max(axis=1), np.abs(rhs).max(axis=1)), 1e-300)
+    residuals = np.abs(lhs - rhs).max(axis=1) / scale
+    worst = int(np.argmax(residuals))
+    return ResidualReport.build(
+        f"boundary-condition {line}",
+        residuals[worst],
+        len(transverse),
+        1e-10,
+        worst_at={"v": float(transverse[worst])},
+    )
 
 
 def interior_residual(
@@ -268,29 +322,44 @@ def interior_residual(
     pairwise separations at least 10*h so stencils never cross a
     coincidence hyperplane. The mass enters through the kinetic prefactor
     and must come from the interaction, not from the state under test.
+    The stencils of all points go through one evaluator call.
     """
     n = state.n
     kappa = state.kappa
     if h is None:
         h = 1e-4 / kappa
     rng = np.random.default_rng(seed)
-    energy = state.energy
-    worst = 0.0
-    for _ in range(points):
+    coords = np.empty((points, n))
+    for p in range(points):
         ranks = rng.permutation(n)
         gaps = 10.0 * h + rng.exponential(1.0 / kappa, size=n - 1)
-        positions = np.concatenate([[0.0], -np.cumsum(gaps)])
-        coords = np.empty(n)
-        coords[ranks] = positions
-        psi0 = _eval_state_local(state, coords)
-        lap = 0.0 + 0.0j
-        for axis in range(n):
-            bumped = coords.copy()
-            bumped[axis] += h
-            up = _eval_state_local(state, bumped)
-            bumped[axis] -= 2.0 * h
-            down = _eval_state_local(state, bumped)
-            lap += (up - 2.0 * psi0 + down) / (h * h)
-        resid = abs(-lap / (2.0 * params.mass) - energy * psi0) / abs(energy * psi0)
-        worst = max(worst, resid)
-    return ResidualReport.build("interior-eigenvalue", worst, points, 1e-6)
+        coords[p, ranks] = np.concatenate([[0.0], -np.cumsum(gaps)])
+
+    # Per point: the point itself, then for each axis the coordinate + h
+    # and (coordinate + h) - 2h.
+    stencil = np.repeat(coords[:, None, :], 2 * n + 1, axis=1)
+    for axis in range(n):
+        stencil[:, 2 * axis + 1 : 2 * axis + 3, axis] += h
+        stencil[:, 2 * axis + 2, axis] -= 2.0 * h
+    psi = _eval_state_local(state, stencil.reshape(-1, n)).reshape(points, 2 * n + 1)
+
+    psi0 = psi[:, 0]
+    lap = np.zeros(points, dtype=complex)
+    for axis in range(n):
+        diff = psi[:, 2 * axis + 1] - 2.0 * psi0 + psi[:, 2 * axis + 2]
+        # Divided part by part, as Python divides a complex by a float;
+        # numpy's complex division rounds differently.
+        lap.real += diff.real / (h * h)
+        lap.imag += diff.imag / (h * h)
+    expected = state.energy * psi0
+    m2 = 2.0 * params.mass
+    miss = np.hypot(-lap.real / m2 - expected.real, -lap.imag / m2 - expected.imag)
+    residuals = miss / np.hypot(expected.real, expected.imag)
+    worst = int(np.argmax(residuals))
+    return ResidualReport.build(
+        "interior-eigenvalue",
+        residuals[worst],
+        points,
+        1e-6,
+        worst_at={"coords": coords[worst].tolist()},
+    )

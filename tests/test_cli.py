@@ -243,7 +243,15 @@ def test_verify_subcommand_bound(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["all_passed"] is True
+    assert payload["checks"][0]["worst_at"] is None
     assert "PASS" in err
+
+
+def test_verify_subcommand_reports_worst_input(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "nbody-boundary")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert all(isinstance(c["worst_at"]["v"], float) for c in checks if "boundary-condition" in c["check_name"])
 
 
 @pytest.mark.parametrize("argv", [
@@ -269,6 +277,17 @@ def test_import_loads_no_scipy():
     code = (
         "import sys, pointfam, pointfam.cli; "
         "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])"
+    )
+    proc = python_child("-c", code, stdout=subprocess.PIPE)
+    out, _ = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert out.strip() == "[]"
+
+
+def test_verify_all_loads_no_scipy():
+    code = (
+        "import sys; from pointfam.suites import run_suite; run_suite('all'); "
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
     )
     proc = python_child("-c", code, stdout=subprocess.PIPE)
     out, _ = proc.communicate(timeout=120)

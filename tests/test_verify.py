@@ -1,16 +1,20 @@
 import math
+import re
 from dataclasses import replace
+from itertools import combinations
 
+import numpy as np
 import pytest
 
-from pointfam.core import canonical_interaction, validate_params
+from pointfam.core import InteractionParams, canonical_interaction, validate_params
 from pointfam.errors import SingularDenominator, SingularSystem
 from pointfam.many_body import nbody_bound_states
 from pointfam.one_body import bound_spectrum
-from pointfam.scattering import amplitudes
+from pointfam.scattering import amplitudes, unitarity_defect
 from pointfam.suites import SUITE_NAMES, run_suite
 from pointfam.verify import (
     ResidualReport,
+    _eval_state_local,
     boundary_residual_3body,
     interior_residual,
     oracle_bound_kappas,
@@ -20,6 +24,8 @@ from pointfam.verify import (
 
 DELTA = canonical_interaction("delta", -2.0, 0.5)
 TWO_STATE = validate_params(-2.0, 3.0, -2.0, 1.0, 0.0, 0.5)
+TWO_STATE_TILTED = validate_params(-2.0, 3.0, -2.0, 1.0, 0.7, 0.5)
+BOUND_SUITE_SEED = 20240901
 
 
 def test_report_build_consistency():
@@ -71,6 +77,36 @@ def test_oracle_agrees_with_closed_form(rng):
             assert abs(a - b) <= 1e-10 * max(1.0, b)
 
 
+def _exact_positive_roots(params):
+    """Positive roots of the decay-rate polynomial at 50 digits, ascending."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        a, b, g, d, m = (
+            mpmath.mpf(v) for v in (params.alpha, params.beta, params.gamma, params.delta, params.mass)
+        )
+        c1, c0 = 2 * (a + g) * m, 4 * b * m * m
+        if d == 0:
+            roots = [-c0 / c1]
+        else:
+            disc = c1 * c1 - 4 * d * c0
+            roots = [] if disc < 0 else [(-c1 + s * mpmath.sqrt(disc)) / (2 * d) for s in (1, -1)]
+        return sorted(r for r in roots if r > 1e-12)
+
+
+def test_oracle_roots_against_mpmath():
+    rng = np.random.default_rng(BOUND_SUITE_SEED)  # the bound suite's 1000 draws
+    worst = 0.0
+    for _ in range(1000):
+        p = random_params(rng)
+        roots = oracle_bound_kappas(p)
+        exact = _exact_positive_roots(p)
+        assert len(roots) == len(exact), p
+        for r, e in zip(roots, exact):
+            worst = max(worst, float(abs(r - e) / e))
+    assert worst <= 1e-13
+
+
 # --------------------------------------------------------- matching oracle
 
 
@@ -112,6 +148,52 @@ def test_matching_oracle_input_checks():
         scattering_matching_oracle(DELTA, -1.0, "minus")
     with pytest.raises(ValueError):
         scattering_matching_oracle(DELTA, 1.0, "left")
+    with pytest.raises(ValueError, match="'left'"):
+        scattering_matching_oracle([DELTA, TWO_STATE], np.array([1.0, 2.0]), "left")
+    with pytest.raises(ValueError, match="one wavenumber per parameter set"):
+        scattering_matching_oracle([DELTA, TWO_STATE], np.array([1.0]), "minus")
+
+
+def _reference_matching(p, k, incidence):
+    """The matching system built from Python complex numbers, solved alone."""
+    a, b, g, d, m, ph = p.alpha, p.beta, p.gamma, p.delta, p.mass, p.phase
+    ik = 1j * k
+    if incidence == "minus":
+        system = [[ik, ph * (ik * a - 2.0 * m * b)], [2.0 * m, ph * (ik * d - 2.0 * m * g)]]
+        rhs = [ph * (ik * a + 2.0 * m * b), ph * (ik * d + 2.0 * m * g)]
+    else:
+        system = [[ph * (ik * a - 2.0 * m * b), ik], [ph * (ik * d - 2.0 * m * g), 2.0 * m]]
+        rhs = [ik, -2.0 * m]
+    t, r = np.linalg.solve(np.array(system, dtype=complex), np.array(rhs, dtype=complex))
+    return complex(t), complex(r)
+
+
+def test_matching_oracle_batch_equals_batch_of_one():
+    rng = np.random.default_rng(7)
+    batch = [random_params(rng) for _ in range(200)]
+    ks = rng.uniform(1e-3, 10.0, size=200)
+    for incidence in ("minus", "plus"):
+        t, r = scattering_matching_oracle(batch, ks, incidence)
+        assert t.shape == r.shape == (200,)
+        for i, (p, k) in enumerate(zip(batch, ks.tolist())):
+            one = scattering_matching_oracle(p, k, incidence)
+            assert (complex(t[i]), complex(r[i])) == one == _reference_matching(p, k, incidence)
+
+
+@pytest.mark.parametrize("bad", [0.0, -2.5, float("nan")])
+def test_matching_oracle_rejects_bad_k_anywhere(bad):
+    ks = np.array([1.0, 2.0, bad, 3.0])
+    with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+        scattering_matching_oracle([DELTA] * 4, ks, "minus")
+
+
+@pytest.mark.parametrize("incidence", ["minus", "plus"])
+def test_matching_oracle_singular_entry(incidence):
+    # Off the constraint surface on purpose: alpha + gamma = 0 and
+    # delta k^2 = 4 m^2 beta at k = 0.5 make the determinant vanish.
+    singular = InteractionParams(0.0, 1.0, 0.0, 4.0, 0.0, 0.5)
+    with pytest.raises(SingularSystem, match="0.5"):
+        scattering_matching_oracle([DELTA, singular], np.array([1.0, 0.5]), incidence)
 
 
 # ------------------------------------------------------- boundary residual
@@ -149,6 +231,106 @@ def test_boundary_residual_rejects_unknown_line():
 
 
 # -------------------------------------------------------- interior residual
+
+
+def _reference_eval(state, coords):
+    """One point: argsort ordering, inversion count, i < j distance sum, math.exp."""
+    order = np.argsort(-coords, kind="stable")
+    inversions = sum(order[i] > order[j] for i, j in combinations(range(len(order)), 2))
+    coeff = state.c_even if inversions % 2 == 0 else state.c_odd
+    total = 0.0
+    for i, j in combinations(range(len(coords)), 2):
+        total += abs(coords[i] - coords[j])
+    return coeff * math.exp(-state.kappa * total / math.sqrt(2.0))
+
+
+def _reference_interior_residual(params, state, coords, h):
+    psi0 = _reference_eval(state, coords)
+    lap = 0.0 + 0.0j
+    for axis in range(len(coords)):
+        bumped = coords.copy()
+        bumped[axis] += h
+        up = _reference_eval(state, bumped)
+        bumped[axis] -= 2.0 * h
+        down = _reference_eval(state, bumped)
+        lap += (up - 2.0 * psi0 + down) / (h * h)
+    return abs(-lap / (2.0 * params.mass) - state.energy * psi0) / abs(state.energy * psi0)
+
+
+def test_batched_evaluator_matches_point_by_point():
+    rng = np.random.default_rng(3)
+    checked = 0
+    for params in (TWO_STATE, TWO_STATE_TILTED):
+        for n in range(2, 7):
+            for state in nbody_bound_states(params, n):
+                h = 1e-4 / state.kappa
+                base = rng.normal(scale=2.0 / state.kappa, size=(20, n))
+                up = base.copy()
+                axes = rng.integers(0, n, size=20)
+                up[np.arange(20), axes] += h
+                down = up.copy()
+                down[np.arange(20), axes] -= 2.0 * h
+                points = np.concatenate([base, up, down])
+                values = _eval_state_local(state, points)
+                for point, value in zip(points, values.tolist()):
+                    assert value == _reference_eval(state, point), (n, point)
+                checked += len(points)
+    assert checked >= 500
+
+
+def test_interior_residual_matches_point_by_point():
+    # Same draws as interior_residual makes, each point's residual taken
+    # with Python complex arithmetic; the batched maximum must match exactly.
+    # With this parameter set, unlike the suite's, rounding the division by
+    # h^2 as numpy's complex division does changes the maximum.
+    params = validate_params(-1.3, 2.0, -2.0, 0.8, 1.1, 0.7)
+    for seed in range(8):
+        for n in (2, 3, 4):
+            for state in nbody_bound_states(params, n):
+                h = 1e-4 / state.kappa
+                rng = np.random.default_rng(seed)
+                worst = 0.0
+                for _ in range(30):
+                    ranks = rng.permutation(n)
+                    gaps = 10.0 * h + rng.exponential(1.0 / state.kappa, size=n - 1)
+                    coords = np.empty(n)
+                    coords[ranks] = np.concatenate([[0.0], -np.cumsum(gaps)])
+                    resid = _reference_interior_residual(params, state, coords, h)
+                    worst = max(worst, resid)
+                rep = interior_residual(params, state, points=30, seed=seed)
+                assert rep.max_residual == worst, (seed, n, state.branch)
+
+
+INTERIOR_MAX_RESIDUALS = {
+    "delta n=2 single interior-eigenvalue": 1.530559755096993e-07,
+    "delta n=3 single interior-eigenvalue": 8.480160087836395e-08,
+    "delta n=4 single interior-eigenvalue": 2.8177938018369434e-07,
+    "delta n=5 single interior-eigenvalue": 2.0756410055684093e-07,
+    "two-state n=2 plus interior-eigenvalue": 3.078342700310837e-07,
+    "two-state n=2 minus interior-eigenvalue": 1.530559755096993e-07,
+    "two-state n=3 plus interior-eigenvalue": 1.283074807847817e-07,
+    "two-state n=3 minus interior-eigenvalue": 8.480160087836395e-08,
+    "two-state n=4 plus interior-eigenvalue": 4.3152872504036947e-07,
+    "two-state n=4 minus interior-eigenvalue": 2.8177938018369434e-07,
+    "two-state n=5 plus interior-eigenvalue": 2.767585400534731e-07,
+    "two-state n=5 minus interior-eigenvalue": 2.0756410055684093e-07,
+}
+
+
+def test_interior_suite_residuals_pinned():
+    reports, _ = run_suite("nbody-interior")
+    assert {r.check_name: r.max_residual for r in reports} == INTERIOR_MAX_RESIDUALS
+
+
+@pytest.mark.parametrize("params", [TWO_STATE, TWO_STATE_TILTED])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_interior_worst_at_reproduces_max(params, n):
+    for state in nbody_bound_states(params, n):
+        rep = interior_residual(params, state, points=100)
+        coords = np.array(rep.worst_at["coords"])
+        assert coords.shape == (n,)
+        h = 1e-4 / state.kappa
+        assert _reference_interior_residual(params, state, coords, h) == rep.max_residual
 
 
 def test_interior_residual_delta_three_body():
@@ -195,6 +377,39 @@ def test_each_suite_passes(name):
     assert reports
     for rep in reports:
         assert rep.passed, rep
+
+
+def test_scatter_worst_at_reproduces_max():
+    match, flux = run_suite("scatter")[0][:2]
+    p, k = InteractionParams(**match.worst_at["params"]), match.worst_at["k"]
+    amps = amplitudes(p, k)
+    t_minus, r_minus = scattering_matching_oracle(p, k, "minus")
+    t_plus, r_plus = scattering_matching_oracle(p, k, "plus")
+    gaps = (amps.t_minus - t_minus, amps.r_minus - r_minus, amps.t_plus - t_plus, amps.r_plus - r_plus)
+    assert max(abs(z) for z in gaps) == match.max_residual
+    p, k = InteractionParams(**flux.worst_at["params"]), flux.worst_at["k"]
+    assert unitarity_defect(amplitudes(p, k)) == flux.max_residual
+    assert 0 <= match.worst_at["draw"] < match.samples
+
+
+def test_worst_at_is_finite_and_deterministic():
+    first, _ = run_suite("all")
+    second, _ = run_suite("all")
+    assert repr(first) == repr(second)
+
+    def leaves(value):
+        if isinstance(value, dict):
+            return [x for v in value.values() for x in leaves(v)]
+        if isinstance(value, list):
+            return [x for v in value for x in leaves(v)]
+        return [value]
+
+    for rep in first:
+        has_input = "interior" in rep.check_name or "boundary-condition" in rep.check_name
+        has_input |= rep.check_name in ("amplitudes vs matching oracle", "flux conservation")
+        assert (rep.worst_at is not None) == has_input, rep.check_name
+        if rep.worst_at is not None:
+            assert all(math.isfinite(x) for x in leaves(rep.worst_at)), rep
 
 
 def test_diffraction_suite_notes_momentum_convention():
