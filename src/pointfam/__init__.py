@@ -8,12 +8,9 @@ independent first-principles oracles.
 __version__ = "0.1.0"
 
 from .core import (
-    BoundaryMatrix,
     InteractionParams,
-    apply_boundary,
     boundary_matrix,
     canonical_interaction,
-    from_abcd,
     params_from_dict,
     validate_params,
 )
@@ -25,12 +22,8 @@ from .diffraction import (
     ray_kinematics,
 )
 from .many_body import (
-    Configuration,
-    JacobiCoords,
     NBodyBoundState,
-    configuration_of,
     eval_nbody_wavefunction,
-    jacobi_transform,
     mcguire_reference,
     nbody_bound_states,
     symmetry_class,
@@ -38,7 +31,6 @@ from .many_body import (
 from .one_body import (
     BoundState,
     bound_spectrum,
-    eval_bound_wavefunction,
     orthogonality_sum,
     phase_diagram_count,
 )
@@ -52,28 +44,20 @@ from .verify import (
 )
 
 __all__ = [
-    "BoundaryMatrix",
     "BoundState",
-    "Configuration",
     "DiffractionReport",
     "InteractionParams",
-    "JacobiCoords",
     "NBodyBoundState",
     "RayKinematics",
     "ResidualReport",
     "ScatteringAmplitudes",
     "amplitudes",
-    "apply_boundary",
     "boundary_matrix",
     "boundary_residual_3body",
     "bound_spectrum",
     "canonical_interaction",
-    "configuration_of",
-    "eval_bound_wavefunction",
     "eval_nbody_wavefunction",
-    "from_abcd",
     "interior_residual",
-    "jacobi_transform",
     "mcguire_reference",
     "nbody_bound_states",
     "no_diffraction_scan",

@@ -5,8 +5,9 @@ Every subcommand reads the same parameter JSON object
 and writes either a JSON object or a CSV table to standard output
 (`verify` also writes a human-readable table to standard error).
 Floats are always rendered with 17 significant digits and field order is
-fixed, so repeated runs are byte-identical. Objects go through _json_dumps;
-every table (CSV, or JSON {"columns", "rows"}) goes through _write_table,
+fixed, so repeated runs are byte-identical. Objects and state lists go
+through _write_records, as JSON by _json_dumps or as CSV by _write_table;
+every other table (CSV, or JSON {"columns", "rows"}) goes to _write_table,
 which formats each row with one %-template and writes blocks of rows.
 A result that is inf or NaN is never written: the command fails with
 NonFiniteResult instead. Ranges, phase-diagram grids and --samples are
@@ -81,27 +82,21 @@ def _json_dumps(obj, indent: int = 0) -> str:
     return _json_scalar(obj)
 
 
-def _emit_object(data: dict, output: str) -> None:
+def _write_records(
+    columns: list[str], rows: list[tuple], output: str, key: str | None = None
+) -> None:
+    """Write records as JSON, or as a CSV table through _write_table.
+
+    In JSON, with key None the one row goes out as an object, and with a
+    key as {key: [one object per row]}. In CSV, bools become true/false
+    as in JSON.
+    """
     if output == "json":
-        sys.stdout.write(_json_dumps(data) + "\n")
+        objects = [dict(zip(columns, r)) for r in rows]
+        sys.stdout.write(_json_dumps(objects[0] if key is None else {key: objects}) + "\n")
     else:
-        flat = _flatten(data)
-        _write_table(list(flat), [tuple(flat.values())], "csv")
-
-
-def _flatten(data: dict, prefix: str = "") -> dict:
-    flat: dict = {}
-    for key, value in data.items():
-        name = f"{prefix}{key}"
-        if isinstance(value, dict):
-            flat.update(_flatten(value, f"{name}."))
-        elif isinstance(value, (list, tuple)):
-            raise InputError("this result contains a table; request --output json")
-        elif isinstance(value, bool):
-            flat[name] = "true" if value else "false"
-        else:
-            flat[name] = value
-    return flat
+        rows = [tuple(_json_scalar(v) if isinstance(v, bool) else v for v in r) for r in rows]
+        _write_table(columns, rows, "csv")
 
 
 def _cell_template(value) -> str:
@@ -311,16 +306,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_params_check(args) -> int:
-    params = _load_params(args.params)
-    _emit_object(params.to_dict(), args.output)
+    record = _load_params(args.params).to_dict()
+    _write_records(list(record), [tuple(record.values())], args.output)
     return 0
-
-
-def _emit_states(columns: list[str], rows: list[tuple], output: str) -> None:
-    if output == "json":
-        sys.stdout.write(_json_dumps({"states": [dict(zip(columns, r)) for r in rows]}) + "\n")
-    else:
-        _write_table(columns, rows, "csv")
 
 
 def _cmd_bound(args) -> int:
@@ -329,7 +317,7 @@ def _cmd_bound(args) -> int:
         (st.kappa, st.energy, st.eta.real, st.eta.imag)
         for st in one_body.bound_spectrum(params)
     ]
-    _emit_states(["kappa", "energy", "eta_re", "eta_im"], rows, args.output)
+    _write_records(["kappa", "energy", "eta_re", "eta_im"], rows, args.output, "states")
     return 0
 
 
@@ -395,7 +383,7 @@ def _cmd_nbody(args) -> int:
         "kappa", "energy", "eta_re", "eta_im",
         "c_even_re", "c_even_im", "c_odd_re", "c_odd_im", "symmetry",
     ]
-    _emit_states(columns, rows, args.output)
+    _write_records(columns, rows, args.output, "states")
     return 0
 
 
@@ -417,24 +405,22 @@ def _cmd_diffraction(args) -> int:
     params = _load_params(args.params)
     kin = diffraction.ray_kinematics(args.k, args.phi)
     report = diffraction.outgoing_amplitudes(params, kin, args.middle_reflection)
-    _emit_object(
-        {
-            "k": kin.k,
-            "phi": kin.phi,
-            "k1": kin.k1,
-            "k2": kin.k2,
-            "k3": kin.k3,
-            "amp_two_path_re": report.amp_two_path.real,
-            "amp_two_path_im": report.amp_two_path.imag,
-            "amp_one_path_re": report.amp_one_path.real,
-            "amp_one_path_im": report.amp_one_path.imag,
-            "residual_re": report.residual.real,
-            "residual_im": report.residual.imag,
-            "residual_norm": report.residual_norm,
-            "middle_reflection": args.middle_reflection,
-        },
-        args.output,
-    )
+    record = {
+        "k": kin.k,
+        "phi": kin.phi,
+        "k1": kin.k1,
+        "k2": kin.k2,
+        "k3": kin.k3,
+        "amp_two_path_re": report.amp_two_path.real,
+        "amp_two_path_im": report.amp_two_path.imag,
+        "amp_one_path_re": report.amp_one_path.real,
+        "amp_one_path_im": report.amp_one_path.imag,
+        "residual_re": report.residual.real,
+        "residual_im": report.residual.imag,
+        "residual_norm": report.residual_norm,
+        "middle_reflection": args.middle_reflection,
+    }
+    _write_records(list(record), [tuple(record.values())], args.output)
     return 0
 
 
@@ -445,15 +431,13 @@ def _cmd_diffraction_scan(args) -> int:
     max_residual, verdict = diffraction.no_diffraction_scan(
         params, args.samples, args.middle_reflection
     )
-    _emit_object(
-        {
-            "samples": args.samples,
-            "max_residual": max_residual,
-            "verdict": verdict,
-            "middle_reflection": args.middle_reflection,
-        },
-        args.output,
-    )
+    record = {
+        "samples": args.samples,
+        "max_residual": max_residual,
+        "verdict": verdict,
+        "middle_reflection": args.middle_reflection,
+    }
+    _write_records(list(record), [tuple(record.values())], args.output)
     return 0
 
 
@@ -480,19 +464,17 @@ def _cmd_verify(args) -> int:
 
 def _cmd_mcguire(args) -> int:
     kappa, energy = many_body.mcguire_reference(args.g0, args.mass, args.n)
-    _emit_object(
-        {
-            "g0": args.g0,
-            "mass": args.mass,
-            "n": args.n,
-            "kappa": kappa,
-            "energy": energy,
-            "g": many_body.coupling_from_pair_strength(args.g0),
-            "g_mcguire": -args.g0 * math.sqrt(2.0),
-            "g_cd": -args.g0,
-        },
-        args.output,
-    )
+    record = {
+        "g0": args.g0,
+        "mass": args.mass,
+        "n": args.n,
+        "kappa": kappa,
+        "energy": energy,
+        "g": many_body.coupling_from_pair_strength(args.g0),
+        "g_mcguire": -args.g0 * math.sqrt(2.0),
+        "g_cd": -args.g0,
+    }
+    _write_records(list(record), [tuple(record.values())], args.output)
     return 0
 
 

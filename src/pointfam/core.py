@@ -25,9 +25,6 @@ from .errors import ConstraintViolation, InputError, NonPositiveMass
 # exactly as given, never projected back onto the constraint surface.
 CONSTRAINT_TOL = 1e-12
 
-# |sin theta| below this counts as a real phase; the sign comes from cos theta.
-PHASE_TOL = 1e-12
-
 PARAM_FIELDS = ("alpha", "beta", "gamma", "delta", "theta", "mass")
 
 
@@ -47,35 +44,9 @@ class InteractionParams:
         """exp(i*theta), the overall phase of the boundary matrix."""
         return cmath.exp(1j * self.theta)
 
-    def constraint_defect(self) -> float:
-        """|alpha*gamma - beta*delta - 1|, zero for a valid member."""
-        return abs(self.alpha * self.gamma - self.beta * self.delta - 1.0)
-
-    def real_phase_sign(self) -> int | None:
-        """+1 or -1 when exp(i*theta) is real within tolerance, else None."""
-        if abs(math.sin(self.theta)) > PHASE_TOL:
-            return None
-        return 1 if math.cos(self.theta) > 0.0 else -1
-
-    def abcd(self) -> tuple[float, float, float, float]:
-        """The (a, b, c, d) aliases used by the 2m = 1 convention."""
-        return (self.gamma, self.delta, self.beta, self.alpha)
-
     def to_dict(self) -> dict:
         """Plain dict with the JSON field names consumed by the CLI."""
         return asdict(self)
-
-
-@dataclass(frozen=True, eq=False)
-class BoundaryMatrix:
-    """The 2x2 complex matrix acting on the column (psi', 2*m*psi)."""
-
-    entries: np.ndarray
-
-    @property
-    def determinant(self) -> complex:
-        e = self.entries
-        return e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
 
 
 def validate_params(
@@ -107,13 +78,6 @@ def validate_params(
     return InteractionParams(alpha, beta, gamma, delta, theta, mass)
 
 
-def from_abcd(
-    a: float, b: float, c: float, d: float, theta: float, mass: float
-) -> InteractionParams:
-    """Build params from the (a, b, c, d) aliases: gamma=a, delta=b, beta=c, alpha=d."""
-    return validate_params(alpha=d, beta=c, gamma=a, delta=b, theta=theta, mass=mass)
-
-
 def canonical_interaction(kind: str, strength: float, mass: float) -> InteractionParams:
     """One of the named special interactions, with phase fixed to exp(i*theta) = -1.
 
@@ -136,8 +100,8 @@ def canonical_interaction(kind: str, strength: float, mass: float) -> Interactio
     raise InputError(f"unknown interaction kind {kind!r}")
 
 
-def boundary_matrix(params: InteractionParams) -> BoundaryMatrix:
-    """The phase times [[alpha, beta], [delta, gamma]], frozen read-only."""
+def boundary_matrix(params: InteractionParams) -> np.ndarray:
+    """The phase times [[alpha, beta], [delta, gamma]], a read-only (2, 2) array."""
     ph = params.phase
     entries = np.array(
         [
@@ -147,21 +111,7 @@ def boundary_matrix(params: InteractionParams) -> BoundaryMatrix:
         dtype=complex,
     )
     entries.setflags(write=False)
-    return BoundaryMatrix(entries)
-
-
-def apply_boundary(
-    params: InteractionParams, psi_prime_minus: complex, psi_minus: complex
-) -> tuple[complex, complex]:
-    """Propagate (psi'(-0), psi(-0)) across the origin to (psi'(+0), psi(+0)).
-
-    The matrix acts on the column (psi', 2*m*psi); the returned second
-    component is divided back down to a plain wavefunction value.
-    """
-    m2 = 2.0 * params.mass
-    column = np.array([psi_prime_minus, m2 * psi_minus], dtype=complex)
-    out = boundary_matrix(params).entries @ column
-    return complex(out[0]), complex(out[1]) / m2
+    return entries
 
 
 def params_from_dict(data: dict) -> InteractionParams:

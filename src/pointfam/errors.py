@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import cmath
+
 
 class PointFamError(Exception):
     """Base class for all domain errors raised by pointfam."""
@@ -50,4 +52,11 @@ class InvariantViolation(PointFamError):
 
 
 class NonFiniteResult(PointFamError):
-    """A result to be written is inf or NaN, e.g. after overflowing double precision."""
+    """A result is inf or NaN, e.g. after overflowing double precision."""
+
+    @classmethod
+    def check(cls, **values: complex) -> None:
+        """Raise naming the first of the keyword values that is inf or NaN."""
+        for name, value in values.items():
+            if not cmath.isfinite(value):
+                raise cls(f"{name} is {value!r}, not a finite number")

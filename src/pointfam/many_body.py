@@ -8,89 +8,28 @@ whichever path is taken. The decay constant is the same kappa as in the
 two-body problem and the energy scales as N(N^2-1).
 
 For three particles the coincidence hyperplanes cut the relative plane
-into six wedges; these are labelled 1..6 by the sign pattern of the three
-cyclically oriented pair coordinates x12, x23, x31 (region 1 is (+,+,-)).
+into six wedges, one per ordering; neighbouring wedges have orderings of
+opposite parity, so the coefficient alternates around the triple point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 
 from .core import InteractionParams
-from .errors import InputError, NonBinding, OnBoundary
+from .errors import InputError, NonBinding, NonFiniteResult, NonPositiveMass, OnBoundary
 from .one_body import bound_spectrum
 
 SQRT2 = math.sqrt(2.0)
 
 COINCIDENCE_TOL = 1e-14
 
-# Largest N for which a state is constructed by default; the explicit
-# coefficient table is only materialized up to N = 6.
+# Largest N for which a state is constructed.
 N_CAP = 8
-TABLE_CAP = 6
-
-# Region label keyed by (sign x12, sign x23, sign x31); (+,+,+) and
-# (-,-,-) are geometrically impossible.
-_REGION_BY_SIGNS = {
-    (1, 1, -1): 1,
-    (-1, 1, -1): 2,
-    (-1, 1, 1): 3,
-    (-1, -1, 1): 4,
-    (1, -1, 1): 5,
-    (1, -1, -1): 6,
-}
-
-
-@dataclass(frozen=True)
-class JacobiCoords:
-    """Scaled pair coordinate x, transverse coordinate y, and CM-proportional z."""
-
-    x: float
-    y: float
-    z: float
-
-
-def jacobi_transform(x1: float, x2: float, x3: float) -> JacobiCoords:
-    """Orthogonal map from three particle coordinates to Jacobi coordinates."""
-    x = (x1 - x2) / SQRT2
-    y = math.sqrt(2.0 / 3.0) * (0.5 * (x1 + x2) - x3)
-    z = (x1 + x2 + x3) / math.sqrt(3.0)
-    return JacobiCoords(x, y, z)
-
-
-def cartesian_from_jacobi(coords: JacobiCoords) -> tuple[float, float, float]:
-    """Inverse of jacobi_transform (the transpose of the orthogonal map)."""
-    r2, r6, r3 = 1.0 / SQRT2, 1.0 / math.sqrt(6.0), 1.0 / math.sqrt(3.0)
-    x, y, z = coords.x, coords.y, coords.z
-    x1 = r2 * x + r6 * y + r3 * z
-    x2 = -r2 * x + r6 * y + r3 * z
-    x3 = -2.0 * r6 * y + r3 * z
-    return (x1, x2, x3)
-
-
-def _parity_of(ordering: tuple[int, ...]) -> str:
-    inversions = 0
-    for i, j in combinations(range(len(ordering)), 2):
-        if ordering[i] > ordering[j]:
-            inversions += 1
-    return "even" if inversions % 2 == 0 else "odd"
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """A linear ordering of the particles, highest coordinate first."""
-
-    ordering: tuple[int, ...]
-    parity: str  # "even" or "odd"
-    region: int | None = None  # 1..6 for three particles, else None
-
-    @property
-    def sign(self) -> int:
-        return 1 if self.parity == "even" else -1
 
 
 def _check_apart(coords, where: str = "") -> None:
@@ -100,30 +39,6 @@ def _check_apart(coords, where: str = "") -> None:
             raise OnBoundary(
                 f"{where}coordinates {i + 1} and {j + 1} coincide within {COINCIDENCE_TOL}"
             )
-
-
-def configuration_of(coords: list[float] | tuple[float, ...]) -> Configuration:
-    """Classify a coordinate tuple into its ordering, parity, and (N=3) region.
-
-    Raises OnBoundary when two coordinates are closer than COINCIDENCE_TOL,
-    where the ordering is undefined.
-    """
-    n = len(coords)
-    if n < 2:
-        raise InputError("need at least two coordinates")
-    _check_apart(coords)
-    ordering = tuple(
-        sorted(range(1, n + 1), key=lambda p: coords[p - 1], reverse=True)
-    )
-    region = None
-    if n == 3:
-        signs = (
-            1 if coords[0] > coords[1] else -1,
-            1 if coords[1] > coords[2] else -1,
-            1 if coords[2] > coords[0] else -1,
-        )
-        region = _REGION_BY_SIGNS[signs]
-    return Configuration(ordering=ordering, parity=_parity_of(ordering), region=region)
 
 
 @dataclass(frozen=True)
@@ -142,55 +57,33 @@ class NBodyBoundState:
     c_odd: complex
     branch: str
 
-    def coefficient(self, config: Configuration) -> complex:
-        return self.c_even if config.parity == "even" else self.c_odd
-
-    @property
-    def coefficients(self) -> dict[Configuration, complex]:
-        """Explicit table over all N! configurations (N <= 6 only)."""
-        if self.n > TABLE_CAP:
-            raise InputError(
-                f"coefficient table is only materialized for n <= {TABLE_CAP}"
-            )
-        table = {}
-        for perm in permutations(range(1, self.n + 1)):
-            region = None
-            if self.n == 3:
-                # Representative descending coordinates recover the region label.
-                coords = [0.0] * 3
-                for rank, particle in enumerate(perm):
-                    coords[particle - 1] = float(self.n - rank)
-                region = configuration_of(coords).region
-            config = Configuration(perm, _parity_of(perm), region)
-            table[config] = self.coefficient(config)
-        return table
-
 
 def nbody_energy(kappa: float, mass: float, n: int) -> float:
     """Bound-state energy -kappa^2 * N(N^2-1) / (12 m)."""
     return -kappa * kappa * n * (n * n - 1) / (12.0 * mass)
 
 
-def nbody_bound_states(
-    params: InteractionParams, n: int, n_cap: int = N_CAP
-) -> list[NBodyBoundState]:
+def nbody_bound_states(params: InteractionParams, n: int) -> list[NBodyBoundState]:
     """All N-body bound states, lowest energy first.
 
     Each two-body decay constant lifts to an N-body state with the same
     kappa and the parity-ruled coefficient pair. Level ordering follows
-    energy; no level crossing is assumed when parameters vary.
+    energy; no level crossing is assumed when parameters vary. Raises
+    NonFiniteResult when a kappa, energy or eta overflows.
     """
     if n < 2:
         raise InputError("n must be at least 2")
-    if n > n_cap:
-        raise InputError(f"n = {n} exceeds the configured cap {n_cap}")
+    if n > N_CAP:
+        raise InputError(f"n = {n} exceeds the configured cap {N_CAP}")
     states = []
     for st in bound_spectrum(params):
+        energy = nbody_energy(st.kappa, params.mass, n)
+        NonFiniteResult.check(energy=energy)
         states.append(
             NBodyBoundState(
                 n=n,
                 kappa=st.kappa,
-                energy=nbody_energy(st.kappa, params.mass, n),
+                energy=energy,
                 eta=st.eta,
                 c_even=1.0 + 0.0j,
                 c_odd=1.0 / st.eta,
@@ -201,11 +94,7 @@ def nbody_bound_states(
     return states
 
 
-def eval_nbody_wavefunction(
-    state: NBodyBoundState,
-    coords,
-    configuration: Configuration | None = None,
-):
+def eval_nbody_wavefunction(state: NBodyBoundState, coords):
     """Unnormalized wavefunction value at the given particle coordinates.
 
     coords is one point of N coordinates, which gives a complex, or a
@@ -216,8 +105,9 @@ def eval_nbody_wavefunction(
     i < j have x_j > x_i, else c_even. Each pass over a pair adds that
     pair's distance to every point in the same order as a scalar loop,
     so sums and values are bit-identical to evaluating point by point.
-    On a coincidence boundary the caller must pass the configuration of
-    the intended side; a configuration given applies to every point.
+    A point with two coordinates closer than COINCIDENCE_TOL lies on a
+    coincidence boundary, where the coefficient is undefined: it raises
+    OnBoundary naming the pair (and, for an array, the row).
     """
     points = np.asarray(coords, dtype=float)
     single = points.ndim <= 1
@@ -234,9 +124,7 @@ def eval_nbody_wavefunction(
         total += distance
         odd ^= diff < 0.0
         close |= distance < COINCIDENCE_TOL
-    if configuration is not None:
-        odd[:] = configuration.parity == "odd"
-    elif close.any():
+    if close.any():
         row = int(np.flatnonzero(close)[0])
         _check_apart(points[row].tolist(), "" if single else f"row {row + 1}: ")
     exponents = (-state.kappa * total / SQRT2).tolist()
@@ -268,26 +156,23 @@ def coupling_from_pair_strength(g0: float) -> float:
     return g0 / SQRT2
 
 
-def pair_strength_from_mcguire(g_mg: float) -> float:
-    """Bare pair strength for McGuire's coupling convention (stated with m = 1)."""
-    return -g_mg / SQRT2
-
-
-def pair_strength_from_cd(g_cd: float) -> float:
-    """Bare pair strength for the m = 1/2 coupling convention."""
-    return -g_cd
-
-
 def mcguire_reference(g0: float, mass: float, n: int) -> tuple[float, float]:
     """Reference (kappa, energy) for the attractive contact potential.
 
     g0 < 0 is the bare pair strength; kappa = -g0*m/sqrt(2) and the N-body
-    energy is -g0^2 * m * N(N^2-1) / 24.
+    energy is -g0^2 * m * N(N^2-1) / 24. Raises NonPositiveMass for
+    mass <= 0 and NonFiniteResult when kappa or the energy overflows.
     """
     if n < 2:
         raise InputError("n must be at least 2")
     if g0 >= 0.0:
         raise NonBinding(f"pair strength must be negative to bind, got {g0!r}")
+    if not mass > 0.0:
+        raise NonPositiveMass(f"mass must be positive, got {mass!r}")
     kappa = -g0 * mass / SQRT2
-    energy = -g0 * g0 * mass * n * (n * n - 1) / 24.0
+    try:
+        energy = -g0 * g0 * mass * n * (n * n - 1) / 24.0
+    except OverflowError:  # an int N too large to become a float
+        energy = -math.inf
+    NonFiniteResult.check(kappa=kappa, energy=energy)
     return kappa, energy

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import InteractionParams
-from .errors import InvalidSlice, InvariantViolation
+from .errors import InvalidSlice, InvariantViolation, NonFiniteResult
 
 # Roots at or below this are treated as non-normalizable and dropped.
 KAPPA_MIN = 1e-12
@@ -38,18 +38,6 @@ class BoundState:
     c_plus: complex
     c_minus: complex
     branch: str  # "plus" or "minus" for a two-root family, else "single"
-
-
-def jump_ratio_forms(params: InteractionParams, kappa: float) -> tuple[complex, complex]:
-    """Both closed forms of eta at the given decay constant.
-
-    They agree exactly when kappa solves the decay-rate equation; the pair
-    is exposed so the agreement can be checked independently.
-    """
-    ph = params.phase
-    form_a = -ph * (params.alpha + 2.0 * params.beta * params.mass / kappa)
-    form_b = ph * (params.gamma + params.delta * kappa / (2.0 * params.mass))
-    return form_a, form_b
 
 
 def _kappa_roots(params: InteractionParams) -> list[tuple[float, str]]:
@@ -80,17 +68,23 @@ def bound_spectrum(params: InteractionParams) -> list[BoundState]:
     """Every bound state of the interaction, lowest energy first.
 
     Returns an empty list when no root is positive. Roots within KAPPA_MIN
-    of zero are discarded as non-normalizable.
+    of zero are discarded as non-normalizable. eta comes from the second
+    row of the boundary condition, eta = exp(i*theta)*(gamma +
+    delta*kappa/(2m)); the first row gives -exp(i*theta)*(alpha +
+    2*beta*m/kappa), equal at a root. Raises NonFiniteResult when a kappa,
+    energy or eta overflows.
     """
     states = []
     for kappa, branch in _kappa_roots(params):
         if kappa <= KAPPA_MIN:
             continue
-        eta = jump_ratio_forms(params, kappa)[1]
+        energy = -kappa * kappa / (2.0 * params.mass)
+        eta = params.phase * (params.gamma + params.delta * kappa / (2.0 * params.mass))
+        NonFiniteResult.check(kappa=kappa, energy=energy, eta=eta)
         states.append(
             BoundState(
                 kappa=kappa,
-                energy=-kappa * kappa / (2.0 * params.mass),
+                energy=energy,
                 eta=eta,
                 c_plus=eta,
                 c_minus=1.0 + 0.0j,
@@ -144,10 +138,3 @@ def orthogonality_sum(state_a: BoundState, state_b: BoundState) -> complex:
         state_a.c_plus.conjugate() * state_b.c_plus
         + state_a.c_minus.conjugate() * state_b.c_minus
     )
-
-
-def eval_bound_wavefunction(state: BoundState, x: float) -> complex:
-    """Wavefunction value at x; at x = 0 the left-limit value c_minus is returned."""
-    if x > 0.0:
-        return state.c_plus * math.exp(-state.kappa * x)
-    return state.c_minus * math.exp(state.kappa * x)

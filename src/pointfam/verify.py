@@ -114,14 +114,14 @@ def _bisect(f, lo: float, hi: float) -> float:
             hi, f_hi = mid, f_mid
 
 
-def oracle_bound_kappas(params: InteractionParams, grid_points: int = 4096) -> list[float]:
+def oracle_bound_kappas(params: InteractionParams) -> list[float]:
     """Positive decay constants found numerically, ascending.
 
-    The quadratic decay-rate polynomial is scanned for sign changes on
-    (KAPPA_MIN, k_max] and each bracket is bisected down to adjacent
-    floats; the delta = 0 case reduces to a direct linear solve. k_max
-    combines a coefficient-based bound with the Cauchy root bound so that
-    no root can escape the scanned interval.
+    The quadratic decay-rate polynomial is scanned for sign changes on a
+    4096-point grid over (KAPPA_MIN, k_max] and each bracket is bisected
+    down to adjacent floats; the delta = 0 case reduces to a direct linear
+    solve. k_max combines a coefficient-based bound with the Cauchy root
+    bound so that no root can escape the scanned interval.
     """
     a, g, d, m = params.alpha, params.gamma, params.delta, params.mass
     b = params.beta
@@ -138,7 +138,7 @@ def oracle_bound_kappas(params: InteractionParams, grid_points: int = 4096) -> l
     cauchy = 1.0 + max(abs(2.0 * (a + g) * m), abs(4.0 * b * m * m)) / abs(d)
     k_max = max(k_max, cauchy)
 
-    grid = np.linspace(_KAPPA_MIN, k_max, grid_points)
+    grid = np.linspace(_KAPPA_MIN, k_max, 4096)
     values = poly(grid)
     roots = grid[values == 0.0].tolist()
     for i in np.flatnonzero(values[:-1] * values[1:] < 0.0).tolist():
@@ -259,7 +259,7 @@ def boundary_residual_3body(
     i, j, spect = _LINE_PARTICLES[line]
     kappa = state.kappa
     m2 = 2.0 * params.mass
-    matrix = boundary_matrix(params).entries
+    matrix = boundary_matrix(params)
 
     half = max(1, (samples + 1) // 2)
     magnitudes = np.linspace(0.5 / kappa, 8.0 / kappa, half)
@@ -311,23 +311,22 @@ def interior_residual(
     params: InteractionParams,
     state,
     points: int = 100,
-    h: float | None = None,
     seed: int = 1234,
 ) -> ResidualReport:
     """Finite-difference check of the kinetic eigenvalue away from boundaries.
 
     A central second difference over every particle coordinate is applied
-    to the locally re-evaluated wavefunction; the sum must reproduce the
-    state's energy times the wavefunction. Sample configurations keep all
-    pairwise separations at least 10*h so stencils never cross a
-    coincidence hyperplane. The mass enters through the kinetic prefactor
-    and must come from the interaction, not from the state under test.
+    to the locally re-evaluated wavefunction, with step h = 1e-4/kappa;
+    the sum must reproduce the state's energy times the wavefunction.
+    Sample configurations keep all pairwise separations at least 10*h so
+    stencils never cross a coincidence hyperplane. The mass enters through
+    the kinetic prefactor and must come from the interaction, not from the
+    state under test.
     The stencils of all points go through one evaluator call.
     """
     n = state.n
     kappa = state.kappa
-    if h is None:
-        h = 1e-4 / kappa
+    h = 1e-4 / kappa
     rng = np.random.default_rng(seed)
     coords = np.empty((points, n))
     for p in range(points):

@@ -1,0 +1,42 @@
+"""Static guards on the package source: no unused module-level import, a clean __all__.
+
+No linter runs on this tree, so a deletion that leaves an import or an
+__all__ entry behind is caught here instead.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import pointfam
+
+SRC = Path(pointfam.__file__).parent
+
+
+def _imported_names(tree: ast.Module):
+    """(name bound, line) for every import statement at module level."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_level_imports_are_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    if path.name == "__init__.py":
+        used |= set(pointfam.__all__)  # re-exports are the package's use of them
+    unused = [f"{name} (line {line})" for name, line in _imported_names(tree) if name not in used]
+    assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def test_all_names_resolve_once():
+    names = pointfam.__all__
+    assert len(names) == len(set(names)), "duplicate names in pointfam.__all__"
+    missing = [name for name in names if not hasattr(pointfam, name)]
+    assert not missing, f"pointfam.__all__ names missing attributes: {missing}"

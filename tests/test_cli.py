@@ -230,12 +230,27 @@ def test_mcguire_subcommand(capsys):
     assert abs(payload["kappa"] - 1.0) <= 1e-12
     assert abs(payload["energy"] + 2.0) <= 1e-12
     assert abs(payload["g"] + 1.0) <= 1e-12
+    # McGuire's convention (m = 1) and the m = 1/2 convention
+    assert abs(payload["g_mcguire"] - 2.0) <= 1e-12
+    assert abs(payload["g_cd"] - math.sqrt(2.0)) <= 1e-15
 
 
 def test_mcguire_nonbinding_exit(capsys):
     code, _, err = run_cli(capsys, "mcguire", "--g0", "1.0", "--mass", "1.0", "--n", "3")
     assert code == 1
     assert "mcguire" in err
+
+
+@pytest.mark.parametrize("mass, n, message", [
+    ("-1", "3", "mass must be positive, got -1.0"),
+    ("0", "3", "mass must be positive, got 0.0"),
+    ("1", "9" * 300, "energy is -inf, not a finite number"),  # N too large for a float
+], ids=["negative-mass", "zero-mass", "300-digit-n"])
+def test_mcguire_refuses_non_physical_input(capsys, mass, n, message):
+    code, out, err = run_cli(capsys, "mcguire", "--g0", "-2", "--mass", mass, "--n", n)
+    assert code == 1
+    assert out == ""
+    assert err == f"mcguire: {message}\n"
 
 
 def test_verify_subcommand_bound(capsys):

@@ -1,23 +1,17 @@
 import math
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from pointfam.core import canonical_interaction, validate_params
-from pointfam.errors import InputError, NonBinding, OnBoundary
+from pointfam.errors import InputError, NonBinding, NonFiniteResult, OnBoundary
 from pointfam.many_body import (
-    Configuration,
-    cartesian_from_jacobi,
-    configuration_of,
     coupling_from_pair_strength,
     eval_nbody_wavefunction,
-    jacobi_transform,
     mcguire_reference,
     nbody_bound_states,
     nbody_energy,
-    pair_strength_from_cd,
-    pair_strength_from_mcguire,
     symmetry_class,
 )
 from pointfam.one_body import bound_spectrum
@@ -35,80 +29,9 @@ def inversion_parity(ordering):
     return "even" if inv % 2 == 0 else "odd"
 
 
-# ---------------------------------------------------------------- jacobi
-
-
-def test_jacobi_coincident_particles():
-    jc = jacobi_transform(1.0, 1.0, 1.0)
-    assert (jc.x, jc.y) == (0.0, 0.0)
-    assert abs(jc.z - math.sqrt(3.0)) <= 1e-15
-
-
-def test_jacobi_pair_coordinate():
-    jc = jacobi_transform(1.0, -1.0, 0.0)
-    assert abs(jc.x - SQRT2) <= 1e-15
-    assert abs(jc.y) <= 1e-15
-    assert abs(jc.z) <= 1e-15
-
-
-def test_jacobi_pair_identities(rng):
-    for _ in range(100):
-        x1, x2, x3 = rng.normal(scale=3.0, size=3)
-        jc = jacobi_transform(x1, x2, x3)
-        lhs1 = (jc.x - math.sqrt(3.0) * jc.y) / 2.0
-        lhs2 = (jc.x + math.sqrt(3.0) * jc.y) / 2.0
-        assert abs(lhs1 - (-(x2 - x3) / SQRT2)) <= 1e-12
-        assert abs(lhs2 - (-(x3 - x1) / SQRT2)) <= 1e-12
-
-
-def test_jacobi_round_trip(rng):
-    for _ in range(100):
-        cart = tuple(rng.normal(scale=5.0, size=3))
-        back = cartesian_from_jacobi(jacobi_transform(*cart))
-        assert max(abs(a - b) for a, b in zip(cart, back)) <= 1e-14 * 10
-
-
-# ---------------------------------------------------------- configurations
-
-
-def test_configuration_region_one():
-    cfg = configuration_of([3.0, 2.0, 1.0])
-    assert cfg.ordering == (1, 2, 3)
-    assert cfg.parity == "even"
-    assert cfg.region == 1
-
-
-def test_configuration_region_two():
-    cfg = configuration_of([2.0, 3.0, 1.0])
-    assert cfg.ordering == (2, 1, 3)
-    assert cfg.parity == "odd"
-    assert cfg.region == 2
-
-
-def test_configuration_two_particles():
-    cfg = configuration_of([0.0, 5.0])
-    assert cfg.ordering == (2, 1)
-    assert cfg.parity == "odd"
-    assert cfg.region is None
-
-
-def test_configuration_rejects_coincidence():
-    with pytest.raises(OnBoundary):
-        configuration_of([1.0, 1.0, 0.0])
-    with pytest.raises(OnBoundary):
-        configuration_of([0.0, 5e-15, 1.0])
-
-
-def test_all_six_regions_have_alternating_parity(rng):
-    seen = {}
-    while len(seen) < 6:
-        coords = list(rng.normal(scale=2.0, size=3))
-        cfg = configuration_of(coords)
-        seen[cfg.region] = cfg.parity
-        assert cfg.parity == inversion_parity(cfg.ordering)
-    # odd-numbered regions carry even permutations and vice versa
-    assert {r for r, p in seen.items() if p == "even"} == {1, 3, 5}
-    assert {r for r, p in seen.items() if p == "odd"} == {2, 4, 6}
+def coefficient(state, ordering):
+    """c_even or c_odd, by the inversion parity of the ordering."""
+    return state.c_even if inversion_parity(ordering) == "even" else state.c_odd
 
 
 # ------------------------------------------------------------- bound states
@@ -191,13 +114,12 @@ def test_eval_swap_multiplies_by_jump_ratio(rng):
             assert abs(b - sign * a) <= 1e-12 * max(1.0, abs(a))
 
 
-def test_eval_on_boundary_needs_explicit_side():
+def test_eval_on_boundary_raises():
     st = nbody_bound_states(DELTA, 3)[0]
-    with pytest.raises(OnBoundary):
+    with pytest.raises(OnBoundary, match="^coordinates 1 and 2 coincide"):
         eval_nbody_wavefunction(st, [1.0, 1.0, 0.0])
-    side = Configuration((1, 2, 3), "even", 1)
-    value = eval_nbody_wavefunction(st, [1.0, 1.0, 0.0], configuration=side)
-    assert abs(value - math.exp(-st.kappa * 2.0 / SQRT2)) <= 1e-12
+    with pytest.raises(OnBoundary, match="^coordinates 1 and 2 coincide"):
+        eval_nbody_wavefunction(st, [0.0, 5e-15, 1.0])
 
 
 def test_eval_wrong_arity():
@@ -211,7 +133,8 @@ def _eval_per_point(state, coords):
     total = 0.0
     for i, j in combinations(range(state.n), 2):
         total += abs(coords[i] - coords[j])
-    return state.coefficient(configuration_of(coords)) * math.exp(-state.kappa * total / SQRT2)
+    ordering = tuple(np.argsort(-np.array(coords), kind="stable") + 1)
+    return coefficient(state, ordering) * math.exp(-state.kappa * total / SQRT2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
@@ -291,42 +214,17 @@ def test_walks_reproduce_parity_rule(rng):
                 for _ in range(20):
                     steps = int(rng.integers(1, 60))
                     ordering, coeff = random_walk_coefficient(rng, n, st.eta, steps)
-                    config = Configuration(ordering, inversion_parity(ordering))
-                    expected = st.coefficient(config)
+                    expected = coefficient(st, ordering)
                     assert abs(coeff - expected) <= 1e-10 * max(1.0, abs(expected))
 
 
-def test_coefficient_table_three_body():
-    ground = nbody_bound_states(TWO_STATE, 3)[0]
-    table = ground.coefficients
-    assert len(table) == 6
-    assert {cfg.region for cfg in table} == {1, 2, 3, 4, 5, 6}
-    for cfg, value in table.items():
-        expected = ground.c_even if cfg.parity == "even" else ground.c_odd
-        assert value == expected
-    # even and odd orderings split three and three
-    assert sum(1 for cfg in table if cfg.parity == "even") == 3
-
-
-def test_coefficient_table_cap():
-    st = nbody_bound_states(DELTA, 7)[0]
-    with pytest.raises(InputError):
-        _ = st.coefficients
-    st6 = nbody_bound_states(DELTA, 6)[0]
-    assert len(st6.coefficients) == math.factorial(6)
-
-
 def test_adjacent_region_orthogonality():
-    plus, minus = nbody_bound_states(TWO_STATE, 3)
-    tp, tm = plus.coefficients, minus.coefficients
-    by_region_p = {cfg.region: v for cfg, v in tp.items()}
-    by_region_m = {cfg.region: v for cfg, v in tm.items()}
-    for nu in range(1, 7):
-        mu = nu % 6 + 1
-        total = (
-            by_region_p[nu].conjugate() * by_region_m[nu]
-            + by_region_p[mu].conjugate() * by_region_m[mu]
-        )
+    # Neighbouring wedges hold one even and one odd ordering, so the overlap
+    # summed over any neighbouring pair is the same even-plus-odd sum.
+    for theta in (0.0, 0.7):
+        params = validate_params(-2.0, 3.0, -2.0, 1.0, theta, 0.5)
+        plus, minus = nbody_bound_states(params, 3)
+        total = plus.c_even.conjugate() * minus.c_even + plus.c_odd.conjugate() * minus.c_odd
         assert abs(total) <= 1e-12
 
 
@@ -409,13 +307,13 @@ def test_mcguire_rejects_repulsive():
 
 def test_coupling_conversions():
     assert coupling_from_pair_strength(-SQRT2) == -1.0
-    assert abs(pair_strength_from_mcguire(2.0) + SQRT2) <= 1e-15
-    assert pair_strength_from_cd(1.5) == -1.5
 
 
-def test_every_permutation_reachable_coefficients():
-    st = nbody_bound_states(TWO_STATE, 4)[1]
-    for perm in permutations(range(1, 5)):
-        cfg = Configuration(perm, inversion_parity(perm))
-        value = st.coefficient(cfg)
-        assert value in (st.c_even, st.c_odd)
+def test_overflowing_nbody_state_is_refused():
+    huge = validate_params(-1.0, 2.0, -1.0, 0.0, math.pi, 1e308)
+    with pytest.raises(NonFiniteResult, match="kappa is inf, not a finite number"):
+        nbody_bound_states(huge, 4)
+    # kappa = 1e154 is finite; kappa^2 N(N^2-1)/(12 m) overflows
+    large = validate_params(-1.0, 1e154, -1.0, 0.0, math.pi, 1.0)
+    with pytest.raises(NonFiniteResult, match="energy is -inf, not a finite number"):
+        nbody_bound_states(large, 8)

@@ -4,15 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_root_count
-from pointfam.core import canonical_interaction, validate_params
-from pointfam.errors import InvalidSlice
-from pointfam.one_body import (
-    bound_spectrum,
-    eval_bound_wavefunction,
-    jump_ratio_forms,
-    orthogonality_sum,
-    phase_diagram_count,
-)
+from pointfam.core import boundary_matrix, canonical_interaction, validate_params
+from pointfam.errors import InvalidSlice, NonFiniteResult
+from pointfam.one_body import bound_spectrum, orthogonality_sum, phase_diagram_count
 from pointfam.verify import random_params
 
 TWO_STATE = validate_params(-2.0, 3.0, -2.0, 1.0, 0.0, 0.5)
@@ -67,13 +61,25 @@ def test_decay_rate_equation_residual(rng):
             assert residual <= 1e-10 * max(1.0, k * k)
 
 
-def test_jump_ratio_forms_agree(rng):
+def test_boundary_rows_map_left_column_to_right(rng):
+    # psi = exp(kappa x) left of the origin and eta exp(-kappa x) right of it:
+    # the boundary matrix must carry (psi', 2m psi) = (kappa, 2m) at -0 to
+    # (-kappa eta, 2m eta) at +0. Row 1 is the first closed form of eta,
+    # -e^{i theta}(alpha + 2 beta m / kappa); row 2 the second,
+    # e^{i theta}(gamma + delta kappa / 2m).
     for _ in range(400):
         p = random_params(rng)
         for st in bound_spectrum(p):
-            form_a, form_b = jump_ratio_forms(p, st.kappa)
-            assert abs(form_a - form_b) <= 1e-12
-            assert abs(st.eta - form_b) == 0.0
+            image = boundary_matrix(p) @ np.array([st.kappa, 2.0 * p.mass])
+            expected = np.array([-st.kappa * st.eta, 2.0 * p.mass * st.eta])
+            assert (np.abs(image - expected) <= 1e-12 * np.abs(expected)).all()
+
+
+def test_overflowing_spectrum_is_refused():
+    # kappa = 4e300 is finite, its energy -8e600 is not
+    p = validate_params(-1.0, -2.0, -1.0, 1e-300, math.pi, 1.0)
+    with pytest.raises(NonFiniteResult, match="energy is -inf, not a finite number"):
+        bound_spectrum(p)
 
 
 def test_energy_kappa_relation(rng):
@@ -217,18 +223,13 @@ def test_orthogonality_over_random_two_state_draws(rng):
 
 
 def test_eval_wavefunction_decay():
+    # psi(x) = c_plus exp(-kappa x) for x > 0 and c_minus exp(kappa x) for x < 0
     st = bound_spectrum(canonical_interaction("delta", -2.0, 0.5))[0]
-    assert abs(eval_bound_wavefunction(st, 0.5) - math.exp(-0.5)) <= 1e-12
+    assert st.kappa == 1.0 and st.c_minus == 1.0
     # symmetric state: equal values left and right
-    assert abs(
-        eval_bound_wavefunction(st, 1.0) - eval_bound_wavefunction(st, -1.0)
-    ) <= 1e-12
-    # the value at the origin is the left limit
-    assert eval_bound_wavefunction(st, 0.0) == st.c_minus
+    assert abs(st.c_plus - st.c_minus) <= 1e-12
 
 
 def test_eval_wavefunction_excited_state_is_odd():
     excited = bound_spectrum(TWO_STATE)[1]
-    left = eval_bound_wavefunction(excited, -0.8)
-    right = eval_bound_wavefunction(excited, 0.8)
-    assert abs(right + left) <= 1e-12
+    assert abs(excited.c_plus + excited.c_minus) <= 1e-12
