@@ -84,6 +84,15 @@ def test_apply_boundary_delta_derivative_jump():
     assert abs(m2psi - 2.0) <= 1e-12
 
 
+def test_apply_boundary_matches_bound_state_image():
+    p = validate_params(-2.0, 3.0, -2.0, 1.0, 0.0, 0.5)
+    kappa, eta = 3.0, 1.0
+    # (psi', 2m psi) at -0 is (kappa, 1) for psi = exp(kappa x), m = 1/2
+    dpsi, m2psi = boundary_matrix(p) @ np.array([kappa, 2.0 * p.mass])
+    assert abs(dpsi - (-kappa * eta)) <= 1e-12
+    assert abs(m2psi / (2.0 * p.mass) - eta) <= 1e-12
+
+
 def test_boundary_matrix_unit_determinant(rng):
     for _ in range(200):
         p = random_params(rng)

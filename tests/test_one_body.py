@@ -75,6 +75,18 @@ def test_boundary_rows_map_left_column_to_right(rng):
             assert (np.abs(image - expected) <= 1e-12 * np.abs(expected)).all()
 
 
+def test_jump_ratio_forms_agree(rng):
+    # the two closed forms of eta agree at every root of the decay-rate
+    # equation, and bound_spectrum reports the second one verbatim
+    for _ in range(400):
+        p = random_params(rng)
+        for st in bound_spectrum(p):
+            form_a = -p.phase * (p.alpha + 2.0 * p.beta * p.mass / st.kappa)
+            form_b = p.phase * (p.gamma + p.delta * st.kappa / (2.0 * p.mass))
+            assert abs(form_a - form_b) <= 1e-12
+            assert abs(st.eta - form_b) == 0.0
+
+
 def test_overflowing_spectrum_is_refused():
     # kappa = 4e300 is finite, its energy -8e600 is not
     p = validate_params(-1.0, -2.0, -1.0, 1e-300, math.pi, 1.0)
