@@ -55,7 +55,8 @@ def _json_scalar(value) -> str:
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, float):
+    if isinstance(value, (float, np.floating)):
+        value = float(value)  # a numpy float's repr would read np.float64(...)
         if not math.isfinite(value):
             raise NonFiniteResult(f"a result is {value!r}, not a finite number; nothing written")
         return _fmt(value)

@@ -8,13 +8,12 @@ The interaction acts through a 2x2 boundary matrix that links the column
 
 All observable quantities are independent of theta; the wavefunction
 itself carries the phase exp(i*theta). Both sign conventions for a real
-phase are reachable through the theta field.
+phase are reachable through the theta field. Array fields make a batch
+of members, one per entry; a float set is a batch of one.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -30,52 +29,52 @@ PARAM_FIELDS = ("alpha", "beta", "gamma", "delta", "theta", "mass")
 
 @dataclass(frozen=True)
 class InteractionParams:
-    """One member of the four-parameter family, plus phase angle and mass."""
+    """One member of the four-parameter family, plus phase angle and mass; array fields make a batch."""
 
-    alpha: float
-    beta: float
-    gamma: float
-    delta: float
-    theta: float
-    mass: float
+    alpha: float | np.ndarray
+    beta: float | np.ndarray
+    gamma: float | np.ndarray
+    delta: float | np.ndarray
+    theta: float | np.ndarray
+    mass: float | np.ndarray
 
     @property
-    def phase(self) -> complex:
-        """exp(i*theta), the overall phase of the boundary matrix."""
-        return cmath.exp(1j * self.theta)
+    def phase(self) -> complex | np.ndarray:
+        """exp(i*theta), the overall phase of the boundary matrix: complex, or an array for array theta."""
+        ph = np.exp(1j * np.asarray(self.theta))
+        return complex(ph) if ph.ndim == 0 else ph
 
     def to_dict(self) -> dict:
         """Plain dict with the JSON field names consumed by the CLI."""
         return asdict(self)
 
 
-def validate_params(
-    alpha: float,
-    beta: float,
-    gamma: float,
-    delta: float,
-    theta: float,
-    mass: float,
-) -> InteractionParams:
+def validate_params(alpha, beta, gamma, delta, theta, mass) -> InteractionParams:
     """Check the inputs and return them packaged, or raise.
 
+    Floats give float fields; arrays broadcast together into array fields.
     Raises InputError when any value is NaN or infinite,
     ConstraintViolation when alpha*gamma - beta*delta strays from 1 by
-    more than CONSTRAINT_TOL, and NonPositiveMass when mass <= 0. The
-    values are never adjusted.
+    more than CONSTRAINT_TOL, and NonPositiveMass when mass <= 0, each
+    naming the first offending entry. The values are never adjusted.
     """
-    for name, value in zip(PARAM_FIELDS, (alpha, beta, gamma, delta, theta, mass)):
-        if not math.isfinite(value):
-            raise InputError(f"{name} must be finite, got {value!r}")
-    defect = abs(alpha * gamma - beta * delta - 1.0)
-    if not defect <= CONSTRAINT_TOL:
+    table = np.array(np.broadcast_arrays(alpha, beta, gamma, delta, theta, mass), dtype=float)
+    bad = ~np.isfinite(table)
+    if bad.any():
+        at = tuple(np.argwhere(bad)[0])
+        raise InputError(f"{PARAM_FIELDS[at[0]]} must be finite, got {table[at].item()!r}")
+    a, b, g, d, _, m = table
+    det = a * g - b * d
+    bad = ~(np.abs(det - 1.0) <= CONSTRAINT_TOL)
+    if bad.any():
         raise ConstraintViolation(
-            f"alpha*gamma - beta*delta = {alpha * gamma - beta * delta!r}, "
+            f"alpha*gamma - beta*delta = {np.extract(bad, det)[0].item()!r}, "
             f"must equal 1 within {CONSTRAINT_TOL}"
         )
-    if not mass > 0.0:
-        raise NonPositiveMass(f"mass must be positive, got {mass!r}")
-    return InteractionParams(alpha, beta, gamma, delta, theta, mass)
+    bad = ~(m > 0.0)
+    if bad.any():
+        raise NonPositiveMass(f"mass must be positive, got {np.extract(bad, m)[0].item()!r}")
+    return InteractionParams(*(table.tolist() if m.ndim == 0 else table))
 
 
 def canonical_interaction(kind: str, strength: float, mass: float) -> InteractionParams:
@@ -90,7 +89,7 @@ def canonical_interaction(kind: str, strength: float, mass: float) -> Interactio
     beta = g, delta = 0. It differs from "delta" only through the phase
     convention, so the strength g plays the same role in both.
     """
-    theta = math.pi
+    theta = np.pi
     if kind == "delta":
         return validate_params(-1.0, -strength, -1.0, 0.0, theta, mass)
     if kind == "delta_prime":
@@ -102,14 +101,7 @@ def canonical_interaction(kind: str, strength: float, mass: float) -> Interactio
 
 def boundary_matrix(params: InteractionParams) -> np.ndarray:
     """The phase times [[alpha, beta], [delta, gamma]], a read-only (2, 2) array."""
-    ph = params.phase
-    entries = np.array(
-        [
-            [ph * params.alpha, ph * params.beta],
-            [ph * params.delta, ph * params.gamma],
-        ],
-        dtype=complex,
-    )
+    entries = params.phase * np.array([[params.alpha, params.beta], [params.delta, params.gamma]])
     entries.setflags(write=False)
     return entries
 

@@ -46,7 +46,6 @@ class RayKinematics:
 
     k: float | np.ndarray
     phi: float | np.ndarray
-    phi1: float | np.ndarray
     phi2: float | np.ndarray
     phi3: float | np.ndarray
     k1: float | np.ndarray
@@ -89,7 +88,7 @@ def ray_kinematics(k: float | np.ndarray, phi: float | np.ndarray) -> RayKinemat
     k3 = k * np.sin(phi3)
     if not (np.abs(k1 + k3 - k2) <= 1e-12 * np.maximum(1.0, k)).all():
         raise InvariantViolation("normal wavenumbers break k1 + k3 = k2")
-    return RayKinematics(k, phi, phi, phi2, phi3, k1, k2, k3)
+    return RayKinematics(k, phi, phi2, phi3, k1, k2, k3)
 
 
 def outgoing_amplitudes(

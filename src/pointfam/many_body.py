@@ -79,17 +79,7 @@ def nbody_bound_states(params: InteractionParams, n: int) -> list[NBodyBoundStat
     for st in bound_spectrum(params):
         energy = nbody_energy(st.kappa, params.mass, n)
         NonFiniteResult.check(energy=energy)
-        states.append(
-            NBodyBoundState(
-                n=n,
-                kappa=st.kappa,
-                energy=energy,
-                eta=st.eta,
-                c_even=1.0 + 0.0j,
-                c_odd=1.0 / st.eta,
-                branch=st.branch,
-            )
-        )
+        states.append(NBodyBoundState(n, st.kappa, energy, st.eta, 1.0 + 0.0j, 1.0 / st.eta, st.branch))
     states.sort(key=lambda s: s.energy)
     return states
 

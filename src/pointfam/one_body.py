@@ -27,75 +27,90 @@ from .errors import InvalidSlice, InvariantViolation, NonFiniteResult
 # Roots at or below this are treated as non-normalizable and dropped.
 KAPPA_MIN = 1e-12
 
+# Branch names by code: the two roots of delta != 0, the root of delta = 0, an empty slot.
+_BRANCHES = np.array(["plus", "minus", "single", ""])
+
 
 @dataclass(frozen=True)
 class BoundState:
-    """One bound level in the gauge c_minus = 1, c_plus = eta."""
+    """One bound level in the gauge c_minus = 1, c_plus = eta (array fields: see bound_spectrum)."""
 
-    kappa: float
-    energy: float
-    eta: complex
-    c_plus: complex
-    c_minus: complex
-    branch: str  # "plus" or "minus" for a two-root family, else "single"
+    kappa: float | np.ndarray
+    energy: float | np.ndarray
+    eta: complex | np.ndarray
+    c_plus: complex | np.ndarray
+    c_minus: complex | np.ndarray
+    branch: str | np.ndarray  # "plus" or "minus" for a two-root family, else "single"
 
 
-def _kappa_roots(params: InteractionParams) -> list[tuple[float, str]]:
-    """Real roots of the decay-rate quadratic with their branch tags.
+def _kappa_roots(params: InteractionParams) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate roots (plus, minus) of the decay-rate equation, arrays of the fields' shape.
 
     For delta != 0 the two roots are evaluated with the usual cancellation
     guard (the non-cancelling root directly, the other via the product of
-    roots). For delta = 0 the equation is linear.
+    roots). For delta = 0 the equation is linear: its root is the plus
+    entry and the minus entry is NaN.
     """
-    a, g, d, m = params.alpha, params.gamma, params.delta, params.mass
-    b = params.beta
-    if d == 0.0:
+    a, b, g, d, m = (
+        np.asarray(v) for v in (params.alpha, params.beta, params.gamma, params.delta, params.mass)
+    )
+    with np.errstate(all="ignore"):  # delta = 0 entries are replaced below
+        # sqrt((alpha-gamma)^2 + 4), always >= 2. math.hypot rounds correctly;
+        # np.hypot (the C library's) is one ulp off for about 0.6% of these inputs.
+        s = np.asarray(np.frompyfunc(math.hypot, 2, 1)(a - g, 2.0), dtype=float)
+        trace = a + g
+        product = 4.0 * b * m * m / d  # kappa_plus * kappa_minus
+        plus = m * (-trace + s) / d
+        minus = m * (-trace - s) / d
+        vieta = b != 0.0
+        k_plus = np.where((trace > 0.0) & vieta, product / minus, plus)
+        k_minus = np.where((trace <= 0.0) & vieta, product / plus, minus)
         # Valid params with delta = 0 force alpha*gamma = 1, so alpha+gamma != 0.
-        return [(-2.0 * b * m / (a + g), "single")]
-    s = math.hypot(a - g, 2.0)  # sqrt((alpha-gamma)^2 + 4), always >= 2
-    trace = a + g
-    product = 4.0 * b * m * m / d  # kappa_plus * kappa_minus
-    if trace <= 0.0:
-        k_plus = m * (-trace + s) / d
-        k_minus = product / k_plus if b != 0.0 else m * (-trace - s) / d
-    else:
-        k_minus = m * (-trace - s) / d
-        k_plus = product / k_minus if b != 0.0 else m * (-trace + s) / d
-    return [(k_plus, "plus"), (k_minus, "minus")]
+        linear = d == 0.0
+        k_plus = np.where(linear, -2.0 * b * m / trace, k_plus)
+        k_minus = np.where(linear, np.nan, k_minus)
+    return k_plus, k_minus
 
 
-def bound_spectrum(params: InteractionParams) -> list[BoundState]:
+def bound_spectrum(params: InteractionParams) -> list[BoundState] | BoundState:
     """Every bound state of the interaction, lowest energy first.
 
-    Returns an empty list when no root is positive. Roots within KAPPA_MIN
-    of zero are discarded as non-normalizable. eta comes from the second
-    row of the boundary condition, eta = exp(i*theta)*(gamma +
-    delta*kappa/(2m)); the first row gives -exp(i*theta)*(alpha +
-    2*beta*m/kappa), equal at a root. Raises NonFiniteResult when a kappa,
-    energy or eta overflows.
+    For a float parameter set, a list of BoundState, empty when no root is
+    positive. For a batch, one BoundState whose fields have a trailing
+    axis of two slots: the states, then empty slots (NaN, branch "").
+    Roots within KAPPA_MIN of zero are discarded as non-normalizable. eta
+    comes from the second row of the boundary condition, eta =
+    exp(i*theta)*(gamma + delta*kappa/(2m)); the first row gives
+    -exp(i*theta)*(alpha + 2*beta*m/kappa), equal at a root. Raises
+    NonFiniteResult when a kappa, energy or eta overflows.
     """
-    states = []
-    for kappa, branch in _kappa_roots(params):
-        if kappa <= KAPPA_MIN:
-            continue
-        energy = -kappa * kappa / (2.0 * params.mass)
-        eta = params.phase * (params.gamma + params.delta * kappa / (2.0 * params.mass))
-        NonFiniteResult.check(kappa=kappa, energy=energy, eta=eta)
-        states.append(
-            BoundState(
-                kappa=kappa,
-                energy=energy,
-                eta=eta,
-                c_plus=eta,
-                c_minus=1.0 + 0.0j,
-                branch=branch,
-            )
-        )
-    states.sort(key=lambda st: st.energy)
+    kappa = np.stack(_kappa_roots(params), axis=-1)
+    fields = (params.delta, params.gamma, params.mass, params.phase)
+    delta, gamma, m, ph = (np.asarray(x)[..., None] for x in fields)
+    # Slot 1 of a delta = 0 member holds no root; any other NaN is an overflow, refused below.
+    kept = ~(kappa <= KAPPA_MIN) & ((delta != 0.0) | [True, False])
+    with np.errstate(all="ignore"):
+        energy = -kappa * kappa / (2.0 * m)
+        eta = ph * (gamma + delta * kappa / (2.0 * m))
+    bad = np.argwhere(kept & ~(np.isfinite(kappa) & np.isfinite(energy) & np.isfinite(eta)))
+    if len(bad):
+        at = tuple(bad[0])
+        NonFiniteResult.check(kappa=kappa[at].item(), energy=energy[at].item(), eta=eta[at].item())
     # A double root cannot occur over the reals; two surviving states are distinct.
-    if len({st.kappa for st in states}) != len(states):
-        raise InvariantViolation(f"decay constants coincide: {[st.kappa for st in states]!r}")
-    return states
+    same = kept.all(axis=-1) & (kappa[..., 0] == kappa[..., 1])
+    if same.any():
+        raise InvariantViolation(f"decay constants coincide: {kappa[same][0].tolist()!r}")
+    order = np.argsort(np.where(kept, energy, np.inf), axis=-1, kind="stable")
+    code = np.where(delta == 0.0, 2, order)
+    kept, kappa, energy, eta = (np.take_along_axis(x, order, -1) for x in (kept, kappa, energy, eta))
+    kappa, energy, eta = (np.where(kept, x, np.nan) for x in (kappa, energy, eta))
+    branch = _BRANCHES[np.where(kept, code, 3)]
+    if kappa.ndim > 1:
+        return BoundState(kappa, energy, eta, eta, np.where(kept, 1.0 + 0.0j, np.nan), branch)
+    return [
+        BoundState(*(x[i].item() for x in (kappa, energy, eta, eta)), 1.0 + 0.0j, str(branch[i]))
+        for i in np.flatnonzero(kept)
+    ]
 
 
 def phase_diagram_count(alpha, gamma, delta: float, beta: float | None = None):
@@ -122,9 +137,10 @@ def phase_diagram_count(alpha, gamma, delta: float, beta: float | None = None):
     else:
         s = np.hypot(alpha - gamma, 2.0)
         trace = alpha + gamma
-        count = ((-trace + s) / delta > KAPPA_MIN).astype(int) + (
-            (-trace - s) / delta > KAPPA_MIN
-        )
+        with np.errstate(over="ignore"):  # a subnormal delta gives +-inf, which still counts by sign
+            count = ((-trace + s) / delta > KAPPA_MIN).astype(int) + (
+                (-trace - s) / delta > KAPPA_MIN
+            )
     return int(count) if count.ndim == 0 else count
 
 

@@ -21,7 +21,7 @@ DENOMINATOR_MIN = 1e-300
 
 @dataclass(frozen=True)
 class ScatteringAmplitudes:
-    """Amplitudes for both incidence directions; every field has the shape of k."""
+    """Amplitudes for both incidence directions, in the broadcast shape of k and the parameter fields."""
 
     k: float | np.ndarray
     t_plus: complex | np.ndarray
@@ -34,30 +34,34 @@ class ScatteringAmplitudes:
 def amplitudes(params: InteractionParams, k: float | np.ndarray) -> ScatteringAmplitudes:
     """Closed-form amplitudes at a wavenumber k > 0, or at each entry of an array k.
 
-    Raises ValueError if any k is not positive (NaN included), and
+    The parameter fields may be arrays that broadcast with k. Raises
+    ValueError if any k is not positive (NaN included), and
     SingularDenominator if the common denominator vanishes anywhere, which
-    cannot happen for a valid parameter set and real positive k.
+    cannot happen for a valid parameter set and real positive k. Where
+    d*k*k overflows the amplitudes are NaN, with no warning.
     """
     k = np.asarray(k, dtype=float)[()]
     if not (k > 0.0).all():  # the minimum is NaN or a non-positive entry
         raise ValueError(f"wavenumber must be positive, got {float(np.min(k))!r}")
     a, b, g, d, m = params.alpha, params.beta, params.gamma, params.delta, params.mass
-    den = d * k * k + 2j * k * m * (a + g) - 4.0 * b * m * m
-    small = np.abs(den) < DENOMINATOR_MIN
-    if small.any():
-        raise SingularDenominator(f"denominator vanished at k = {float(np.extract(small, k)[0])!r}")
-    ph = params.phase
-    t_common = 4j * k * m / den
-    cross = 2j * k * m * (a - g)
-    r_num = d * k * k + 4.0 * b * m * m
-    return ScatteringAmplitudes(
-        k=k,
-        t_plus=t_common / ph,
-        t_minus=t_common * ph,
-        r_plus=(r_num - cross) / den,
-        r_minus=(r_num + cross) / den,
-        denominator=den,
-    )
+    with np.errstate(all="ignore"):
+        den = d * k * k + 2j * k * m * (a + g) - 4.0 * b * m * m
+        small = np.abs(den) < DENOMINATOR_MIN
+        if small.any():
+            at = np.extract(small, np.broadcast_to(k, np.shape(den)))[0]
+            raise SingularDenominator(f"denominator vanished at k = {float(at)!r}")
+        ph = params.phase
+        t_common = 4j * k * m / den
+        cross = 2j * k * m * (a - g)
+        r_num = d * k * k + 4.0 * b * m * m
+        return ScatteringAmplitudes(
+            k=k,
+            t_plus=t_common / ph,
+            t_minus=t_common * ph,
+            r_plus=(r_num - cross) / den,
+            r_minus=(r_num + cross) / den,
+            denominator=den,
+        )
 
 
 def unitarity_defect(amps: ScatteringAmplitudes) -> float | np.ndarray:

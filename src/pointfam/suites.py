@@ -10,7 +10,7 @@ it slipped through.
 from __future__ import annotations
 
 import math
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -36,34 +36,27 @@ def _two_state_params(theta: float = 0.0) -> InteractionParams:
 
 def run_bound_suite(draws: int = 1000) -> tuple[list[ResidualReport], list[str]]:
     """Closed-form spectra against bracketing root finding on random draws."""
-    rng = np.random.default_rng(_SEED)
+    params = verify.random_params(np.random.default_rng(_SEED), draws)
+    oracle = verify.oracle_bound_kappas(params)
+    closed = np.sort(one_body.bound_spectrum(params).kappa, axis=1).tolist()
     worst = 0.0
-    for _ in range(draws):
-        params = verify.random_params(rng)
-        oracle = verify.oracle_bound_kappas(params)
-        closed = sorted(st.kappa for st in one_body.bound_spectrum(params))
-        if len(oracle) != len(closed):
+    for roots, row in zip(oracle, closed):
+        kappas = [x for x in row if not math.isnan(x)]
+        if len(roots) != len(kappas):
             worst = max(worst, 1.0)
             continue
-        for a, b in zip(oracle, closed):
+        for a, b in zip(roots, kappas):
             worst = max(worst, abs(a - b) / max(1.0, abs(b)))
     return [ResidualReport.build("bound-spectrum vs bracketing oracle", worst, draws, 1e-10)], []
 
 
 def run_scatter_suite(draws: int = 1000) -> tuple[list[ResidualReport], list[str]]:
     """Closed-form amplitudes against the matching solve, plus unitarity."""
-    rng = np.random.default_rng(_SEED + 1)
-    batch, ks = [], []
-    for _ in range(draws):
-        batch.append(verify.random_params(rng))
-        ks.append(float(rng.uniform(1e-3, 10.0)))
-    per_draw = [scattering.amplitudes(params, k) for params, k in zip(batch, ks)]
-    names = [f.name for f in fields(scattering.ScatteringAmplitudes)]
-    amps = scattering.ScatteringAmplitudes(
-        **{name: np.array([getattr(a, name) for a in per_draw]) for name in names}
-    )
-    t_minus, r_minus = verify.scattering_matching_oracle(batch, ks, "minus")
-    t_plus, r_plus = verify.scattering_matching_oracle(batch, ks, "plus")
+    params, u = verify.random_params(np.random.default_rng(_SEED + 1), draws, extra=1)
+    ks = 1e-3 + (10.0 - 1e-3) * u[:, 0]  # rng.uniform(1e-3, 10.0) after each draw
+    amps = scattering.amplitudes(params, ks)
+    t_minus, r_minus = verify.scattering_matching_oracle(params, ks, "minus")
+    t_plus, r_plus = verify.scattering_matching_oracle(params, ks, "plus")
     gaps = [amps.t_minus - t_minus, amps.r_minus - r_minus, amps.t_plus - t_plus, amps.r_plus - r_plus]
     # np.hypot rounds like abs() of one complex value; np.abs on arrays may not
     match = np.max([np.hypot(z.real, z.imag) for z in gaps], axis=0)
@@ -71,7 +64,8 @@ def run_scatter_suite(draws: int = 1000) -> tuple[list[ResidualReport], list[str
 
     def report(name: str, residuals: np.ndarray, tolerance: float) -> ResidualReport:
         i = int(np.argmax(residuals))
-        where = {"draw": i, "k": ks[i], "params": batch[i].to_dict()}
+        drawn = {field: float(value[i]) for field, value in params.to_dict().items()}
+        where = {"draw": i, "k": float(ks[i]), "params": drawn}
         return ResidualReport.build(name, residuals[i], draws, tolerance, worst_at=where)
 
     reports = [
@@ -131,6 +125,17 @@ def run_nbody_interior_suite(points: int = 100) -> tuple[list[ResidualReport], l
     return reports, []
 
 
+def _violators(rng: np.random.Generator, count: int) -> InteractionParams:
+    """Fields (count, 1): delta-prime, then draws with max(|alpha-gamma|, |delta|, |sin theta|) >= 0.1."""
+    fields = {name: [v] for name, v in canonical_interaction("delta_prime", -4.0, 1.0).to_dict().items()}
+    while len(fields["mass"]) < count:
+        batch = verify.random_params(rng, count - len(fields["mass"]))
+        off = np.abs([batch.alpha - batch.gamma, batch.delta, np.sin(batch.theta)]).max(axis=0)
+        for name, values in batch.to_dict().items():
+            fields[name].extend(values[off >= 0.1].tolist())
+    return validate_params(**{name: np.array(v)[:, None] for name, v in fields.items()})
+
+
 def run_diffraction_suite(samples: int = 2000) -> tuple[list[ResidualReport], list[str]]:
     """No-diffraction residuals, violation detection, and the momentum identity."""
     reports = []
@@ -144,26 +149,14 @@ def run_diffraction_suite(samples: int = 2000) -> tuple[list[ResidualReport], li
                 f"{label} diffraction-free sweep", max_res, samples, diffraction.NO_DIFFRACTION_TOL
             )
         )
-    rng = np.random.default_rng(_SEED + 2)
-    violators = [canonical_interaction("delta_prime", -4.0, 1.0)]
-    while len(violators) < 20:
-        params = verify.random_params(rng)
-        off = max(
-            abs(params.alpha - params.gamma),
-            abs(params.delta),
-            abs(math.sin(params.theta)),
-        )
-        if off >= 0.1:
-            violators.append(params)
+    violators = _violators(np.random.default_rng(_SEED + 2), 20)
     points = diffraction.scan_points(64)
     kin = diffraction.ray_kinematics(points[:, 0], points[:, 1])
-    missed = sum(
-        not np.any(diffraction.outgoing_amplitudes(params, kin).residual_norm > 1e-6)
-        for params in violators
-    )
+    residuals = diffraction.outgoing_amplitudes(violators, kin).residual_norm
+    missed = int(np.sum(~np.any(residuals > 1e-6, axis=1)))
     reports.append(
         ResidualReport.build(
-            "violating parameter sets show diffraction", float(missed), len(violators), 0.5
+            "violating parameter sets show diffraction", float(missed), len(residuals), 0.5
         )
     )
     rng_phi = np.random.default_rng(_SEED + 3)

@@ -19,7 +19,6 @@ applied one sample at a time.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -50,104 +49,155 @@ class ResidualReport:
 
     @classmethod
     def build(
-        cls,
-        check_name: str,
-        max_residual: float,
-        samples: int,
-        tolerance: float,
+        cls, check_name: str, max_residual: float, samples: int, tolerance: float,
         worst_at: dict | None = None,
     ) -> "ResidualReport":
         max_residual = float(max_residual)
-        return cls(
-            check_name=check_name,
-            max_residual=max_residual,
-            samples=samples,
-            passed=max_residual <= tolerance,
-            tolerance=tolerance,
-            worst_at=worst_at,
-        )
+        return cls(check_name, max_residual, samples, max_residual <= tolerance, tolerance, worst_at)
 
 
-def random_params(rng: np.random.Generator) -> InteractionParams:
-    """Draw a random valid parameter set, exactly on the constraint surface.
+def _uniform(u: float, lo: float, hi: float) -> float:
+    """rng.uniform(lo, hi) for the stream value u = rng.random(), to the bit."""
+    return lo + (hi - lo) * u
+
+
+def random_params(
+    rng: np.random.Generator, draws: int | None = None, extra: int = 0
+) -> InteractionParams | tuple[InteractionParams, np.ndarray]:
+    """Draw random valid parameter sets, exactly on the constraint surface.
 
     alpha, gamma, delta are uniform in [-3, 3], theta in [0, 2*pi), mass in
     [0.2, 2]. When |delta| > 0.1 beta is solved from the constraint; smaller
     draws are projected to the delta = 0 family with gamma = 1/alpha and a
-    fresh uniform beta.
+    fresh uniform beta, or drawn again when |alpha| < 0.2.
+
+    draws None gives one set with float fields, an int a batch. The stream
+    is read in blocks but never past the last value used, so a batch of n
+    equals n single draws, generator state included. With extra > 0 each
+    set is followed by extra more rng.random() values, returned second.
     """
-    while True:
-        alpha = rng.uniform(-3.0, 3.0)
-        gamma = rng.uniform(-3.0, 3.0)
-        delta = rng.uniform(-3.0, 3.0)
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        mass = rng.uniform(0.2, 2.0)
-        if abs(delta) > 0.1:
-            beta = (alpha * gamma - 1.0) / delta
-        else:
-            if abs(alpha) < 0.2:
-                continue
-            delta = 0.0
-            gamma = 1.0 / alpha
-            beta = rng.uniform(-3.0, 3.0)
-        return validate_params(alpha, beta, gamma, delta, theta, mass)
+    count, per = (1 if draws is None else draws), 5 + extra
+    u: list[float] = []
+    starts, projected, pos = [], [], 0
+
+    def read(end: int) -> None:
+        u.extend(rng.random(max(0, end - len(u))).tolist())
+
+    while len(starts) < count:
+        left = count - len(starts)
+        read(pos + per * left)  # the least the remaining sets take
+        small = abs(_uniform(u[pos + 2], -3.0, 3.0)) <= 0.1
+        if small and abs(_uniform(u[pos], -3.0, 3.0)) < 0.2:
+            pos += 5  # drawn again
+            continue
+        read(pos + per * left + small)  # a projected set takes one more value, for beta
+        starts.append(pos)
+        projected.append(small)
+        pos += per + small
+    u, at, proj = np.array(u), np.array(starts, dtype=int), np.array(projected, dtype=bool)
+    alpha, gamma, delta, theta, mass = (
+        _uniform(u[at + j], lo, hi)
+        for j, (lo, hi) in enumerate(((-3.0, 3.0),) * 3 + ((0.0, 2.0 * math.pi), (0.2, 2.0)))
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):  # small deltas are projected below
+        beta = (alpha * gamma - 1.0) / delta
+    beta[proj] = _uniform(u[at[proj] + 5], -3.0, 3.0)
+    gamma[proj] = 1.0 / alpha[proj]
+    delta[proj] = 0.0
+    fields = (alpha, beta, gamma, delta, theta, mass)
+    params = validate_params(*(f[0] for f in fields) if draws is None else fields)
+    if not extra:
+        return params
+    tail = u[(at + 5 + proj)[:, None] + np.arange(extra)]
+    return params, (tail[0] if draws is None else tail)
 
 
-def _bisect(f, lo: float, hi: float) -> float:
-    """Root of f in the sign-change bracket [lo, hi].
+def _decay_poly(k, d, c1, m, c0):
+    """delta*k^2 + 2*(alpha+gamma)*k*m + 4*beta*m^2, with c1 = 2*(alpha+gamma), c0 = 4*beta*m^2."""
+    return d * k * k + c1 * k * m + c0
 
-    The bracket is halved until its ends are adjacent floats; of those the
-    one with the smaller |f| is returned (an exact zero met on the way is
-    returned at once).
+
+def _bisect(coeffs: tuple[np.ndarray, ...], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Root of _decay_poly(k, *coeffs) in each sign-change bracket [lo, hi], one per entry.
+
+    Every bracket is halved until its ends are adjacent floats; of those
+    the one with the smaller |poly| is returned (an exact zero met on the
+    way is returned at once). The brackets step together and each leaves
+    when done, so every root equals that of bisecting its bracket alone.
     """
-    f_lo, f_hi = f(lo), f(hi)
-    while True:
+    root, rows = np.empty_like(lo), np.arange(len(lo))
+    f_lo, f_hi = _decay_poly(lo, *coeffs), _decay_poly(hi, *coeffs)
+    while len(rows):
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return lo if abs(f_lo) <= abs(f_hi) else hi
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid < 0.0) == (f_lo < 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
+        f_mid = _decay_poly(mid, *coeffs)
+        ends = (mid == lo) | (mid == hi)
+        done = ends | (f_mid == 0.0)
+        root[rows[done]] = np.where(ends, np.where(np.abs(f_lo) <= np.abs(f_hi), lo, hi), mid)[done]
+        left = (f_mid < 0.0) == (f_lo < 0.0)
+        lo, f_lo = np.where(left, mid, lo)[~done], np.where(left, f_mid, f_lo)[~done]
+        hi, f_hi = np.where(left, hi, mid)[~done], np.where(left, f_hi, f_mid)[~done]
+        rows, coeffs = rows[~done], tuple(c[~done] for c in coeffs)
+    return root
 
 
-def oracle_bound_kappas(params: InteractionParams) -> list[float]:
+_IDX = np.arange(4096.0)
+
+
+def _scan_grid(k_max: float) -> np.ndarray:
+    """np.linspace(_KAPPA_MIN, k_max, 4096), to the bit, in the steps linspace takes."""
+    grid = _IDX * ((k_max - _KAPPA_MIN) / 4095)
+    grid += _KAPPA_MIN
+    grid[-1] = k_max
+    return grid
+
+
+def oracle_bound_kappas(params: InteractionParams) -> list[float] | list[list[float]]:
     """Positive decay constants found numerically, ascending.
 
     The quadratic decay-rate polynomial is scanned for sign changes on a
     4096-point grid over (KAPPA_MIN, k_max] and each bracket is bisected
     down to adjacent floats; the delta = 0 case reduces to a direct linear
     solve. k_max combines a coefficient-based bound with the Cauchy root
-    bound so that no root can escape the scanned interval.
+    bound so that no root can escape the scanned interval. A batch gives
+    one list per member (flattened), with all brackets bisected together.
     """
-    a, g, d, m = params.alpha, params.gamma, params.delta, params.mass
-    b = params.beta
+    fields = np.broadcast_arrays(params.alpha, params.beta, params.gamma, params.delta, params.mass)
+    a, b, g, d, m = (np.ravel(x) for x in fields)
+    c1 = 2.0 * (a + g)
+    c0 = 4.0 * b * m * m
+    with np.errstate(divide="ignore", invalid="ignore"):  # delta = 0 members take the linear solve
+        linear_root = -2.0 * b * m / (a + g)
+        k_max = 2.0 * (1.0 + np.abs(a + g) * 2.0 * m + np.sqrt(4.0 * np.abs(b)) * 2.0 * m)
+        k_max /= np.maximum(np.abs(d), 1e-30)
+        cauchy = 1.0 + np.maximum(np.abs(c1 * m), np.abs(c0)) / np.abs(d)
+    k_max = np.maximum(k_max, cauchy)
 
-    def poly(k: float | np.ndarray) -> float | np.ndarray:
-        return d * k * k + 2.0 * (a + g) * k * m + 4.0 * b * m * m
+    found: list[list[float]] = [[] for _ in range(len(d))]
+    lo, hi, owner = [], [], []  # brackets as floats, and the member each belongs to
+    rows = zip(d.tolist(), c1.tolist(), m.tolist(), c0.tolist(), k_max.tolist())
+    for i, (di, c1i, mi, c0i, top) in enumerate(rows):
+        if di == 0.0:
+            found[i].append(float(linear_root[i]))
+            continue
+        grid = _scan_grid(top)
+        values = _decay_poly(grid, di, c1i, mi, c0i)
+        found[i].extend(grid[values == 0.0].tolist())
+        cross = np.nonzero(values[:-1] * values[1:] < 0.0)[0]
+        lo += grid[cross].tolist()
+        hi += grid[cross + 1].tolist()
+        owner += [i] * len(cross)
+    owner = np.array(owner, dtype=int)
+    roots = _bisect((d[owner], c1[owner], m[owner], c0[owner]), np.array(lo), np.array(hi))
+    for i, r in zip(owner.tolist(), roots.tolist()):
+        found[i].append(r)
 
-    if d == 0.0:
-        root = -2.0 * b * m / (a + g)
-        return [root] if root > _KAPPA_MIN else []
-
-    k_max = 2.0 * (1.0 + abs(a + g) * 2.0 * m + math.sqrt(4.0 * abs(b)) * 2.0 * m)
-    k_max /= max(abs(d), 1e-30)
-    cauchy = 1.0 + max(abs(2.0 * (a + g) * m), abs(4.0 * b * m * m)) / abs(d)
-    k_max = max(k_max, cauchy)
-
-    grid = np.linspace(_KAPPA_MIN, k_max, 4096)
-    values = poly(grid)
-    roots = grid[values == 0.0].tolist()
-    for i in np.flatnonzero(values[:-1] * values[1:] < 0.0).tolist():
-        roots.append(_bisect(poly, float(grid[i]), float(grid[i + 1])))
-    deduped: list[float] = []
-    for r in sorted(roots):
-        if r > _KAPPA_MIN and (not deduped or r - deduped[-1] > 1e-9):
-            deduped.append(r)
-    return deduped
+    for i, roots in enumerate(found):
+        deduped: list[float] = []
+        for r in sorted(roots):
+            if r > _KAPPA_MIN and (not deduped or r - deduped[-1] > 1e-9):
+                deduped.append(r)
+        found[i] = deduped
+    return found[0] if fields[0].ndim == 0 else found
 
 
 def _py_cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -163,7 +213,7 @@ def _py_cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def scattering_matching_oracle(
-    params: InteractionParams | Sequence[InteractionParams],
+    params: InteractionParams,
     k: float | np.ndarray,
     incidence: str,
 ) -> tuple[complex, complex] | tuple[np.ndarray, np.ndarray]:
@@ -171,50 +221,38 @@ def scattering_matching_oracle(
 
     incidence "minus" sends the unit wave in from the left, "plus" from
     the right. The boundary condition applied to the two-sided ansatz
-    gives a 2x2 complex linear system in (t, r), solved as such. One
-    parameter set with a float k gives complex t and r; a sequence of
-    parameter sets with an equal-length array of k gives arrays, from one
-    stacked solve. The value checks cover every entry.
+    gives a 2x2 complex linear system in (t, r), solved as such. The
+    parameter fields and k are floats or arrays that broadcast together:
+    floats give complex t and r, arrays give arrays of the broadcast shape
+    from one stacked solve. The value checks cover every entry.
     """
-    single = isinstance(params, InteractionParams)
-    batch = [params] if single else list(params)
-    k = np.array(k, dtype=float).reshape(-1)
-    if k.size != len(batch):
-        raise ValueError(f"need one wavenumber per parameter set, got {k.size} for {len(batch)}")
+    k = np.asarray(k, dtype=float)
     bad = ~(k > 0.0)
     if bad.any():
         raise ValueError(f"wavenumber must be positive, got {float(k[bad][0])!r}")
     if incidence not in ("minus", "plus"):
         raise ValueError(f"incidence must be 'minus' or 'plus', got {incidence!r}")
-    a, b, g, d, m = (
-        np.array([getattr(p, name) for p in batch])
-        for name in ("alpha", "beta", "gamma", "delta", "mass")
-    )
-    ph = np.array([p.phase for p in batch])
-    ik = 1j * k
-    system = np.empty((len(batch), 2, 2), dtype=complex)
+    fields = (params.alpha, params.beta, params.gamma, params.delta, params.mass, params.phase, k)
+    shape = np.broadcast_shapes(*map(np.shape, fields))
+    a, b, g, d, m, ph, k = (np.broadcast_to(x, shape).ravel() for x in fields)
+    ik, two_m = 1j * k, 2.0 * m
+    ph_a, ph_d = _py_cmul(ph, ik * a - two_m * b), _py_cmul(ph, ik * d - two_m * g)
     if incidence == "minus":
         # x < 0: e^{ikx} + r e^{-ikx};  x > 0: t e^{ikx}
-        system[:, 0, 0] = ik
-        system[:, 0, 1] = _py_cmul(ph, ik * a - 2.0 * m * b)
-        system[:, 1, 0] = 2.0 * m
-        system[:, 1, 1] = _py_cmul(ph, ik * d - 2.0 * m * g)
-        rhs = np.stack([_py_cmul(ph, ik * a + 2.0 * m * b), _py_cmul(ph, ik * d + 2.0 * m * g)], -1)
+        system = np.stack([ik, ph_a, two_m, ph_d], -1).reshape(-1, 2, 2)
+        rhs = np.stack([_py_cmul(ph, ik * a + two_m * b), _py_cmul(ph, ik * d + two_m * g)], -1)
     else:
         # x > 0: e^{-ikx} + r e^{ikx};  x < 0: t e^{-ikx}
-        system[:, 0, 0] = _py_cmul(ph, ik * a - 2.0 * m * b)
-        system[:, 0, 1] = ik
-        system[:, 1, 0] = _py_cmul(ph, ik * d - 2.0 * m * g)
-        system[:, 1, 1] = 2.0 * m
-        rhs = np.stack([ik, -2.0 * m], -1)
+        system = np.stack([ph_a, ik, ph_d, two_m], -1).reshape(-1, 2, 2)
+        rhs = np.stack([ik, -two_m], -1)
     det = _py_cmul(system[:, 0, 0], system[:, 1, 1]) - _py_cmul(system[:, 0, 1], system[:, 1, 0])
     singular = np.hypot(det.real, det.imag) < 1e-300
     if singular.any():
         raise SingularSystem(f"matching system singular at k = {float(k[singular][0])!r}")
     t, r = np.linalg.solve(system, rhs[:, :, None])[:, :, 0].T
-    if single:
+    if not shape:
         return complex(t[0]), complex(r[0])
-    return t, r
+    return t.reshape(shape), r.reshape(shape)
 
 
 def _local_parity_signs(orderings: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from pointfam.core import PARAM_FIELDS, InteractionParams
+
 _ACCEPTANCE_LINES = []
 
 
@@ -50,3 +52,8 @@ def brute_force_root_count(alpha, gamma, delta, mass=1.0, nk=2048):
     changes = int(np.sum(nonzero[:-1] * nonzero[1:] < 0))
     interior_zeros = int(np.sum(values[1:-1] == 0.0))
     return changes + interior_zeros
+
+
+def stack_params(sets):
+    """One InteractionParams whose fields are arrays, entry i from sets[i]."""
+    return InteractionParams(*(np.array([getattr(p, f) for p in sets]) for f in PARAM_FIELDS))

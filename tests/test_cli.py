@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from pointfam import cli, many_body, one_body, scattering
 from pointfam.cli import _parse_range, main
 from pointfam.core import params_from_dict
-from pointfam.errors import InputError
+from pointfam.errors import InputError, NonFiniteResult
 
 
 @pytest.fixture
@@ -462,6 +463,33 @@ def test_non_finite_results_are_refused(capsys, tmp_path, command, params, extra
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and "not a finite number" in err and err.startswith(f"{command}: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["scatter", "--k-range", "1e300:1e300:1"], "scatter: |R|^2 is nan, not a finite number; nothing written\n"),
+    (["diffraction", "--k", "1e308", "--phi", "0.5"], "diffraction: a result is nan, not a finite number; nothing written\n"),
+], ids=["scatter", "diffraction"])
+def test_amplitude_overflow_is_refused_in_one_line(capsys, two_state_file, argv, message):
+    # d*k*k overflows for |k| above about 1e154; a numpy warning would raise here.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, argv[0], "--params", two_state_file, *argv[1:])
+    assert (code, out, err) == (1, "", message)
+
+
+def test_phase_diagram_subnormal_delta_is_quiet(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "phase-diagram", "--delta", "1e-320", "--alpha=-1:1:1", "--gamma=-1:1:1")
+    assert (code, err) == (0, "")
+    assert out == "alpha,gamma,count\n-1,-1,1\n-1,0,1\n-1,1,1\n0,-1,1\n0,0,1\n0,1,1\n1,-1,1\n1,0,1\n1,1,0\n"
+
+
+def test_json_refusal_names_numpy_floats_plainly():
+    for value in (np.float64("nan"), np.float32("inf")):
+        with pytest.raises(NonFiniteResult, match=r"a result is (nan|inf), not"):
+            cli._json_scalar(value)
+    assert cli._json_scalar(np.float32(0.5)) == "0.5"
 
 
 # ---------------------------------------------------------------- size cap

@@ -1,12 +1,13 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from conftest import brute_force_root_count
-from pointfam.core import boundary_matrix, canonical_interaction, validate_params
+from pointfam.core import PARAM_FIELDS, InteractionParams, boundary_matrix, canonical_interaction, validate_params
 from pointfam.errors import InvalidSlice, NonFiniteResult
-from pointfam.one_body import bound_spectrum, orthogonality_sum, phase_diagram_count
+from pointfam.one_body import BoundState, bound_spectrum, orthogonality_sum, phase_diagram_count
 from pointfam.verify import random_params
 
 TWO_STATE = validate_params(-2.0, 3.0, -2.0, 1.0, 0.0, 0.5)
@@ -223,15 +224,31 @@ def test_orthogonality_of_two_state_pair():
 
 
 def test_orthogonality_over_random_two_state_draws(rng):
-    found = 0
-    while found < 1000:
-        p = random_params(rng)
-        p = validate_params(p.alpha, p.beta, p.gamma, p.delta, 0.7, p.mass)
-        states = bound_spectrum(p)
-        if len(states) != 2:
-            continue
-        found += 1
-        assert abs(orthogonality_sum(states[0], states[1])) <= 1e-12
+    # The first 1000 two-state members of the stream, as drawing one set at a time finds them.
+    p = random_params(rng, 8000)
+    table = bound_spectrum(validate_params(p.alpha, p.beta, p.gamma, p.delta, 0.7, p.mass))
+    two = np.flatnonzero(~np.isnan(table.kappa).any(axis=1))[:1000]
+    assert len(two) == 1000
+    ground, excited = (
+        BoundState(*(getattr(table, f.name)[two, slot] for f in fields(BoundState))) for slot in (0, 1)
+    )
+    assert (np.abs(orthogonality_sum(ground, excited)) <= 1e-12).all()
+
+
+def test_batch_spectrum_matches_batch_of_one(rng):
+    ulp = np.finfo(float).eps
+    batch = random_params(rng, 500)
+    table = bound_spectrum(batch)
+    assert table.kappa.shape == (500, 2)
+    for i in range(500):
+        states = bound_spectrum(InteractionParams(*(float(getattr(batch, f)[i]) for f in PARAM_FIELDS)))
+        assert np.isnan(table.kappa[i, len(states):]).all()
+        assert (table.branch[i, len(states):] == "").all()
+        for j, st in enumerate(states):
+            assert table.branch[i, j] == st.branch
+            for name in ("kappa", "energy", "eta", "c_plus", "c_minus"):
+                want = getattr(st, name)
+                assert abs(getattr(table, name)[i, j] - want) <= 4 * ulp * abs(want), (i, name)
 
 
 def test_eval_wavefunction_decay():

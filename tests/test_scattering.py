@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pointfam.core import canonical_interaction, validate_params
+from pointfam.core import PARAM_FIELDS, InteractionParams, canonical_interaction, validate_params
 from pointfam.scattering import amplitudes, unitarity_defect
 from pointfam.verify import random_params
 
@@ -72,6 +72,21 @@ def test_array_amplitudes_match_scalar_calls(rng):
                 got = getattr(batch, field)[i]
                 assert abs(got - want) <= 4 * ulp * abs(want), (field, k)
                 assert abs(got - getattr(one, field)) <= 4 * ulp * abs(want), (field, k)
+
+
+def test_parameter_batch_matches_batch_of_one(rng):
+    ulp = np.finfo(float).eps
+    batch, u = random_params(rng, 1000, extra=1)
+    ks = 1e-3 + (10.0 - 1e-3) * u[:, 0]
+    amps = amplitudes(batch, ks)
+    assert amps.t_plus.shape == (1000,)
+    for i, k in enumerate(ks.tolist()):
+        one = amplitudes(InteractionParams(*(float(getattr(batch, f)[i]) for f in PARAM_FIELDS)), k)
+        for field in ("t_plus", "t_minus", "r_plus", "r_minus", "denominator"):
+            want = getattr(one, field)
+            assert abs(getattr(amps, field)[i] - want) <= 4 * ulp * abs(want), (i, field)
+    grid = amplitudes(validate_params(*(getattr(batch, f)[:5, None] for f in PARAM_FIELDS)), ks[:7])
+    assert grid.r_minus.shape == (5, 7)
 
 
 def test_array_amplitudes_reject_any_bad_entry():

@@ -6,15 +6,17 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from pointfam.core import InteractionParams, canonical_interaction, validate_params
+from conftest import stack_params
+from pointfam.core import PARAM_FIELDS, InteractionParams, canonical_interaction, validate_params
 from pointfam.errors import SingularDenominator, SingularSystem
 from pointfam.many_body import nbody_bound_states
 from pointfam.one_body import bound_spectrum
 from pointfam.scattering import amplitudes, unitarity_defect
-from pointfam.suites import SUITE_NAMES, run_suite
+from pointfam.suites import SUITE_NAMES, _violators, run_suite
 from pointfam.verify import (
     ResidualReport,
     _eval_state_local,
+    _scan_grid,
     boundary_residual_3body,
     interior_residual,
     oracle_bound_kappas,
@@ -68,12 +70,12 @@ def test_oracle_handles_wide_quadratic():
 
 
 def test_oracle_agrees_with_closed_form(rng):
-    for _ in range(1000):
-        p = random_params(rng)
-        oracle = oracle_bound_kappas(p)
-        closed = sorted(st.kappa for st in bound_spectrum(p))
-        assert len(oracle) == len(closed)
-        for a, b in zip(oracle, closed):
+    p = random_params(rng, 1000)
+    closed = np.sort(bound_spectrum(p).kappa, axis=1)
+    for oracle, row in zip(oracle_bound_kappas(p), closed.tolist()):
+        kappas = [b for b in row if not math.isnan(b)]
+        assert len(oracle) == len(kappas)
+        for a, b in zip(oracle, kappas):
             assert abs(a - b) <= 1e-10 * max(1.0, b)
 
 
@@ -95,16 +97,161 @@ def _exact_positive_roots(params):
 
 
 def test_oracle_roots_against_mpmath():
-    rng = np.random.default_rng(BOUND_SUITE_SEED)  # the bound suite's 1000 draws
+    batch = random_params(np.random.default_rng(BOUND_SUITE_SEED), 1000)  # the bound suite's draws
     worst = 0.0
-    for _ in range(1000):
-        p = random_params(rng)
-        roots = oracle_bound_kappas(p)
+    for i, roots in enumerate(oracle_bound_kappas(batch)):
+        p = InteractionParams(*(float(getattr(batch, f)[i]) for f in PARAM_FIELDS))
         exact = _exact_positive_roots(p)
         assert len(roots) == len(exact), p
         for r, e in zip(roots, exact):
             worst = max(worst, float(abs(r - e) / e))
     assert worst <= 1e-13
+
+
+def _scalar_random_params(rng):
+    """One draw at a time, five rng.uniform calls (six when projected): the stream random_params replays."""
+    while True:
+        alpha = rng.uniform(-3.0, 3.0)
+        gamma = rng.uniform(-3.0, 3.0)
+        delta = rng.uniform(-3.0, 3.0)
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        mass = rng.uniform(0.2, 2.0)
+        if abs(delta) > 0.1:
+            beta = (alpha * gamma - 1.0) / delta
+        else:
+            if abs(alpha) < 0.2:
+                continue
+            delta = 0.0
+            gamma = 1.0 / alpha
+            beta = rng.uniform(-3.0, 3.0)
+        return validate_params(alpha, beta, gamma, delta, theta, mass)
+
+
+def _fields(batch):
+    return {f: np.ravel(getattr(batch, f)).tolist() for f in PARAM_FIELDS}
+
+
+def _stacked_fields(sets):
+    return {f: [getattr(p, f) for p in sets] for f in PARAM_FIELDS}
+
+
+def test_random_params_batch_replays_scalar_stream():
+    # The bound suite's draws, then the generator's next value.
+    batched, scalar = np.random.default_rng(BOUND_SUITE_SEED), np.random.default_rng(BOUND_SUITE_SEED)
+    reference = [_scalar_random_params(scalar) for _ in range(1000)]
+    assert _fields(random_params(batched, 1000)) == _stacked_fields(reference)
+    assert batched.random() == scalar.random()
+    single = np.random.default_rng(BOUND_SUITE_SEED)
+    assert [random_params(single) for _ in range(50)] == reference[:50]
+    # The scatter suite's draws, each followed by its wavenumber.
+    batched, scalar = np.random.default_rng(BOUND_SUITE_SEED + 1), np.random.default_rng(BOUND_SUITE_SEED + 1)
+    reference, ks = [], []
+    for _ in range(1000):
+        reference.append(_scalar_random_params(scalar))
+        ks.append(float(scalar.uniform(1e-3, 10.0)))
+    params, u = random_params(batched, 1000, extra=1)
+    assert _fields(params) == _stacked_fields(reference)
+    assert (1e-3 + (10.0 - 1e-3) * u[:, 0]).tolist() == ks
+    assert batched.random() == scalar.random()
+    # The diffraction suite's violators, drawn until 19 lie off the contact family.
+    scalar = np.random.default_rng(BOUND_SUITE_SEED + 2)
+    reference = [canonical_interaction("delta_prime", -4.0, 1.0)]
+    while len(reference) < 20:
+        p = _scalar_random_params(scalar)
+        if max(abs(p.alpha - p.gamma), abs(p.delta), abs(math.sin(p.theta))) >= 0.1:
+            reference.append(p)
+    violators = _violators(np.random.default_rng(BOUND_SUITE_SEED + 2), 20)
+    assert violators.alpha.shape == (20, 1)
+    assert _fields(violators) == _stacked_fields(reference)
+
+
+def _scalar_bisect(f, lo, hi):
+    f_lo, f_hi = f(lo), f(hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return lo if abs(f_lo) <= abs(f_hi) else hi
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+
+
+def _scalar_oracle(p):
+    """The bracketing oracle one set at a time: np.linspace grid, scalar bisection."""
+    a, b, g, d, m = p.alpha, p.beta, p.gamma, p.delta, p.mass
+
+    def poly(k):
+        return d * k * k + 2.0 * (a + g) * k * m + 4.0 * b * m * m
+
+    if d == 0.0:
+        root = -2.0 * b * m / (a + g)
+        return [root] if root > 1e-12 else []
+    k_max = 2.0 * (1.0 + abs(a + g) * 2.0 * m + math.sqrt(4.0 * abs(b)) * 2.0 * m)
+    k_max /= max(abs(d), 1e-30)
+    k_max = max(k_max, 1.0 + max(abs(2.0 * (a + g) * m), abs(4.0 * b * m * m)) / abs(d))
+    grid = np.linspace(1e-12, k_max, 4096)
+    values = poly(grid)
+    roots = grid[values == 0.0].tolist()
+    for i in np.flatnonzero(values[:-1] * values[1:] < 0.0).tolist():
+        roots.append(_scalar_bisect(poly, float(grid[i]), float(grid[i + 1])))
+    deduped = []
+    for r in sorted(roots):
+        if r > 1e-12 and (not deduped or r - deduped[-1] > 1e-9):
+            deduped.append(r)
+    return deduped
+
+
+def test_batched_oracle_equals_one_set_at_a_time():
+    rng = np.random.default_rng(BOUND_SUITE_SEED)
+    sets = [_scalar_random_params(rng) for _ in range(1000)]
+    expected = [_scalar_oracle(p) for p in sets]
+    assert oracle_bound_kappas(stack_params(sets)) == expected
+    assert [oracle_bound_kappas(p) for p in sets[:20]] == expected[:20]
+
+
+def test_scan_grid_is_linspace_to_the_bit():
+    rng = np.random.default_rng(5)
+    for k_max in np.exp(rng.uniform(math.log(1e-3), math.log(1e8), size=5000)).tolist():
+        assert np.array_equal(_scan_grid(k_max), np.linspace(1e-12, k_max, 4096))
+
+
+def test_bound_and_scatter_reports_pinned():
+    (bound,), _ = run_suite("bound")
+    assert bound.max_residual == 5.148736236148946e-16
+    assert bound.worst_at is None
+    match, flux, _ = run_suite("scatter")[0]
+    assert match.max_residual == 2.953883141399871e-15
+    assert match.worst_at == {
+        "draw": 840,
+        "k": 2.410183780020867,
+        "params": {
+            "alpha": -2.0422628102572062,
+            "beta": 19.85955635329818,
+            "gamma": -2.6094681049734367,
+            "delta": 0.21799176116140284,
+            "theta": 2.492485029487654,
+            "mass": 0.6172880747780711,
+        },
+    }
+    assert flux.max_residual == 8.881784197001252e-16
+    assert flux.worst_at == {
+        "draw": 370,
+        "k": 3.282558758484885,
+        "params": {
+            "alpha": 2.992154879840971,
+            "beta": -4.510433152057122,
+            "gamma": 0.09607350423387917,
+            "delta": 0.15797444978387576,
+            "theta": 0.9396928269476156,
+            "mass": 1.4346564136322244,
+        },
+    }
+    for value in [match.worst_at["k"], *match.worst_at["params"].values()]:
+        assert type(value) is float
 
 
 # --------------------------------------------------------- matching oracle
@@ -149,9 +296,9 @@ def test_matching_oracle_input_checks():
     with pytest.raises(ValueError):
         scattering_matching_oracle(DELTA, 1.0, "left")
     with pytest.raises(ValueError, match="'left'"):
-        scattering_matching_oracle([DELTA, TWO_STATE], np.array([1.0, 2.0]), "left")
-    with pytest.raises(ValueError, match="one wavenumber per parameter set"):
-        scattering_matching_oracle([DELTA, TWO_STATE], np.array([1.0]), "minus")
+        scattering_matching_oracle(stack_params([DELTA, TWO_STATE]), np.array([1.0, 2.0]), "left")
+    with pytest.raises(ValueError, match="cannot be broadcast"):
+        scattering_matching_oracle(stack_params([DELTA, TWO_STATE]), np.array([1.0, 2.0, 3.0]), "minus")
 
 
 def _reference_matching(p, k, incidence):
@@ -173,7 +320,7 @@ def test_matching_oracle_batch_equals_batch_of_one():
     batch = [random_params(rng) for _ in range(200)]
     ks = rng.uniform(1e-3, 10.0, size=200)
     for incidence in ("minus", "plus"):
-        t, r = scattering_matching_oracle(batch, ks, incidence)
+        t, r = scattering_matching_oracle(stack_params(batch), ks, incidence)
         assert t.shape == r.shape == (200,)
         for i, (p, k) in enumerate(zip(batch, ks.tolist())):
             one = scattering_matching_oracle(p, k, incidence)
@@ -184,7 +331,7 @@ def test_matching_oracle_batch_equals_batch_of_one():
 def test_matching_oracle_rejects_bad_k_anywhere(bad):
     ks = np.array([1.0, 2.0, bad, 3.0])
     with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
-        scattering_matching_oracle([DELTA] * 4, ks, "minus")
+        scattering_matching_oracle(DELTA, ks, "minus")
 
 
 @pytest.mark.parametrize("incidence", ["minus", "plus"])
@@ -193,7 +340,7 @@ def test_matching_oracle_singular_entry(incidence):
     # delta k^2 = 4 m^2 beta at k = 0.5 make the determinant vanish.
     singular = InteractionParams(0.0, 1.0, 0.0, 4.0, 0.0, 0.5)
     with pytest.raises(SingularSystem, match="0.5"):
-        scattering_matching_oracle([DELTA, singular], np.array([1.0, 0.5]), incidence)
+        scattering_matching_oracle(stack_params([DELTA, singular]), np.array([1.0, 0.5]), incidence)
 
 
 # ------------------------------------------------------- boundary residual
