@@ -8,7 +8,9 @@ Floats are always rendered with 17 significant digits and field order is
 fixed, so repeated runs are byte-identical. Objects and state lists go
 through _write_records, as JSON by _json_dumps or as CSV by _write_table;
 every other table (CSV, or JSON {"columns", "rows"}) goes to _write_table,
-which formats each row with one %-template and writes blocks of rows.
+which formats each row with one %-template and writes blocks of rows. A
+phase-diagram grid goes out one alpha line at a time, each line one
+str.join of pieces cut from _write_table's own row template and separator.
 A result that is inf or NaN is never written: the command fails with
 NonFiniteResult instead. Ranges, phase-diagram grids and --samples are
 capped at SIZE_CAP values. Exit codes: 0 on success, 1 on usage or
@@ -20,10 +22,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -39,10 +43,9 @@ SIZE_CAP = 1_000_000
 
 _FLOAT = "%.17g"
 
-# Tables are formatted and written this many rows at a time. That bounds the
-# text held in memory, and a reader that closed standard output is noticed at
-# the next block: a short write to a closed pipe can pass silently when
-# standard output is unbuffered (PYTHONUNBUFFERED), so one write is not enough.
+# Tables are formatted and written, and points files parsed, this many rows at
+# a time. That bounds the text held in memory, and a reader that closed
+# standard output is noticed at the next block.
 _BLOCK_ROWS = 1024
 
 
@@ -83,9 +86,7 @@ def _json_dumps(obj, indent: int = 0) -> str:
     return _json_scalar(obj)
 
 
-def _write_records(
-    columns: list[str], rows: list[tuple], output: str, key: str | None = None
-) -> None:
+def _write_records(columns: list[str], rows: list[tuple], output: str, key: str | None = None) -> None:
     """Write records as JSON, or as a CSV table through _write_table.
 
     In JSON, with key None the one row goes out as an object, and with a
@@ -118,12 +119,12 @@ def _require_finite(columns: list[str], table: np.ndarray) -> None:
 def _write_table(columns: list[str], rows, output: str) -> None:
     """Write a table as CSV, or as JSON {"columns": [...], "rows": [[...], ...]}.
 
-    rows is a 2-D float or int array, or a list of row tuples whose cells
-    are floats, ints or str. One %-template is built from the first row:
-    "%.17g" for floats, "%d" for ints and "%s" for str cells, which are
-    written as they are (CSV words, or numbers the caller already formatted
-    with _fmt). A non-finite float raises NonFiniteResult before anything
-    is written.
+    rows is a 2-D float or int array, a list of row tuples whose cells
+    are floats, ints or str, or a _Grid. One %-template is built from the
+    first row: "%.17g" for floats, "%d" for ints and "%s" for str cells,
+    which are written as they are (CSV words, or a _Grid's numbers, which
+    come formatted with _fmt). A non-finite float raises NonFiniteResult
+    before anything is written.
     """
     if isinstance(rows, np.ndarray):
         _require_finite(columns, rows)
@@ -139,18 +140,57 @@ def _write_table(columns: list[str], rows, output: str) -> None:
         head = '{\n  "columns": ' + _json_dumps(columns, 1) + ',\n  "rows": ['
         template, sep = "    [\n      " + ",\n      ".join(cells) + "\n    ]", ",\n"
         head, tail = (head + "\n", "\n  ]\n}\n") if len(rows) else (head, "]\n}\n")
+    blocks = rows.blocks(template, sep) if isinstance(rows, _Grid) else _row_blocks(rows, template, sep)
     sys.stdout.write(head)
     lead = ""
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        block = rows[start:start + _BLOCK_ROWS]
-        if isinstance(block, np.ndarray):
-            block = block.tolist()
-        sys.stdout.write(lead + sep.join([template % tuple(r) for r in block]))
+    for text in blocks:
+        sys.stdout.write(lead + text)
         lead = sep
     sys.stdout.write(tail)
 
 
-def _parse_range(text: str) -> list[float]:
+def _row_blocks(rows, template: str, sep: str):
+    """The text of each _BLOCK_ROWS rows."""
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start:start + _BLOCK_ROWS]
+        if isinstance(block, np.ndarray):
+            block = block.tolist()
+        yield sep.join([template % tuple(r) for r in block])
+
+
+class _Grid:
+    """The rows (outer[i], inner[j], table[i, j]) of a grid, written a line of fixed i at a time.
+
+    Both text columns come formatted and table holds small non-negative ints,
+    so a row's text after its outer cell is formatted once per (j, int) pair
+    and a line is one str.join with the outer cell in the separator.
+    """
+
+    def __init__(self, outer: list[str], inner: list[str], table: np.ndarray):
+        self.outer, self.inner, self.table = outer, inner, table
+
+    def __len__(self) -> int:
+        return self.table.size
+
+    def __getitem__(self, k: int) -> tuple:
+        i, j = divmod(k, len(self.inner))
+        return self.outer[i], self.inner[j], int(self.table[i, j])
+
+    def blocks(self, template: str, sep: str):
+        """The text of each line, or of each _BLOCK_ROWS rows of a longer line."""
+        lead = template[:template.index("%")]  # the row text before the outer cell
+        width = len(self.inner)
+        rests = np.empty((int(self.table.max()) + 1, width), dtype=object)
+        for count, rest in enumerate(rests):  # only the pairs that occur
+            for j in np.flatnonzero((self.table == count).any(axis=0)).tolist():
+                rest[j] = (template % ("", self.inner[j], count))[len(lead):]
+        for outer, line in zip(self.outer, rests[self.table, np.arange(width)].tolist()):
+            prefix = lead + outer
+            for start in range(0, width, _BLOCK_ROWS):
+                yield prefix + (sep + prefix).join(line[start:start + _BLOCK_ROWS])
+
+
+def _parse_range(text: str) -> np.ndarray:
     """lo:hi:step, inclusive of lo; the upper end uses a step/2 rounding guard.
 
     At most SIZE_CAP values; a longer range raises InputError before any is made.
@@ -169,54 +209,60 @@ def _parse_range(text: str) -> list[float]:
     steps = (hi - lo) / step + 0.5  # inf when hi - lo overflows
     if not steps < SIZE_CAP:
         raise InputError(f"range {text!r} has more than {SIZE_CAP} values")
-    return [lo + i * step for i in range(int(steps) + 1)]
+    return lo + np.arange(int(steps) + 1) * step
+
+
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path!r}: {exc}") from exc
 
 
 def _load_params(path: str):
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path!r}: {exc}") from exc
+        data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path!r} is not valid JSON: {exc}") from exc
     return params_from_dict(data)
 
 
-def _load_points(path: str, n: int) -> list[list[float]]:
-    rows = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                text = line.strip()
-                if not text or text.startswith("#"):
-                    continue
-                cells = text.split(",")
-                if line_no == 1 and any(
-                    not _is_number(c) for c in cells
-                ):
-                    continue  # header row
-                if len(cells) != n:
-                    raise InputError(
-                        f"{path!r} line {line_no}: expected {n} coordinates, got {len(cells)}"
-                    )
-                try:
-                    rows.append([float(c) for c in cells])
-                except ValueError as exc:
-                    raise InputError(f"{path!r} line {line_no}: bad number") from exc
-    except OSError as exc:
-        raise InputError(f"cannot read {path!r}: {exc}") from exc
-    if not rows:
+def _load_points(path: str, n: int) -> np.ndarray:
+    """The (P, n) points of a CSV file, one point per line.
+
+    Line 1 is a header if it is not all numbers. Blank lines and text from
+    "#" to the end of a line are skipped; spaces around cells and CRLF
+    endings are allowed. numpy's C reader parses _BLOCK_ROWS lines at a
+    time, and a block it refuses is read again line by line to name the line.
+    """
+    lines = _read_text(path).split("\n")
+    if _read_numbers(lines[:1]) is None:
+        lines[0] = ""  # header row
+    blocks = [lines[start:start + _BLOCK_ROWS] for start in range(0, len(lines), _BLOCK_ROWS)]
+    tables = [_read_numbers(block) for block in blocks]
+    for k, table in enumerate(tables):
+        if table is None or table.size and table.shape[1] != n:
+            for line_no, line in enumerate(blocks[k], k * _BLOCK_ROWS + 1):
+                row = _read_numbers([line])
+                if row is None:
+                    raise InputError(f"{path!r} line {line_no}: bad number")
+                if row.size and row.shape[1] != n:
+                    raise InputError(f"{path!r} line {line_no}: expected {n} coordinates, got {row.shape[1]}")
+    points = np.concatenate([table.reshape(-1, n) for table in tables])
+    if not len(points):
         raise InputError(f"{path!r} contains no points")
-    return rows
+    return points
 
 
-def _is_number(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
+def _read_numbers(lines: list[str]) -> np.ndarray | None:
+    """The comma-separated numbers on these lines as a 2-D array, or None if one is not a number."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # lines with no numbers on them
+        try:
+            return np.loadtxt(map(str.strip, lines), delimiter=",", comments="#", ndmin=2)
+        except ValueError:
+            return None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -252,12 +298,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("scatter", "transmission/reflection sweep over wavenumbers", output="csv")
     p.add_argument("--k-range", required=True, metavar="K0:K1:STEP")
 
-    p = sub.add_parser("phase-diagram", help="bound-state count over an (alpha, gamma) grid")
+    p = add("phase-diagram", "bound-state count over an (alpha, gamma) grid", params=False, output="csv")
     p.add_argument("--delta", required=True, type=float)
     p.add_argument("--alpha", required=True, metavar="A0:A1:STEP")
     p.add_argument("--gamma", required=True, metavar="G0:G1:STEP")
     p.add_argument("--beta", type=float, default=None, help="required when delta = 0")
-    p.add_argument("--output", choices=("json", "csv"), default="csv")
 
     p = add("nbody", "N-body bound states", output="json")
     p.add_argument("--n", required=True, type=int)
@@ -271,9 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", required=True, type=float)
     p.add_argument("--phi", required=True, type=float)
     p.add_argument(
-        "--middle-reflection",
-        choices=("minus", "plus"),
-        default="minus",
+        "--middle-reflection", choices=("minus", "plus"), default="minus",
         help="incidence suffix of the middle reflection on the transmitted two-segment path",
     )
 
@@ -281,27 +324,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", required=True, type=int)
     p.add_argument("--middle-reflection", choices=("minus", "plus"), default="minus")
 
-    p = sub.add_parser(
-        "verify", help="run first-principles verification suites (exit 2 on failure)"
-    )
-    p.add_argument(
-        "--suite",
-        required=True,
-        choices=suites.SUITE_NAMES + ("all",),
-    )
+    p = add("verify", "run first-principles verification suites (exit 2 on failure)", params=False)
+    p.add_argument("--suite", required=True, choices=suites.SUITE_NAMES + ("all",))
 
-    p = sub.add_parser(
+    p = add(
         "mcguire",
-        help=(
-            "reference decay constant and energy for the attractive contact "
-            "potential with bare pair strength g0; for the canonical families, "
-            "'delta' takes beta = -g and 'anti_delta' takes beta = +g"
-        ),
+        "reference decay constant and energy for the attractive contact "
+        "potential with bare pair strength g0; for the canonical families, "
+        "'delta' takes beta = -g and 'anti_delta' takes beta = +g",
+        params=False,
+        output="json",
     )
     p.add_argument("--g0", required=True, type=float)
     p.add_argument("--mass", required=True, type=float)
     p.add_argument("--n", required=True, type=int)
-    p.add_argument("--output", choices=("json", "csv"), default="json")
 
     return parser
 
@@ -324,27 +360,14 @@ def _cmd_bound(args) -> int:
 
 def _cmd_scatter(args) -> int:
     params = _load_params(args.params)
-    columns = [
-        "k", "|T|^2", "|R|^2",
-        "re(T+)", "im(T+)", "re(R+)", "im(R+)", "re(R-)", "im(R-)",
-    ]
-    ks = np.array(_parse_range(args.k_range))
+    columns = ["k", "|T|^2", "|R|^2", "re(T+)", "im(T+)", "re(R+)", "im(R+)", "re(R-)", "im(R-)"]
+    ks = _parse_range(args.k_range)
     if not np.all(ks > 0.0):
         raise InputError("k-range must stay strictly positive")
     amps = scattering.amplitudes(params, ks)
-    table = np.column_stack(
-        (
-            ks,
-            np.hypot(amps.t_plus.real, amps.t_plus.imag) ** 2,
-            np.hypot(amps.r_plus.real, amps.r_plus.imag) ** 2,
-            amps.t_plus.real,
-            amps.t_plus.imag,
-            amps.r_plus.real,
-            amps.r_plus.imag,
-            amps.r_minus.real,
-            amps.r_minus.imag,
-        )
-    )
+    t, r, r_minus = amps.t_plus, amps.r_plus, amps.r_minus
+    moduli = [np.hypot(z.real, z.imag) ** 2 for z in (t, r)]
+    table = np.column_stack([ks, *moduli, t.real, t.imag, r.real, r.imag, r_minus.real, r_minus.imag])
     _write_table(columns, table, args.output)
     return 0
 
@@ -356,33 +379,21 @@ def _cmd_phase_diagram(args) -> int:
     gammas = _parse_range(args.gamma)
     if len(alphas) * len(gammas) > SIZE_CAP:
         raise InputError(f"the grid has more than {SIZE_CAP} points")
-    counts = one_body.phase_diagram_count(
-        np.array(alphas)[:, None], np.array(gammas)[None, :], args.delta, args.beta
-    )
-    # Each grid value is formatted once, not once per cell it appears in.
-    gamma_text = [_fmt(g) for g in gammas]
-    rows = [
-        (a, g, c)
-        for a, line in zip(map(_fmt, alphas), counts.tolist())
-        for g, c in zip(gamma_text, line)
-    ]
-    _write_table(["alpha", "gamma", "count"], rows, args.output)
+    counts = one_body.phase_diagram_count(alphas[:, None], gammas[None, :], args.delta, args.beta)
+    grid = _Grid(list(map(_fmt, alphas.tolist())), list(map(_fmt, gammas.tolist())), counts)
+    _write_table(["alpha", "gamma", "count"], grid, args.output)
     return 0
 
 
 def _cmd_nbody(args) -> int:
     params = _load_params(args.params)
     rows = [
-        (
-            st.kappa, st.energy, st.eta.real, st.eta.imag,
-            st.c_even.real, st.c_even.imag, st.c_odd.real, st.c_odd.imag,
-            many_body.symmetry_class(st),
-        )
+        (st.kappa, st.energy, st.eta.real, st.eta.imag, st.c_even.real, st.c_even.imag,
+         st.c_odd.real, st.c_odd.imag, many_body.symmetry_class(st))
         for st in many_body.nbody_bound_states(params, args.n)
     ]
     columns = [
-        "kappa", "energy", "eta_re", "eta_im",
-        "c_even_re", "c_even_im", "c_odd_re", "c_odd_im", "symmetry",
+        "kappa", "energy", "eta_re", "eta_im", "c_even_re", "c_even_im", "c_odd_re", "c_odd_im", "symmetry"
     ]
     _write_records(columns, rows, args.output, "states")
     return 0
@@ -392,10 +403,8 @@ def _cmd_nbody_eval(args) -> int:
     params = _load_params(args.params)
     states = many_body.nbody_bound_states(params, args.n)
     if not 0 <= args.state_index < len(states):
-        raise InputError(
-            f"state index {args.state_index} out of range; {len(states)} state(s) available"
-        )
-    points = np.array(_load_points(args.points, args.n))
+        raise InputError(f"state index {args.state_index} out of range; {len(states)} state(s) available")
+    points = _load_points(args.points, args.n)
     psi = many_body.eval_nbody_wavefunction(states[args.state_index], points)
     columns = [f"x{i}" for i in range(1, args.n + 1)] + ["re(psi)", "im(psi)"]
     _write_table(columns, np.column_stack((points, psi.real, psi.imag)), args.output)
@@ -407,19 +416,11 @@ def _cmd_diffraction(args) -> int:
     kin = diffraction.ray_kinematics(args.k, args.phi)
     report = diffraction.outgoing_amplitudes(params, kin, args.middle_reflection)
     record = {
-        "k": kin.k,
-        "phi": kin.phi,
-        "k1": kin.k1,
-        "k2": kin.k2,
-        "k3": kin.k3,
-        "amp_two_path_re": report.amp_two_path.real,
-        "amp_two_path_im": report.amp_two_path.imag,
-        "amp_one_path_re": report.amp_one_path.real,
-        "amp_one_path_im": report.amp_one_path.imag,
-        "residual_re": report.residual.real,
-        "residual_im": report.residual.imag,
-        "residual_norm": report.residual_norm,
-        "middle_reflection": args.middle_reflection,
+        "k": kin.k, "phi": kin.phi, "k1": kin.k1, "k2": kin.k2, "k3": kin.k3,
+        "amp_two_path_re": report.amp_two_path.real, "amp_two_path_im": report.amp_two_path.imag,
+        "amp_one_path_re": report.amp_one_path.real, "amp_one_path_im": report.amp_one_path.imag,
+        "residual_re": report.residual.real, "residual_im": report.residual.imag,
+        "residual_norm": report.residual_norm, "middle_reflection": args.middle_reflection,
     }
     _write_records(list(record), [tuple(record.values())], args.output)
     return 0
@@ -429,9 +430,7 @@ def _cmd_diffraction_scan(args) -> int:
     if args.samples > SIZE_CAP:
         raise InputError(f"--samples is capped at {SIZE_CAP}")
     params = _load_params(args.params)
-    max_residual, verdict = diffraction.no_diffraction_scan(
-        params, args.samples, args.middle_reflection
-    )
+    max_residual, verdict = diffraction.no_diffraction_scan(params, args.samples, args.middle_reflection)
     record = {
         "samples": args.samples,
         "max_residual": max_residual,
@@ -466,14 +465,9 @@ def _cmd_verify(args) -> int:
 def _cmd_mcguire(args) -> int:
     kappa, energy = many_body.mcguire_reference(args.g0, args.mass, args.n)
     record = {
-        "g0": args.g0,
-        "mass": args.mass,
-        "n": args.n,
-        "kappa": kappa,
-        "energy": energy,
+        "g0": args.g0, "mass": args.mass, "n": args.n, "kappa": kappa, "energy": energy,
         "g": many_body.coupling_from_pair_strength(args.g0),
-        "g_mcguire": -args.g0 * math.sqrt(2.0),
-        "g_cd": -args.g0,
+        "g_mcguire": -args.g0 * math.sqrt(2.0), "g_cd": -args.g0,
     }
     _write_records(list(record), [tuple(record.values())], args.output)
     return 0
@@ -494,6 +488,11 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    stdout = sys.stdout
+    if stdout is sys.__stdout__ and isinstance(getattr(stdout, "buffer", None), io.RawIOBase):
+        # Unbuffered (PYTHONUNBUFFERED), the text layer drops the count of a short write to
+        # a closing pipe; a BufferedWriter writes the rest or raises BrokenPipeError.
+        sys.stdout = io.TextIOWrapper(io.BufferedWriter(stdout.buffer), stdout.encoding, stdout.errors)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -60,15 +62,15 @@ def run_cli(capsys, *argv):
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def python_child(*args, **kwargs):
+def python_child(*args, env=None, **kwargs):
     """Popen of a fresh interpreter that imports pointfam from this checkout."""
-    env = dict(os.environ, PYTHONPATH=SRC)
+    env = dict(os.environ, PYTHONPATH=SRC, **(env or {}))
     return subprocess.Popen([sys.executable, *args], env=env, text=True, **kwargs)
 
 
 def test_parse_range():
-    assert _parse_range("0:1:0.5") == [0.0, 0.5, 1.0]
-    assert _parse_range("1:1:1") == [1.0]
+    assert _parse_range("0:1:0.5").tolist() == [0.0, 0.5, 1.0]
+    assert _parse_range("1:1:1").tolist() == [1.0]
     values = _parse_range("-4:4:0.1")
     assert len(values) == 81
     with pytest.raises(InputError):
@@ -270,15 +272,16 @@ def test_verify_subcommand_reports_worst_input(capsys):
     assert all(isinstance(c["worst_at"]["v"], float) for c in checks if "boundary-condition" in c["check_name"])
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--suite", "scatter"],  # may finish writing before the pipe closes
+@pytest.mark.parametrize("argv, env", [
+    (["verify", "--suite", "scatter"], {}),  # may finish writing before the pipe closes
     # ~1 MB of CSV: the writer blocks on the full pipe until the reader closes it
-    ["scatter", "--params", None, "--k-range", "0.001:10:0.001"],
-])
-def test_closed_stdout_pipe_exits_quietly(argv, delta_file):
+    (["scatter", "--params", None, "--k-range", "0.001:10:0.001"], {}),
+    (["scatter", "--params", None, "--k-range", "0.001:10:0.001"], {"PYTHONUNBUFFERED": "1"}),
+], ids=["argv0", "argv1", "argv1-unbuffered"])
+def test_closed_stdout_pipe_exits_quietly(argv, env, delta_file):
     argv = [delta_file if a is None else a for a in argv]
     entry = "import sys; from pointfam.cli import main; sys.exit(main(sys.argv[1:]))"
-    proc = python_child("-c", entry, *argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc = python_child("-c", entry, *argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     assert proc.stdout.readline()
     proc.stdout.close()
     err = proc.stderr.read()
@@ -287,6 +290,33 @@ def test_closed_stdout_pipe_exits_quietly(argv, delta_file):
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
     if argv[0] == "scatter":
         assert code == 1
+
+
+class _ShortWrites(io.RawIOBase):
+    """A raw stream that takes at most 5 bytes of each write, as a pipe may."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.data += bytes(b[:5])
+        return min(len(b), 5)
+
+
+def test_unbuffered_stdout_loses_no_short_write(monkeypatch):
+    argv = ["mcguire", "--g0", "-2", "--mass", "1", "--n", "3", "--output", "csv"]
+    expected = io.StringIO()
+    with contextlib.redirect_stdout(expected):
+        assert main(argv) == 0
+    raw = _ShortWrites()
+    unbuffered = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)  # as PYTHONUNBUFFERED sets up
+    monkeypatch.setattr(sys, "stdout", unbuffered)
+    monkeypatch.setattr(sys, "__stdout__", unbuffered)
+    assert main(argv) == 0
+    assert raw.data.decode() == expected.getvalue()
 
 
 def test_import_loads_no_scipy():
@@ -336,6 +366,14 @@ def test_missing_params_file(capsys):
     assert "cannot read" in err
 
 
+def test_params_file_not_utf8_is_refused(capsys, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_bytes(b'{"alpha": -1, "beta": 2, "gamma": -1, "delta": 0, "theta": 0, "mass": 1, "note": "\xff"}')
+    code, out, err = run_cli(capsys, "bound", "--params", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"bound: cannot read {str(path)!r}: ") and err.count("\n") == 1
+
+
 def test_scan_determinism_across_runs(capsys, two_state_file):
     args = ("diffraction-scan", "--params", two_state_file, "--samples", "400")
     _, out1, _ = run_cli(capsys, *args)
@@ -356,6 +394,25 @@ def test_float_formatting_has_17_significant_digits(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------- byte layout
+
+# The number of values in each range the byte tests use, written out here
+# so that the reference rows do not come from the range parser under test.
+_RANGE_COUNTS = {
+    "0.01:25:0.01": 2500,
+    "-3:3:0.1": 61,
+    "-3:3:0.2": 31,
+    "-4:4:0.25": 33,
+    "-4:4:0.125": 65,
+    "-1:-1:1": 1,
+    "0.5:0.5:1": 1,
+    "-0.25:-0.25:1": 1,
+    "-3:2.996:0.004": 1500,
+}
+
+
+def _ref_range(text):
+    lo, _, step = map(float, text.split(":"))
+    return [lo + i * step for i in range(_RANGE_COUNTS[text])]
 
 
 def _ref_cell(value) -> str:
@@ -385,7 +442,7 @@ def test_scatter_bytes_match_per_cell_reference(capsys, two_state_file, output):
         capsys, "scatter", "--params", two_state_file, "--k-range", "0.01:25:0.01", "--output", output
     )
     assert code == 0
-    ks = _parse_range("0.01:25:0.01")
+    ks = _ref_range("0.01:25:0.01")
     amps = scattering.amplitudes(params_from_dict(json.loads(Path(two_state_file).read_text())), np.array(ks))
     t2 = (np.hypot(amps.t_plus.real, amps.t_plus.imag) ** 2).tolist()
     r2 = (np.hypot(amps.r_plus.real, amps.r_plus.imag) ** 2).tolist()
@@ -403,12 +460,16 @@ def test_scatter_bytes_match_per_cell_reference(capsys, two_state_file, output):
     (["--delta", "1", "--alpha=-4:4:0.25", "--gamma=-4:4:0.125"], 1.0, None),
     (["--delta", "0", "--beta=-2", "--alpha=-1:-1:1", "--gamma=-1:-1:1"], 0.0, -2.0),
     (["--delta", "0", "--beta", "2", "--alpha=-1:-1:1", "--gamma=-1:-1:1"], 0.0, 2.0),
+    # 1 x 1, and one line longer than a block of rows, across and down
+    (["--delta", "1", "--alpha=0.5:0.5:1", "--gamma=-0.25:-0.25:1"], 1.0, None),
+    (["--delta=-0.7", "--alpha=0.5:0.5:1", "--gamma=-3:2.996:0.004"], -0.7, None),
+    (["--delta=-0.7", "--alpha=-3:2.996:0.004", "--gamma=0.5:0.5:1"], -0.7, None),
 ])
 def test_phase_diagram_bytes_match_per_cell_reference(capsys, argv, delta, beta, output):
     code, out, _ = run_cli(capsys, "phase-diagram", *argv, "--output", output)
     assert code == 0
-    alphas = _parse_range(argv[-2].split("=")[1])
-    gammas = _parse_range(argv[-1].split("=")[1])
+    alphas = _ref_range(argv[-2].split("=")[1])
+    gammas = _ref_range(argv[-1].split("=")[1])
     rows = [[a, g, one_body.phase_diagram_count(a, g, delta, beta)] for a in alphas for g in gammas]
     assert out == _ref_table(["alpha", "gamma", "count"], rows, output)
 
@@ -446,6 +507,57 @@ def test_nbody_eval_names_the_coincident_row(capsys, delta_file, tmp_path):
     assert code == 1
     assert out == ""
     assert err == f"nbody-eval: row 3: coordinates 1 and 3 coincide within {many_body.COINCIDENCE_TOL}\n"
+
+
+# ---------------------------------------------------------------- points files
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("x1,x2,x3\n1,2,3\n", [[1, 2, 3]]),
+    ("1,2,3\nx1,x2,x3\n", "line 2: bad number"),
+    ("\n  \n# a note\n  # an indented note\n1,2,3\n\t\n4,5,6", [[1, 2, 3], [4, 5, 6]]),
+    ("x1,x2,x3\r\n 1 , 2 ,3 \r\n\r\n4,5,6\r\n", [[1, 2, 3], [4, 5, 6]]),
+    ("1,2,3\n1,2\n", "line 2: expected 3 coordinates, got 2"),
+    ("x1,x2,x3\n1,2,3,4\n", "line 2: expected 3 coordinates, got 4"),
+    ("1,2,3\n4,x,6\n", "line 2: bad number"),
+    ("1,2,3\n4,,6\n", "line 2: bad number"),
+    ("1,2,3 # a trailing note\n", [[1, 2, 3]]),
+    ("1,2,3\n1_0,2,3\n", "line 2: bad number"),
+    ("", "contains no points"),
+    ("x1,x2,x3\n\n# only notes\n", "contains no points"),
+    # more lines than one parsed block: a block with no point, line numbers past it
+    ("# a note\n" * 1100 + "1,2,3\n", [[1, 2, 3]]),
+    ("1,2,3\n" * 1500 + "1,2\n", "line 1501: expected 3 coordinates, got 2"),
+    ("1,2,3\n" * 2100 + "4,5,6e\n", "line 2101: bad number"),
+    (b"\xff1,2,3\n", "cannot read"),
+], ids=[
+    "header", "header-on-line-1-only", "blank-and-comment-lines", "crlf-and-spaces",
+    "too-few-cells", "too-many-cells", "bad-number", "empty-cell", "trailing-comment",
+    "underscore-digits", "empty-file", "header-only", "comment-block", "count-past-blocks",
+    "number-past-blocks", "not-utf8",
+])
+def test_points_file_rules(tmp_path, text, expected):
+    path = tmp_path / "points.csv"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    if isinstance(expected, list):
+        points = cli._load_points(str(path), 3)
+        assert points.dtype == np.float64 and points.tolist() == expected
+        return
+    with pytest.raises(InputError) as info:
+        cli._load_points(str(path), 3)
+    message = str(info.value)
+    if expected == "cannot read":
+        assert message.startswith(f"cannot read {str(path)!r}: ")
+    else:
+        assert message == f"{str(path)!r} {expected}"
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unreadable_points_file(tmp_path, where):
+    path = str(tmp_path / "missing.csv") if where == "missing" else str(tmp_path)
+    with pytest.raises(InputError) as info:
+        cli._load_points(path, 3)
+    assert str(info.value).startswith(f"cannot read {path!r}: ")
 
 
 # ---------------------------------------------------------------- refused results
@@ -526,3 +638,4 @@ def test_size_cap_admits_documented_sizes():
     assert cli.SIZE_CAP >= max(10_000, 201 * 201, 6000)  # the benchmark sizes
     assert len(_parse_range("0.1:10:0.1")) == 100
     assert len(_parse_range("-4:4:0.05")) == 161
+
