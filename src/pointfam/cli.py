@@ -6,11 +6,12 @@ and writes either a JSON object or a CSV table to standard output
 (`verify` also writes a human-readable table to standard error).
 Floats are always rendered with 17 significant digits and field order is
 fixed, so repeated runs are byte-identical. Objects and state lists go
-through _write_records, as JSON by _json_dumps or as CSV by _write_table;
-every other table (CSV, or JSON {"columns", "rows"}) goes to _write_table,
-which formats each row with one %-template and writes blocks of rows. A
-phase-diagram grid goes out one alpha line at a time, each line one
-str.join of pieces cut from _write_table's own row template and separator.
+through _write_records, as JSON by _json_dumps or as CSV lines of its own;
+every other table (CSV, or JSON {"columns", "rows"}) is a float array or a
+_Grid and goes to _write_table, which formats each row with one %-template
+and writes blocks of rows. A phase-diagram grid goes out one alpha line at
+a time, each line one str.join of pieces cut from the row template and
+separator that _write_table builds from _Grid's cell templates.
 A result that is inf or NaN is never written: the command fails with
 NonFiniteResult instead. Ranges, phase-diagram grids and --samples are
 capped at SIZE_CAP values. Exit codes: 0 on success, 1 on usage or
@@ -87,60 +88,47 @@ def _json_dumps(obj, indent: int = 0) -> str:
 
 
 def _write_records(columns: list[str], rows: list[tuple], output: str, key: str | None = None) -> None:
-    """Write records as JSON, or as a CSV table through _write_table.
+    """Write records as JSON, or as CSV lines.
 
-    In JSON, with key None the one row goes out as an object, and with a
-    key as {key: [one object per row]}. In CSV, bools become true/false
-    as in JSON.
+    A non-finite float raises NonFiniteResult, naming its column, before
+    anything is written. In JSON, with key None the one row goes out as an
+    object, and with a key as {key: [one object per row]}. In CSV, strings
+    are written as they are and every other value as in JSON.
     """
+    for row in rows:
+        for column, value in zip(columns, row):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise NonFiniteResult(f"{column} is {float(value)!r}, not a finite number; nothing written")
     if output == "json":
         objects = [dict(zip(columns, r)) for r in rows]
         sys.stdout.write(_json_dumps(objects[0] if key is None else {key: objects}) + "\n")
     else:
-        rows = [tuple(_json_scalar(v) if isinstance(v, bool) else v for v in r) for r in rows]
-        _write_table(columns, rows, "csv")
-
-
-def _cell_template(value) -> str:
-    if isinstance(value, float):
-        return _FLOAT
-    return "%d" if isinstance(value, (int, np.integer)) else "%s"
-
-
-def _require_finite(columns: list[str], table: np.ndarray) -> None:
-    finite = np.isfinite(table)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise NonFiniteResult(
-            f"{columns[col]} is {float(table[row, col])!r}, not a finite number; nothing written"
-        )
+        lines = [",".join(v if isinstance(v, str) else _json_scalar(v) for v in r) for r in rows]
+        sys.stdout.write("\n".join([",".join(columns), *lines]) + "\n")
 
 
 def _write_table(columns: list[str], rows, output: str) -> None:
     """Write a table as CSV, or as JSON {"columns": [...], "rows": [[...], ...]}.
 
-    rows is a 2-D float or int array, a list of row tuples whose cells
-    are floats, ints or str, or a _Grid. One %-template is built from the
-    first row: "%.17g" for floats, "%d" for ints and "%s" for str cells,
-    which are written as they are (CSV words, or a _Grid's numbers, which
-    come formatted with _fmt). A non-finite float raises NonFiniteResult
-    before anything is written.
+    rows is a non-empty 2-D float array, every cell written with "%.17g",
+    or a _Grid, written with its cell templates. One %-template formats a
+    row. A non-finite float raises NonFiniteResult before anything is written.
     """
-    if isinstance(rows, np.ndarray):
-        _require_finite(columns, rows)
-    elif rows:
-        floats = [j for j, v in enumerate(rows[0]) if isinstance(v, float)]
-        if floats:
-            table = np.array([[r[j] for j in floats] for r in rows])
-            _require_finite([columns[j] for j in floats], table)
-    cells = [_cell_template(v) for v in rows[0]] if len(rows) else []
+    grid = isinstance(rows, _Grid)
+    if not grid:
+        finite = np.isfinite(rows)
+        if not finite.all():
+            row, col = np.argwhere(~finite)[0]
+            raise NonFiniteResult(
+                f"{columns[col]} is {float(rows[row, col])!r}, not a finite number; nothing written"
+            )
+    cells = _Grid.cells if grid else [_FLOAT] * rows.shape[1]
     if output == "csv":
         head, template, sep, tail = ",".join(columns) + "\n", ",".join(cells) + "\n", "", ""
     else:
-        head = '{\n  "columns": ' + _json_dumps(columns, 1) + ',\n  "rows": ['
-        template, sep = "    [\n      " + ",\n      ".join(cells) + "\n    ]", ",\n"
-        head, tail = (head + "\n", "\n  ]\n}\n") if len(rows) else (head, "]\n}\n")
-    blocks = rows.blocks(template, sep) if isinstance(rows, _Grid) else _row_blocks(rows, template, sep)
+        head = '{\n  "columns": ' + _json_dumps(columns, 1) + ',\n  "rows": [\n'
+        template, sep, tail = "    [\n      " + ",\n      ".join(cells) + "\n    ]", ",\n", "\n  ]\n}\n"
+    blocks = rows.blocks(template, sep) if grid else _row_blocks(rows, template, sep)
     sys.stdout.write(head)
     lead = ""
     for text in blocks:
@@ -149,13 +137,10 @@ def _write_table(columns: list[str], rows, output: str) -> None:
     sys.stdout.write(tail)
 
 
-def _row_blocks(rows, template: str, sep: str):
+def _row_blocks(rows: np.ndarray, template: str, sep: str):
     """The text of each _BLOCK_ROWS rows."""
     for start in range(0, len(rows), _BLOCK_ROWS):
-        block = rows[start:start + _BLOCK_ROWS]
-        if isinstance(block, np.ndarray):
-            block = block.tolist()
-        yield sep.join([template % tuple(r) for r in block])
+        yield sep.join([template % tuple(r) for r in rows[start:start + _BLOCK_ROWS].tolist()])
 
 
 class _Grid:
@@ -166,15 +151,10 @@ class _Grid:
     and a line is one str.join with the outer cell in the separator.
     """
 
+    cells = ("%s", "%s", "%d")
+
     def __init__(self, outer: list[str], inner: list[str], table: np.ndarray):
         self.outer, self.inner, self.table = outer, inner, table
-
-    def __len__(self) -> int:
-        return self.table.size
-
-    def __getitem__(self, k: int) -> tuple:
-        i, j = divmod(k, len(self.inner))
-        return self.outer[i], self.inner[j], int(self.table[i, j])
 
     def blocks(self, template: str, sep: str):
         """The text of each line, or of each _BLOCK_ROWS rows of a longer line."""
@@ -193,7 +173,8 @@ class _Grid:
 def _parse_range(text: str) -> np.ndarray:
     """lo:hi:step, inclusive of lo; the upper end uses a step/2 rounding guard.
 
-    At most SIZE_CAP values; a longer range raises InputError before any is made.
+    At most SIZE_CAP finite values; a longer range, or one whose last value
+    overflows to inf, raises InputError before any is made.
     """
     parts = text.split(":")
     if len(parts) != 3:
@@ -209,6 +190,8 @@ def _parse_range(text: str) -> np.ndarray:
     steps = (hi - lo) / step + 0.5  # inf when hi - lo overflows
     if not steps < SIZE_CAP:
         raise InputError(f"range {text!r} has more than {SIZE_CAP} values")
+    if not math.isfinite(lo + int(steps) * step):  # the last value, as numpy rounds it
+        raise InputError(f"range {text!r} overflows past the largest float")
     return lo + np.arange(int(steps) + 1) * step
 
 

@@ -71,45 +71,28 @@ def random_params(
     draws are projected to the delta = 0 family with gamma = 1/alpha and a
     fresh uniform beta, or drawn again when |alpha| < 0.2.
 
-    draws None gives one set with float fields, an int a batch. The stream
-    is read in blocks but never past the last value used, so a batch of n
-    equals n single draws, generator state included. With extra > 0 each
+    draws None gives one set with float fields, an int a batch; a batch of
+    n equals n single draws, generator state included. With extra > 0 each
     set is followed by extra more rng.random() values, returned second.
     """
-    count, per = (1 if draws is None else draws), 5 + extra
-    u: list[float] = []
-    starts, projected, pos = [], [], 0
-
-    def read(end: int) -> None:
-        u.extend(rng.random(max(0, end - len(u))).tolist())
-
-    while len(starts) < count:
-        left = count - len(starts)
-        read(pos + per * left)  # the least the remaining sets take
-        small = abs(_uniform(u[pos + 2], -3.0, 3.0)) <= 0.1
-        if small and abs(_uniform(u[pos], -3.0, 3.0)) < 0.2:
-            pos += 5  # drawn again
-            continue
-        read(pos + per * left + small)  # a projected set takes one more value, for beta
-        starts.append(pos)
-        projected.append(small)
-        pos += per + small
-    u, at, proj = np.array(u), np.array(starts, dtype=int), np.array(projected, dtype=bool)
-    alpha, gamma, delta, theta, mass = (
-        _uniform(u[at + j], lo, hi)
-        for j, (lo, hi) in enumerate(((-3.0, 3.0),) * 3 + ((0.0, 2.0 * math.pi), (0.2, 2.0)))
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):  # small deltas are projected below
-        beta = (alpha * gamma - 1.0) / delta
-    beta[proj] = _uniform(u[at[proj] + 5], -3.0, 3.0)
-    gamma[proj] = 1.0 / alpha[proj]
-    delta[proj] = 0.0
-    fields = (alpha, beta, gamma, delta, theta, mass)
-    params = validate_params(*(f[0] for f in fields) if draws is None else fields)
+    rows, tails = [], []
+    while len(rows) < (1 if draws is None else draws):
+        u = rng.random(5).tolist()
+        alpha, gamma, delta = (_uniform(v, -3.0, 3.0) for v in u[:3])
+        theta, mass = _uniform(u[3], 0.0, 2.0 * math.pi), _uniform(u[4], 0.2, 2.0)
+        if abs(delta) > 0.1:
+            beta = (alpha * gamma - 1.0) / delta
+        elif abs(alpha) < 0.2:
+            continue  # drawn again
+        else:
+            beta, gamma, delta = _uniform(rng.random(), -3.0, 3.0), 1.0 / alpha, 0.0
+        rows.append((alpha, beta, gamma, delta, theta, mass))
+        if extra:
+            tails.append(rng.random(extra))
+    params = validate_params(*rows[0] if draws is None else np.reshape(rows, (-1, 6)).T)
     if not extra:
         return params
-    tail = u[(at + 5 + proj)[:, None] + np.arange(extra)]
-    return params, (tail[0] if draws is None else tail)
+    return params, (tails[0] if draws is None else np.array(tails))
 
 
 def _decay_poly(k, d, c1, m, c0):

@@ -1,7 +1,7 @@
-"""Static guards on the package source: no unused module-level import, a clean __all__.
+"""Static guards on the package source: no unused module-level import or private helper, a clean __all__.
 
-No linter runs on this tree, so a deletion that leaves an import or an
-__all__ entry behind is caught here instead.
+No linter runs on this tree, so a deletion that leaves an import, a
+private helper or an __all__ entry behind is caught here instead.
 """
 
 import ast
@@ -40,3 +40,37 @@ def test_all_names_resolve_once():
     assert len(names) == len(set(names)), "duplicate names in pointfam.__all__"
     missing = [name for name in names if not hasattr(pointfam, name)]
     assert not missing, f"pointfam.__all__ names missing attributes: {missing}"
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, first line, last line) of every private function, class or constant at module level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno, node.end_lineno
+
+
+def test_private_helpers_are_used_in_src():
+    # A use inside the helper's own definition (recursion) does not count; neither does a test.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    uses = {}
+    for file, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                uses.setdefault(node.id, []).append((file, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, []).append((file, node.lineno))
+    unused = [
+        f"{file}: {name} (line {first})"
+        for file, tree in trees.items()
+        for name, first, last in _private_definitions(tree)
+        if all(where == file and first <= line <= last for where, line in uses.get(name, []))
+    ]
+    assert not unused, f"private helpers no src code uses: {', '.join(unused)}"

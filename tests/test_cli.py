@@ -79,6 +79,9 @@ def test_parse_range():
         _parse_range("1:0:1")
     with pytest.raises(InputError):
         _parse_range("a:b:c")
+    with pytest.raises(InputError, match="overflows"):
+        _parse_range("0:1.7e308:1e308")
+    assert _parse_range("0:1.7e308:8.5e307").tolist() == [0.0, 8.5e307, 1.7e308]
 
 
 def test_params_check_round_trip(capsys, tmp_path, delta_file):
@@ -577,16 +580,36 @@ def test_non_finite_results_are_refused(capsys, tmp_path, command, params, extra
     assert err.count("\n") == 1 and "not a finite number" in err and err.startswith(f"{command}: ")
 
 
+_AMP_REFUSAL = "diffraction: amp_two_path_re is nan, not a finite number; nothing written\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["scatter", "--k-range", "1e300:1e300:1"], "scatter: |R|^2 is nan, not a finite number; nothing written\n"),
-    (["diffraction", "--k", "1e308", "--phi", "0.5"], "diffraction: a result is nan, not a finite number; nothing written\n"),
-], ids=["scatter", "diffraction"])
+    (["diffraction", "--k", "1e308", "--phi", "0.5"], _AMP_REFUSAL),
+    (["diffraction", "--k", "1e308", "--phi", "0.5", "--output", "csv"], _AMP_REFUSAL),
+], ids=["scatter", "diffraction", "diffraction-csv"])
 def test_amplitude_overflow_is_refused_in_one_line(capsys, two_state_file, argv, message):
     # d*k*k overflows for |k| above about 1e154; a numpy warning would raise here.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, argv[0], "--params", two_state_file, *argv[1:])
     assert (code, out, err) == (1, "", message)
+
+
+@pytest.mark.parametrize("output", ["csv", "json"])
+@pytest.mark.parametrize("command, text", [
+    ("phase-diagram", "0:1.7e308:1e308"),  # the third value, 2e308, overflows to inf
+    ("scatter", "1:1.7e308:1e308"),
+], ids=["phase-diagram", "scatter"])
+def test_overflowing_range_is_refused_in_one_line(capsys, two_state_file, command, text, output):
+    argv = {
+        "phase-diagram": ["--delta", "1", f"--alpha={text}", "--gamma=0:1:1"],
+        "scatter": ["--params", two_state_file, f"--k-range={text}"],
+    }[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, command, *argv, "--output", output)
+    assert (code, out, err) == (1, "", f"{command}: range {text!r} overflows past the largest float\n")
 
 
 def test_phase_diagram_subnormal_delta_is_quiet(capsys):
