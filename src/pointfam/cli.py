@@ -173,8 +173,8 @@ class _Grid:
 def _parse_range(text: str) -> np.ndarray:
     """lo:hi:step, inclusive of lo; the upper end uses a step/2 rounding guard.
 
-    At most SIZE_CAP finite values; a longer range, or one whose last value
-    overflows to inf, raises InputError before any is made.
+    At most SIZE_CAP finite values; a longer range, or one whose span or
+    last value overflows to inf, raises InputError before any is made.
     """
     parts = text.split(":")
     if len(parts) != 3:
@@ -187,7 +187,9 @@ def _parse_range(text: str) -> np.ndarray:
         raise InputError(f"range must be finite, got {text!r}")
     if step <= 0.0 or hi < lo:
         raise InputError(f"range needs hi >= lo and step > 0, got {text!r}")
-    steps = (hi - lo) / step + 0.5  # inf when hi - lo overflows
+    if math.isinf(hi - lo):
+        raise InputError(f"range {text!r} overflows: hi - lo is past the largest float")
+    steps = (hi - lo) / step + 0.5
     if not steps < SIZE_CAP:
         raise InputError(f"range {text!r} has more than {SIZE_CAP} values")
     if not math.isfinite(lo + int(steps) * step):  # the last value, as numpy rounds it

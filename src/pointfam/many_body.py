@@ -80,7 +80,6 @@ def nbody_bound_states(params: InteractionParams, n: int) -> list[NBodyBoundStat
         energy = nbody_energy(st.kappa, params.mass, n)
         NonFiniteResult.check(energy=energy)
         states.append(NBodyBoundState(n, st.kappa, energy, st.eta, 1.0 + 0.0j, 1.0 / st.eta, st.branch))
-    states.sort(key=lambda s: s.energy)
     return states
 
 

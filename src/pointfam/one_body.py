@@ -21,26 +21,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InteractionParams
-from .errors import InvalidSlice, InvariantViolation, NonFiniteResult
+from .core import PARAM_FIELDS, InteractionParams
+from .errors import InputError, InvalidSlice, InvariantViolation, NonFiniteResult
 
 # Roots at or below this are treated as non-normalizable and dropped.
 KAPPA_MIN = 1e-12
 
-# Branch names by code: the two roots of delta != 0, the root of delta = 0, an empty slot.
-_BRANCHES = np.array(["plus", "minus", "single", ""])
-
 
 @dataclass(frozen=True)
 class BoundState:
-    """One bound level in the gauge c_minus = 1, c_plus = eta (array fields: see bound_spectrum)."""
+    """One bound level in the gauge c_minus = 1, c_plus = eta."""
 
-    kappa: float | np.ndarray
-    energy: float | np.ndarray
-    eta: complex | np.ndarray
-    c_plus: complex | np.ndarray
-    c_minus: complex | np.ndarray
-    branch: str | np.ndarray  # "plus" or "minus" for a two-root family, else "single"
+    kappa: float
+    energy: float
+    eta: complex
+    c_plus: complex
+    c_minus: complex
+    branch: str  # "plus" or "minus" for a two-root family, else "single"
 
 
 def _kappa_roots(params: InteractionParams) -> tuple[np.ndarray, np.ndarray]:
@@ -72,45 +69,32 @@ def _kappa_roots(params: InteractionParams) -> tuple[np.ndarray, np.ndarray]:
     return k_plus, k_minus
 
 
-def bound_spectrum(params: InteractionParams) -> list[BoundState] | BoundState:
-    """Every bound state of the interaction, lowest energy first.
+def bound_spectrum(params: InteractionParams) -> list[BoundState]:
+    """Every bound state of one parameter set with float fields, lowest energy first.
 
-    For a float parameter set, a list of BoundState, empty when no root is
-    positive. For a batch, one BoundState whose fields have a trailing
-    axis of two slots: the states, then empty slots (NaN, branch "").
-    Roots within KAPPA_MIN of zero are discarded as non-normalizable. eta
-    comes from the second row of the boundary condition, eta =
-    exp(i*theta)*(gamma + delta*kappa/(2m)); the first row gives
-    -exp(i*theta)*(alpha + 2*beta*m/kappa), equal at a root. Raises
-    NonFiniteResult when a kappa, energy or eta overflows.
+    An empty list when no root is positive. Roots within KAPPA_MIN of zero
+    are discarded as non-normalizable. eta comes from the second row of
+    the boundary condition, eta = exp(i*theta)*(gamma + delta*kappa/(2m));
+    the first row gives -exp(i*theta)*(alpha + 2*beta*m/kappa), equal at a
+    root. Raises InputError for array fields and NonFiniteResult when a
+    kappa, energy or eta overflows.
     """
-    kappa = np.stack(_kappa_roots(params), axis=-1)
-    fields = (params.delta, params.gamma, params.mass, params.phase)
-    delta, gamma, m, ph = (np.asarray(x)[..., None] for x in fields)
-    # Slot 1 of a delta = 0 member holds no root; any other NaN is an overflow, refused below.
-    kept = ~(kappa <= KAPPA_MIN) & ((delta != 0.0) | [True, False])
-    with np.errstate(all="ignore"):
+    if any(np.ndim(getattr(params, name)) for name in PARAM_FIELDS):
+        raise InputError("bound_spectrum takes one parameter set with float fields, not a batch")
+    m, ph = params.mass, params.phase
+    states = []
+    for kappa, branch in zip(_kappa_roots(params), ("plus", "minus") if params.delta else ("single",)):
+        kappa = kappa.item()
+        if kappa <= KAPPA_MIN:  # NaN is kept, and refused below
+            continue
         energy = -kappa * kappa / (2.0 * m)
-        eta = ph * (gamma + delta * kappa / (2.0 * m))
-    bad = np.argwhere(kept & ~(np.isfinite(kappa) & np.isfinite(energy) & np.isfinite(eta)))
-    if len(bad):
-        at = tuple(bad[0])
-        NonFiniteResult.check(kappa=kappa[at].item(), energy=energy[at].item(), eta=eta[at].item())
+        eta = ph * (params.gamma + params.delta * kappa / (2.0 * m))
+        NonFiniteResult.check(kappa=kappa, energy=energy, eta=eta)
+        states.append(BoundState(kappa, energy, eta, eta, 1.0 + 0.0j, branch))
     # A double root cannot occur over the reals; two surviving states are distinct.
-    same = kept.all(axis=-1) & (kappa[..., 0] == kappa[..., 1])
-    if same.any():
-        raise InvariantViolation(f"decay constants coincide: {kappa[same][0].tolist()!r}")
-    order = np.argsort(np.where(kept, energy, np.inf), axis=-1, kind="stable")
-    code = np.where(delta == 0.0, 2, order)
-    kept, kappa, energy, eta = (np.take_along_axis(x, order, -1) for x in (kept, kappa, energy, eta))
-    kappa, energy, eta = (np.where(kept, x, np.nan) for x in (kappa, energy, eta))
-    branch = _BRANCHES[np.where(kept, code, 3)]
-    if kappa.ndim > 1:
-        return BoundState(kappa, energy, eta, eta, np.where(kept, 1.0 + 0.0j, np.nan), branch)
-    return [
-        BoundState(*(x[i].item() for x in (kappa, energy, eta, eta)), 1.0 + 0.0j, str(branch[i]))
-        for i in np.flatnonzero(kept)
-    ]
+    if len(states) == 2 and states[0].kappa == states[1].kappa:
+        raise InvariantViolation(f"decay constants coincide: {[st.kappa for st in states]!r}")
+    return sorted(states, key=lambda st: st.energy)
 
 
 def phase_diagram_count(alpha, gamma, delta: float, beta: float | None = None):
@@ -120,8 +104,8 @@ def phase_diagram_count(alpha, gamma, delta: float, beta: float | None = None):
     give an int, arrays give an int array of the broadcast shape, so
     alpha[:, None] and gamma[None, :] count a whole grid in one call.
 
-    For delta != 0, beta is pinned by the determinant constraint and the
-    count is independent of mass and beta. For delta = 0 the slice is only
+    For delta != 0, beta is pinned by the determinant constraint and roots
+    above KAPPA_MIN are counted at mass 1. For delta = 0 the slice is only
     meaningful when alpha*gamma = 1 at every point, and the sign of the
     single candidate root depends on beta, which the caller must supply.
     """
@@ -135,12 +119,17 @@ def phase_diagram_count(alpha, gamma, delta: float, beta: float | None = None):
             raise InvalidSlice("delta = 0 needs an explicit beta to fix the root sign")
         count = (-2.0 * beta / (alpha + gamma) > KAPPA_MIN).astype(int)
     else:
-        s = np.hypot(alpha - gamma, 2.0)
-        trace = alpha + gamma
-        with np.errstate(over="ignore"):  # a subnormal delta gives +-inf, which still counts by sign
-            count = ((-trace + s) / delta > KAPPA_MIN).astype(int) + (
-                (-trace - s) / delta > KAPPA_MIN
-            )
+        # A subnormal delta or a huge alpha or gamma overflows to a signed inf, which counts by sign.
+        with np.errstate(over="ignore", invalid="ignore"):
+            # q/delta is the root whose formula does not cancel; the other is the product of the roots,
+            # 4*(alpha*gamma - 1)/delta^2, over it, with alpha*gamma - 1 rounded once (Dekker's product).
+            trace, p = alpha + gamma, alpha * gamma
+            q = -(trace + np.copysign(np.hypot(alpha - gamma, 2.0), trace))
+            a_hi, g_hi = (134217729.0 * x - (134217729.0 * x - x) for x in (alpha, gamma))  # Veltkamp's split
+            a_lo, g_lo = alpha - a_hi, gamma - g_hi
+            err = ((a_hi * g_hi - p) + a_hi * g_lo + a_lo * g_hi) + a_lo * g_lo  # NaN above |x| ~ 1e300
+            c = 4.0 * ((p - 1.0) + np.where(np.isfinite(err), err, 0.0))
+            count = (q / delta > KAPPA_MIN).astype(int) + (c / q / delta > KAPPA_MIN)
     return int(count) if count.ndim == 0 else count
 
 

@@ -246,14 +246,18 @@ def _local_parity_signs(orderings: np.ndarray) -> np.ndarray:
     return np.where(inversions % 2 == 0, 1, -1)
 
 
-def _eval_state_local(state, coords: np.ndarray) -> np.ndarray:
-    """Wavefunction of an N-body state at each row of a (P, N) array, rebuilt from its raw data fields."""
-    even = _local_parity_signs(np.argsort(-coords, axis=1, kind="stable")) == 1
+def _local_decay(kappa: float, coords: np.ndarray) -> np.ndarray:
+    """exp(-kappa * sum over i<j of |x_i - x_j| / sqrt(2)) per row of a (P, N) array, math.exp per value."""
     total = np.zeros(len(coords))
     for i, j in combinations(range(coords.shape[1]), 2):
         total += np.abs(coords[:, i] - coords[:, j])
-    decay = np.array([math.exp(e) for e in (-state.kappa * total / _SQRT2).tolist()])
-    return np.where(even, state.c_even, state.c_odd) * decay
+    return np.array([math.exp(e) for e in (-kappa * total / _SQRT2).tolist()])
+
+
+def _eval_state_local(state, coords: np.ndarray) -> np.ndarray:
+    """Wavefunction of an N-body state at each row of a (P, N) array, rebuilt from its raw data fields."""
+    even = _local_parity_signs(np.argsort(-coords, axis=1, kind="stable")) == 1
+    return np.where(even, state.c_even, state.c_odd) * _local_decay(state.kappa, coords)
 
 
 # Cyclically oriented normal coordinate per coincidence line: the first
@@ -288,10 +292,7 @@ def boundary_residual_3body(
     coords = np.zeros((len(transverse), 3))
     coords[:, spect - 1] = -math.sqrt(1.5) * transverse
 
-    total = 0.0
-    for a, b in combinations((1, 2, 3), 2):
-        total = total + np.abs(coords[:, a - 1] - coords[:, b - 1])
-    decay = np.array([math.exp(e) for e in (-kappa * total / _SQRT2).tolist()])
+    decay = _local_decay(kappa, coords)
 
     # One-sided derivatives are taken along the unit normal (e_i - e_j)/sqrt(2).
     disp = {i: 1.0 / _SQRT2, j: -1.0 / _SQRT2, spect: 0.0}

@@ -612,6 +612,21 @@ def test_overflowing_range_is_refused_in_one_line(capsys, two_state_file, comman
     assert (code, out, err) == (1, "", f"{command}: range {text!r} overflows past the largest float\n")
 
 
+@pytest.mark.parametrize("text", ["-1e308:1e308:1e308", "-1e308:1e308:1"])
+def test_overflowing_span_is_refused_in_one_line(capsys, text):
+    # hi - lo overflows; the first range has only three values, all finite.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "phase-diagram", "--delta", "1", f"--alpha={text}", "--gamma=0:1:1")
+    assert (code, out, err) == (1, "", f"phase-diagram: range {text!r} overflows: hi - lo is past the largest float\n")
+
+
+def test_phase_diagram_counts_the_cancelling_root(capsys):
+    single = ("--alpha=64.08464466908028:64.08464466908028:1", "--gamma=0.015604362092725817:0.015604362092725817:1")
+    code, out, err = run_cli(capsys, "phase-diagram", "--delta=-0.01196575703236477", *single)
+    assert (code, out, err) == (0, "alpha,gamma,count\n64.084644669080276,0.015604362092725817,1\n", "")
+
+
 def test_phase_diagram_subnormal_delta_is_quiet(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -1,9 +1,10 @@
 """Properties of the table and record writers over small random inputs.
 
-Every table parses, as CSV into finite floats and as JSON with json.loads,
-and the two formats carry the same numbers to the bit. So does every
-record of params-check, bound, nbody, diffraction, diffraction-scan and
-mcguire, whose words (symmetry labels, verdicts) also agree.
+Every table (phase-diagram, nbody-eval, scatter) parses, as CSV into finite
+floats and as JSON with json.loads, and the two formats carry the same
+numbers to the bit. So does every record of params-check, bound, nbody,
+diffraction, diffraction-scan and mcguire, whose words (symmetry labels,
+verdicts) also agree.
 """
 
 import contextlib
@@ -117,6 +118,15 @@ def _params_file(folder, seed):
 
 _SEED = st.integers(0, 2**32 - 1)
 _MIDDLE = st.sampled_from(["minus", "plus"])
+
+
+@_PROPERTY
+@given(seed=_SEED, span=st.tuples(st.floats(0.01, 5.0), st.floats(0.01, 2.0), st.integers(1, 30)))
+def test_scatter_output_is_finite_and_alike_in_both_formats(tmp_path_factory, seed, span):
+    _, path = _params_file(tmp_path_factory.mktemp("scatter"), seed)
+    table = _table_numbers(["scatter", "--params", path, f"--k-range={_span_text(*span)}"])
+    lo, step, count = span
+    assert table[:, 0].tolist() == [lo + i * step for i in range(count)]
 
 
 @_PROPERTY
