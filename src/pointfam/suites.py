@@ -33,20 +33,28 @@ def _two_state_params(theta: float = 0.0) -> InteractionParams:
     return validate_params(**kwargs)
 
 
+def _drawn(params: InteractionParams, i: int, **at: float) -> dict:
+    """worst_at for draw i of a batch: its index, any further input, then its parameter set."""
+    return {"draw": i, **at, "params": {field: float(value[i]) for field, value in params.to_dict().items()}}
+
+
 def run_bound_suite(draws: int = 1000) -> tuple[list[ResidualReport], list[str]]:
     """Closed-form spectra against bracketing root finding on random draws."""
     params = verify.random_params(np.random.default_rng(_SEED), draws)
     oracle = verify.oracle_bound_kappas(params)
     closed = np.sort(np.stack(one_body._kappa_roots(params), 1), axis=1).tolist()
-    worst = 0.0
+    gaps = []
     for roots, row in zip(oracle, closed):
         kappas = [x for x in row if x > one_body.KAPPA_MIN]
         if len(roots) != len(kappas):
-            worst = max(worst, 1.0)
-            continue
-        for a, b in zip(roots, kappas):
-            worst = max(worst, abs(a - b) / max(1.0, abs(b)))
-    return [ResidualReport.build("bound-spectrum vs bracketing oracle", worst, draws, 1e-10)], []
+            gaps.append(1.0)  # the root counts differ
+        else:
+            gaps.append(max((abs(a - b) / max(1.0, abs(b)) for a, b in zip(roots, kappas)), default=0.0))
+    i = int(np.argmax(gaps))
+    report = ResidualReport.build(
+        "bound-spectrum vs bracketing oracle", gaps[i], draws, 1e-10, worst_at=_drawn(params, i)
+    )
+    return [report], []
 
 
 def run_scatter_suite(draws: int = 1000) -> tuple[list[ResidualReport], list[str]]:
@@ -63,8 +71,7 @@ def run_scatter_suite(draws: int = 1000) -> tuple[list[ResidualReport], list[str
 
     def report(name: str, residuals: np.ndarray, tolerance: float) -> ResidualReport:
         i = int(np.argmax(residuals))
-        drawn = {field: float(value[i]) for field, value in params.to_dict().items()}
-        where = {"draw": i, "k": float(ks[i]), "params": drawn}
+        where = _drawn(params, i, k=float(ks[i]))
         return ResidualReport.build(name, residuals[i], draws, tolerance, worst_at=where)
 
     reports = [

@@ -1,8 +1,8 @@
 """First-principles oracles for the closed forms in the rest of the package.
 
 Every function here recomputes physics directly from the boundary
-condition: decay constants by sign-change bracketing of the decay-rate
-polynomial and bisection to adjacent floats, scattering amplitudes by
+condition: decay constants by bisecting the decay-rate polynomial to
+adjacent floats on either side of its vertex, scattering amplitudes by
 solving the plane-wave matching system, and bound-state quality by
 residuals of the boundary condition and of the kinetic eigenvalue
 problem. None of them call the closed-form code paths they are meant to
@@ -87,12 +87,12 @@ def random_params(
         else:
             beta, gamma, delta = _uniform(rng.random(), -3.0, 3.0), 1.0 / alpha, 0.0
         rows.append((alpha, beta, gamma, delta, theta, mass))
-        if extra:
-            tails.append(rng.random(extra))
+        for _ in range(extra):
+            tails.append(rng.random())
     params = validate_params(*rows[0] if draws is None else np.reshape(rows, (-1, 6)).T)
     if not extra:
         return params
-    return params, (tails[0] if draws is None else np.array(tails))
+    return params, np.reshape(tails, (extra,) if draws is None else (-1, extra))
 
 
 def _decay_poly(k, d, c1, m, c0):
@@ -123,64 +123,45 @@ def _bisect(coeffs: tuple[np.ndarray, ...], lo: np.ndarray, hi: np.ndarray) -> n
     return root
 
 
-_IDX = np.arange(4096.0)
-
-
-def _scan_grid(k_max: float) -> np.ndarray:
-    """np.linspace(_KAPPA_MIN, k_max, 4096), to the bit, in the steps linspace takes."""
-    grid = _IDX * ((k_max - _KAPPA_MIN) / 4095)
-    grid += _KAPPA_MIN
-    grid[-1] = k_max
-    return grid
-
-
 def oracle_bound_kappas(params: InteractionParams) -> list[float] | list[list[float]]:
     """Positive decay constants found numerically, ascending.
 
-    The quadratic decay-rate polynomial is scanned for sign changes on a
-    4096-point grid over (KAPPA_MIN, k_max] and each bracket is bisected
-    down to adjacent floats; the delta = 0 case reduces to a direct linear
-    solve. k_max combines a coefficient-based bound with the Cauchy root
-    bound so that no root can escape the scanned interval. A batch gives
-    one list per member (flattened), with all brackets bisected together.
+    The decay-rate polynomial has no root above k_max, which combines a
+    coefficient-based bound with the Cauchy root bound. Its derivative
+    vanishes at the vertex -c1*m/(2*delta), which by Rolle's theorem lies
+    between the two roots: clipped into [KAPPA_MIN, k_max] it splits that
+    interval into two brackets with at most one root each, so two roots
+    are told apart however close they are. Each bracket whose ends have
+    opposite signs is bisected down to adjacent floats, and an exact zero
+    at the vertex is one double root. The delta = 0 case reduces to a
+    direct linear solve. A batch gives one list per member (flattened),
+    with all brackets bisected together.
     """
     fields = np.broadcast_arrays(params.alpha, params.beta, params.gamma, params.delta, params.mass)
     a, b, g, d, m = (np.ravel(x) for x in fields)
     c1 = 2.0 * (a + g)
     c0 = 4.0 * b * m * m
-    with np.errstate(divide="ignore", invalid="ignore"):  # delta = 0 members take the linear solve
-        linear_root = -2.0 * b * m / (a + g)
+    coeffs = (d, c1, m, c0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # delta = 0 members take the linear solve below
         k_max = 2.0 * (1.0 + np.abs(a + g) * 2.0 * m + np.sqrt(4.0 * np.abs(b)) * 2.0 * m)
         k_max /= np.maximum(np.abs(d), 1e-30)
         cauchy = 1.0 + np.maximum(np.abs(c1 * m), np.abs(c0)) / np.abs(d)
-    k_max = np.maximum(k_max, cauchy)
+        k_max = np.maximum(k_max, cauchy)
+        vertex = np.clip(-c1 * m / (2.0 * d), _KAPPA_MIN, k_max)
+        lo = np.stack([np.full_like(d, _KAPPA_MIN), vertex], 1)
+        hi = np.stack([vertex, k_max], 1)
+        f_lo, f_hi = (_decay_poly(k, *(c[:, None] for c in coeffs)) for k in (lo, hi))
 
-    found: list[list[float]] = [[] for _ in range(len(d))]
-    lo, hi, owner = [], [], []  # brackets as floats, and the member each belongs to
-    rows = zip(d.tolist(), c1.tolist(), m.tolist(), c0.tolist(), k_max.tolist())
-    for i, (di, c1i, mi, c0i, top) in enumerate(rows):
-        if di == 0.0:
-            found[i].append(float(linear_root[i]))
-            continue
-        grid = _scan_grid(top)
-        values = _decay_poly(grid, di, c1i, mi, c0i)
-        found[i].extend(grid[values == 0.0].tolist())
-        cross = np.nonzero(values[:-1] * values[1:] < 0.0)[0]
-        lo += grid[cross].tolist()
-        hi += grid[cross + 1].tolist()
-        owner += [i] * len(cross)
-    owner = np.array(owner, dtype=int)
-    roots = _bisect((d[owner], c1[owner], m[owner], c0[owner]), np.array(lo), np.array(hi))
-    for i, r in zip(owner.tolist(), roots.tolist()):
-        found[i].append(r)
-
-    for i, roots in enumerate(found):
-        deduped: list[float] = []
-        for r in sorted(roots):
-            if r > _KAPPA_MIN and (not deduped or r - deduped[-1] > 1e-9):
-                deduped.append(r)
-        found[i] = deduped
-    return found[0] if fields[0].ndim == 0 else found
+    linear, quad = d == 0.0, d != 0.0
+    found = np.full(lo.shape, np.nan)  # (members, 2): at most one root per bracket
+    found[linear, 0] = -2.0 * b[linear] * m[linear] / (a + g)[linear]
+    double = quad & (f_hi[:, 0] == 0.0)
+    found[double, 0] = vertex[double]
+    cross = quad[:, None] & (np.sign(f_lo) * np.sign(f_hi) < 0.0)
+    owner = np.nonzero(cross)[0]
+    found[cross] = _bisect(tuple(c[owner] for c in coeffs), lo[cross], hi[cross])
+    kappas = [[r for r in row if r > _KAPPA_MIN] for row in found.tolist()]  # NaN marks no root
+    return kappas[0] if fields[0].ndim == 0 else kappas
 
 
 def _py_cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -264,7 +264,7 @@ def test_verify_subcommand_bound(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["all_passed"] is True
-    assert payload["checks"][0]["worst_at"] is None
+    assert list(payload["checks"][0]["worst_at"]) == ["draw", "params"]
     assert "PASS" in err
 
 

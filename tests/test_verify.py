@@ -5,18 +5,18 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies
 
 from conftest import stack_params
 from pointfam.core import PARAM_FIELDS, InteractionParams, canonical_interaction, validate_params
 from pointfam.errors import SingularDenominator, SingularSystem
 from pointfam.many_body import nbody_bound_states
-from pointfam.one_body import bound_spectrum
+from pointfam.one_body import bound_spectrum, phase_diagram_count
 from pointfam.scattering import amplitudes, unitarity_defect
 from pointfam.suites import SUITE_NAMES, _violators, run_suite
 from pointfam.verify import (
     ResidualReport,
     _eval_state_local,
-    _scan_grid,
     boundary_residual_3body,
     interior_residual,
     oracle_bound_kappas,
@@ -98,14 +98,50 @@ def _exact_positive_roots(params):
 
 def test_oracle_roots_against_mpmath():
     batch = random_params(np.random.default_rng(BOUND_SUITE_SEED), 1000)  # the bound suite's draws
-    worst = 0.0
+    worst_ulps = 0.0
     for i, roots in enumerate(oracle_bound_kappas(batch)):
         p = InteractionParams(*(float(getattr(batch, f)[i]) for f in PARAM_FIELDS))
         exact = _exact_positive_roots(p)
         assert len(roots) == len(exact), p
         for r, e in zip(roots, exact):
-            worst = max(worst, float(abs(r - e) / e))
-    assert worst <= 1e-13
+            worst_ulps = max(worst_ulps, float(abs(r - e)) / np.spacing(float(e)))
+    assert worst_ulps <= 4.0
+
+
+@pytest.mark.parametrize("alpha", [-5000.0, -1e6])
+def test_oracle_separates_close_roots(alpha):
+    # alpha = gamma, delta = 1, m = 1: the roots -2*alpha -+ 2 lie 4 apart near
+    # 1e4 and 2e6, so a sign-change scan with cells wider than 4 sees neither.
+    p = validate_params(alpha, alpha * alpha - 1.0, alpha, 1.0, 0.0, 1.0)
+    exact = _exact_positive_roots(p)
+    assert exact == [-2.0 * alpha - 2.0, -2.0 * alpha + 2.0]
+    roots = oracle_bound_kappas(p)
+    assert len(roots) == 2
+    for r, e in zip(roots, exact):
+        assert abs(r - e) <= 1e-10 * e
+    closed = sorted(state.kappa for state in bound_spectrum(p))
+    assert len(closed) == 2
+    for r, c in zip(roots, closed):
+        assert abs(r - c) <= 1e-10 * c
+
+
+_COEFF = strategies.floats(-3.0, 3.0)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(alpha=_COEFF, gamma=_COEFF, delta=_COEFF, beta=_COEFF)
+def test_root_counts_match_phase_diagram(alpha, gamma, delta, beta):
+    # Drawn as random_params draws: beta from the constraint when |delta| > 0.1,
+    # else projected to the delta = 0 family with gamma = 1/alpha and beta drawn.
+    if abs(delta) > 0.1:
+        beta = (alpha * gamma - 1.0) / delta
+        count = phase_diagram_count(alpha, gamma, delta)
+    else:
+        assume(abs(alpha) >= 0.2)
+        gamma, delta = 1.0 / alpha, 0.0
+        count = phase_diagram_count(alpha, gamma, delta, beta)
+    p = validate_params(alpha, beta, gamma, delta, 0.0, 1.0)
+    assert len(oracle_bound_kappas(p)) == len(bound_spectrum(p)) == count
 
 
 def _scalar_random_params(rng):
@@ -125,6 +161,13 @@ def _scalar_random_params(rng):
             gamma = 1.0 / alpha
             beta = rng.uniform(-3.0, 3.0)
         return validate_params(alpha, beta, gamma, delta, theta, mass)
+
+
+def test_random_params_single_draw_tail():
+    drawn, scalar = np.random.default_rng(BOUND_SUITE_SEED), np.random.default_rng(BOUND_SUITE_SEED)
+    params, u = random_params(drawn, extra=3)
+    assert params == _scalar_random_params(scalar)
+    assert u.shape == (3,) and u.tolist() == [scalar.random() for _ in range(3)]
 
 
 def _fields(batch):
@@ -181,28 +224,25 @@ def _scalar_bisect(f, lo, hi):
 
 
 def _scalar_oracle(p):
-    """The bracketing oracle one set at a time: np.linspace grid, scalar bisection."""
+    """The bracketing oracle one set at a time: brackets split at the vertex, scalar bisection."""
     a, b, g, d, m = p.alpha, p.beta, p.gamma, p.delta, p.mass
+    c1 = 2.0 * (a + g)
 
     def poly(k):
-        return d * k * k + 2.0 * (a + g) * k * m + 4.0 * b * m * m
+        return d * k * k + c1 * k * m + 4.0 * b * m * m
 
     if d == 0.0:
         root = -2.0 * b * m / (a + g)
         return [root] if root > 1e-12 else []
     k_max = 2.0 * (1.0 + abs(a + g) * 2.0 * m + math.sqrt(4.0 * abs(b)) * 2.0 * m)
     k_max /= max(abs(d), 1e-30)
-    k_max = max(k_max, 1.0 + max(abs(2.0 * (a + g) * m), abs(4.0 * b * m * m)) / abs(d))
-    grid = np.linspace(1e-12, k_max, 4096)
-    values = poly(grid)
-    roots = grid[values == 0.0].tolist()
-    for i in np.flatnonzero(values[:-1] * values[1:] < 0.0).tolist():
-        roots.append(_scalar_bisect(poly, float(grid[i]), float(grid[i + 1])))
-    deduped = []
-    for r in sorted(roots):
-        if r > 1e-12 and (not deduped or r - deduped[-1] > 1e-9):
-            deduped.append(r)
-    return deduped
+    k_max = max(k_max, 1.0 + max(abs(c1 * m), abs(4.0 * b * m * m)) / abs(d))
+    vertex = min(max(-c1 * m / (2.0 * d), 1e-12), k_max)
+    roots = [vertex] if poly(vertex) == 0.0 else []
+    for lo, hi in ((1e-12, vertex), (vertex, k_max)):
+        if min(poly(lo), poly(hi)) < 0.0 < max(poly(lo), poly(hi)):
+            roots.append(_scalar_bisect(poly, lo, hi))
+    return [r for r in roots if r > 1e-12]
 
 
 def test_batched_oracle_equals_one_set_at_a_time():
@@ -213,16 +253,20 @@ def test_batched_oracle_equals_one_set_at_a_time():
     assert [oracle_bound_kappas(p) for p in sets[:20]] == expected[:20]
 
 
-def test_scan_grid_is_linspace_to_the_bit():
-    rng = np.random.default_rng(5)
-    for k_max in np.exp(rng.uniform(math.log(1e-3), math.log(1e8), size=5000)).tolist():
-        assert np.array_equal(_scan_grid(k_max), np.linspace(1e-12, k_max, 4096))
-
-
 def test_bound_and_scatter_reports_pinned():
     (bound,), _ = run_suite("bound")
     assert bound.max_residual == 5.148736236148946e-16
-    assert bound.worst_at is None
+    assert bound.worst_at == {
+        "draw": 477,
+        "params": {
+            "alpha": 2.934752989432935,
+            "beta": -6.481337152119712,
+            "gamma": 2.987923757852397,
+            "delta": -1.1986443535057008,
+            "theta": 2.026092804507199,
+            "mass": 1.5816372843855717,
+        },
+    }
     match, flux, _ = run_suite("scatter")[0]
     assert match.max_residual == 2.953883141399871e-15
     assert match.worst_at == {
@@ -553,7 +597,9 @@ def test_worst_at_is_finite_and_deterministic():
 
     for rep in first:
         has_input = "interior" in rep.check_name or "boundary-condition" in rep.check_name
-        has_input |= rep.check_name in ("amplitudes vs matching oracle", "flux conservation")
+        has_input |= rep.check_name in (
+            "bound-spectrum vs bracketing oracle", "amplitudes vs matching oracle", "flux conservation"
+        )
         assert (rep.worst_at is not None) == has_input, rep.check_name
         if rep.worst_at is not None:
             assert all(math.isfinite(x) for x in leaves(rep.worst_at)), rep
