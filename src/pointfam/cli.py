@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -255,6 +256,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # parse_args leaves the parser as it found it, so one per process serves every main call
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="pointfam",

@@ -115,16 +115,21 @@ def run_nbody_boundary_suite(samples: int = 50) -> tuple[list[ResidualReport], l
 
 
 def run_nbody_interior_suite(points: int = 100) -> tuple[list[ResidualReport], list[str]]:
-    """Finite-difference eigenvalue residuals for N = 2..5."""
+    """Finite-difference eigenvalue residuals for N = 2..5.
+
+    Each N's points are drawn once per call, shared by both parameter sets
+    and kept no longer; every report equals interior_residual(params, state, points).
+    """
     reports = []
     cases = [
         ("delta", canonical_interaction("delta", -2.0, 0.5)),
         ("two-state", _two_state_params()),
     ]
+    draws = {n: verify.interior_draws(n, points) for n in range(2, 6)}
     for label, params in cases:
         for n in range(2, 6):
             for state in many_body.nbody_bound_states(params, n):
-                rep = verify.interior_residual(params, state, points)
+                rep = verify.interior_residual(params, state, draws=draws[n])
                 reports.append(
                     replace(rep, check_name=f"{label} n={n} {state.branch} {rep.check_name}")
                 )

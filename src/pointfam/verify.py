@@ -310,11 +310,30 @@ def boundary_residual_3body(
     )
 
 
+def interior_draws(n: int, points: int = 100, seed: int = 1234) -> tuple[np.ndarray, np.ndarray]:
+    """The random part of interior_residual's sample points for n particles: (ranks, unit gaps).
+
+    Point by point from default_rng(seed): the ordering rng.permutation(n),
+    then n - 1 standard exponentials, as rows of a (points, n) int array
+    and a (points, n - 1) float array. The stream does not depend on
+    kappa (rng.exponential(scale) is scale times the standard draw, to the
+    bit), so one draw serves every state of n particles.
+    """
+    rng = np.random.default_rng(seed)
+    ranks = np.empty((points, n), dtype=np.intp)
+    unit = np.empty((points, n - 1))
+    for p in range(points):
+        ranks[p] = rng.permutation(n)
+        unit[p] = rng.standard_exponential(n - 1)
+    return ranks, unit
+
+
 def interior_residual(
     params: InteractionParams,
     state,
     points: int = 100,
     seed: int = 1234,
+    draws: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ResidualReport:
     """Finite-difference check of the kinetic eigenvalue away from boundaries.
 
@@ -322,20 +341,25 @@ def interior_residual(
     to the locally re-evaluated wavefunction, with step h = 1e-4/kappa;
     the sum must reproduce the state's energy times the wavefunction.
     Sample configurations keep all pairwise separations at least 10*h so
-    stencils never cross a coincidence hyperplane. The mass enters through
-    the kinetic prefactor and must come from the interaction, not from the
-    state under test.
-    The stencils of all points go through one evaluator call.
+    stencils never cross a coincidence hyperplane: the particles sit in
+    the order of interior_draws' ranks, with gaps 10*h + E/kappa for its
+    unit exponentials E. The mass enters through the kinetic prefactor
+    and must come from the interaction, not from the state under test.
+    draws, the result of interior_draws(state.n, points, seed), lets
+    several states share one draw; when it is given, points and seed are
+    not used. The stencils of all points go through one evaluator call.
     """
     n = state.n
     kappa = state.kappa
     h = 1e-4 / kappa
-    rng = np.random.default_rng(seed)
+    ranks, unit = interior_draws(n, points, seed) if draws is None else draws
+    if ranks.shape[1:] != (n,):
+        raise ValueError(f"draws are for {ranks.shape[1]} particles, the state has {n}")
+    points = len(ranks)
+    gaps = 10.0 * h + (1.0 / kappa) * unit
+    offsets = np.concatenate([np.zeros((points, 1)), -np.cumsum(gaps, axis=1)], axis=1)
     coords = np.empty((points, n))
-    for p in range(points):
-        ranks = rng.permutation(n)
-        gaps = 10.0 * h + rng.exponential(1.0 / kappa, size=n - 1)
-        coords[p, ranks] = np.concatenate([[0.0], -np.cumsum(gaps)])
+    np.put_along_axis(coords, ranks, offsets, axis=1)
 
     # Per point: the point itself, then for each axis the coordinate + h
     # and (coordinate + h) - 2h.

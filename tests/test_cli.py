@@ -363,6 +363,28 @@ def test_usage_errors_exit_one(capsys, delta_file):
     assert code == 1
 
 
+def test_back_to_back_mains_behave_as_fresh_ones(capsys, delta_file):
+    # main builds its parser once per process; no call may leave anything behind for the next.
+    def sequence(fresh):
+        results = []
+        for argv in (["bound", "--params", delta_file, "--bogus"], ["bound", "--params", delta_file], ["--version"]):
+            if fresh:
+                cli._build_parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's --version exits
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    cached = sequence(fresh=False) + sequence(fresh=False)
+    assert cli._build_parser() is cli._build_parser()
+    assert cached == sequence(fresh=True) * 2
+    assert [code for code, _, _ in cached[:3]] == [1, 0, 0]
+    assert "usage error" in cached[0][2] and '"states"' in cached[1][1] and cached[2][1].startswith("pointfam ")
+
+
 def test_missing_params_file(capsys):
     code, _, err = run_cli(capsys, "bound", "--params", "/nonexistent/p.json")
     assert code == 1

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies
 
 from conftest import stack_params
+from pointfam import verify
 from pointfam.core import PARAM_FIELDS, InteractionParams, canonical_interaction, validate_params
 from pointfam.errors import SingularDenominator, SingularSystem
 from pointfam.many_body import nbody_bound_states
 from pointfam.one_body import bound_spectrum, phase_diagram_count
 from pointfam.scattering import amplitudes, unitarity_defect
-from pointfam.suites import SUITE_NAMES, _violators, run_suite
+from pointfam.suites import SUITE_NAMES, _violators, run_nbody_interior_suite, run_suite
 from pointfam.verify import (
     ResidualReport,
     _eval_state_local,
@@ -511,6 +512,38 @@ INTERIOR_MAX_RESIDUALS = {
 def test_interior_suite_residuals_pinned():
     reports, _ = run_suite("nbody-interior")
     assert {r.check_name: r.max_residual for r in reports} == INTERIOR_MAX_RESIDUALS
+
+
+def test_interior_suite_equals_one_call_per_state():
+    # The suite shares each N's draws across states; every report must be the one-call report, worst_at included.
+    reports, _ = run_nbody_interior_suite()
+    alone = []
+    for label, params in (("delta", DELTA), ("two-state", TWO_STATE)):
+        for n in range(2, 6):
+            for state in nbody_bound_states(params, n):
+                rep = interior_residual(params, state, 100)
+                alone.append(replace(rep, check_name=f"{label} n={n} {state.branch} {rep.check_name}"))
+    assert reports == alone
+
+
+def test_interior_suite_draws_once_per_n(monkeypatch):
+    draw, calls = verify.interior_draws, []
+
+    def counted(n, *args, **kwargs):
+        calls.append(n)
+        return draw(n, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "interior_draws", counted)
+    for _ in range(2):  # nothing drawn is kept from one call to the next
+        calls.clear()
+        run_nbody_interior_suite()
+        assert calls == [2, 3, 4, 5]
+
+
+def test_interior_residual_refuses_draws_for_another_n():
+    state = nbody_bound_states(DELTA, 3)[0]
+    with pytest.raises(ValueError, match="draws are for 2 particles"):
+        interior_residual(DELTA, state, draws=verify.interior_draws(2, 10))
 
 
 @pytest.mark.parametrize("params", [TWO_STATE, TWO_STATE_TILTED])
