@@ -59,8 +59,9 @@ def run_bound_suite(draws: int = 1000) -> tuple[list[ResidualReport], list[str]]
 
 def run_scatter_suite(draws: int = 1000) -> tuple[list[ResidualReport], list[str]]:
     """Closed-form amplitudes against the matching solve, plus unitarity."""
-    params, u = verify.random_params(np.random.default_rng(_SEED + 1), draws, extra=1)
-    ks = 1e-3 + (10.0 - 1e-3) * u[:, 0]  # rng.uniform(1e-3, 10.0) after each draw
+    rng = np.random.default_rng(_SEED + 1)
+    params = verify.random_params(rng, draws)
+    ks = rng.uniform(1e-3, 10.0, draws)
     amps = scattering.amplitudes(params, ks)
     t_minus, r_minus = verify.scattering_matching_oracle(params, ks, "minus")
     t_plus, r_plus = verify.scattering_matching_oracle(params, ks, "plus")
@@ -115,21 +116,16 @@ def run_nbody_boundary_suite(samples: int = 50) -> tuple[list[ResidualReport], l
 
 
 def run_nbody_interior_suite(points: int = 100) -> tuple[list[ResidualReport], list[str]]:
-    """Finite-difference eigenvalue residuals for N = 2..5.
-
-    Each N's points are drawn once per call, shared by both parameter sets
-    and kept no longer; every report equals interior_residual(params, state, points).
-    """
+    """Finite-difference eigenvalue residuals for N = 2..5, one interior_residual call per state."""
     reports = []
     cases = [
         ("delta", canonical_interaction("delta", -2.0, 0.5)),
         ("two-state", _two_state_params()),
     ]
-    draws = {n: verify.interior_draws(n, points) for n in range(2, 6)}
     for label, params in cases:
         for n in range(2, 6):
             for state in many_body.nbody_bound_states(params, n):
-                rep = verify.interior_residual(params, state, draws=draws[n])
+                rep = verify.interior_residual(params, state, points)
                 reports.append(
                     replace(rep, check_name=f"{label} n={n} {state.branch} {rep.check_name}")
                 )

@@ -10,10 +10,11 @@ validate; the only package dependency is the parameter/boundary-matrix
 layer. N-body states are consumed as read-only data (kappa, energy,
 coefficient pair) and re-evaluated locally.
 
-Each residual check evaluates all its samples in one array pass. Where
-numpy's complex arithmetic rounds differently from Python's, the oracles
-round as Python does, so every value equals that of the same formula
-applied one sample at a time.
+Each residual check draws its random inputs with whole-array generator
+calls and evaluates all its samples in one array pass. Where numpy's
+complex arithmetic rounds differently from Python's, the oracles round as
+Python does, so every value equals that of the same formula applied one
+sample at a time.
 """
 
 from __future__ import annotations
@@ -56,43 +57,34 @@ class ResidualReport:
         return cls(check_name, max_residual, samples, max_residual <= tolerance, tolerance, worst_at)
 
 
-def _uniform(u: float, lo: float, hi: float) -> float:
-    """rng.uniform(lo, hi) for the stream value u = rng.random(), to the bit."""
-    return lo + (hi - lo) * u
+# Per column of random_params' uniform block: alpha, gamma, delta, theta,
+# mass, and the beta a projected row takes.
+_DRAW_LOW = (-3.0, -3.0, -3.0, 0.0, 0.2, -3.0)
+_DRAW_HIGH = (3.0, 3.0, 3.0, 2.0 * math.pi, 2.0, 3.0)
 
 
-def random_params(
-    rng: np.random.Generator, draws: int | None = None, extra: int = 0
-) -> InteractionParams | tuple[InteractionParams, np.ndarray]:
+def random_params(rng: np.random.Generator, draws: int | None = None) -> InteractionParams:
     """Draw random valid parameter sets, exactly on the constraint surface.
 
     alpha, gamma, delta are uniform in [-3, 3], theta in [0, 2*pi), mass in
-    [0.2, 2]. When |delta| > 0.1 beta is solved from the constraint; smaller
-    draws are projected to the delta = 0 family with gamma = 1/alpha and a
-    fresh uniform beta, or drawn again when |alpha| < 0.2.
+    [0.2, 2]. When |delta| > 0.1 beta is solved from the constraint; rows
+    with smaller delta are projected to the delta = 0 family with
+    gamma = 1/alpha and a uniform beta in [-3, 3], or drawn again when
+    |alpha| < 0.2. Each pass draws one (rows still wanted, 6) block.
 
-    draws None gives one set with float fields, an int a batch; a batch of
-    n equals n single draws, generator state included. With extra > 0 each
-    set is followed by extra more rng.random() values, returned second.
+    draws None gives one set with float fields, an int a batch of that many.
     """
-    rows, tails = [], []
-    while len(rows) < (1 if draws is None else draws):
-        u = rng.random(5).tolist()
-        alpha, gamma, delta = (_uniform(v, -3.0, 3.0) for v in u[:3])
-        theta, mass = _uniform(u[3], 0.0, 2.0 * math.pi), _uniform(u[4], 0.2, 2.0)
-        if abs(delta) > 0.1:
-            beta = (alpha * gamma - 1.0) / delta
-        elif abs(alpha) < 0.2:
-            continue  # drawn again
-        else:
-            beta, gamma, delta = _uniform(rng.random(), -3.0, 3.0), 1.0 / alpha, 0.0
-        rows.append((alpha, beta, gamma, delta, theta, mass))
-        for _ in range(extra):
-            tails.append(rng.random())
-    params = validate_params(*rows[0] if draws is None else np.reshape(rows, (-1, 6)).T)
-    if not extra:
-        return params
-    return params, np.reshape(tails, (extra,) if draws is None else (-1, extra))
+    count = 1 if draws is None else draws
+    rows = np.empty((0, 6))
+    while len(rows) < count:
+        a, g, d, theta, mass, b = rng.uniform(_DRAW_LOW, _DRAW_HIGH, (count - len(rows), 6)).T
+        near = np.abs(d) <= 0.1  # projected to delta = 0
+        keep = ~near | (np.abs(a) >= 0.2)  # the rest are drawn again
+        beta = np.divide(a * g - 1.0, d, out=b, where=~near)
+        gamma = np.divide(1.0, a, out=g, where=near & keep)
+        block = np.stack([a, beta, gamma, np.where(near, 0.0, d), theta, mass], 1)
+        rows = np.concatenate([rows, block[keep]])
+    return validate_params(*rows[0].tolist() if draws is None else rows.T)
 
 
 def _decay_poly(k, d, c1, m, c0):
@@ -310,30 +302,8 @@ def boundary_residual_3body(
     )
 
 
-def interior_draws(n: int, points: int = 100, seed: int = 1234) -> tuple[np.ndarray, np.ndarray]:
-    """The random part of interior_residual's sample points for n particles: (ranks, unit gaps).
-
-    Point by point from default_rng(seed): the ordering rng.permutation(n),
-    then n - 1 standard exponentials, as rows of a (points, n) int array
-    and a (points, n - 1) float array. The stream does not depend on
-    kappa (rng.exponential(scale) is scale times the standard draw, to the
-    bit), so one draw serves every state of n particles.
-    """
-    rng = np.random.default_rng(seed)
-    ranks = np.empty((points, n), dtype=np.intp)
-    unit = np.empty((points, n - 1))
-    for p in range(points):
-        ranks[p] = rng.permutation(n)
-        unit[p] = rng.standard_exponential(n - 1)
-    return ranks, unit
-
-
 def interior_residual(
-    params: InteractionParams,
-    state,
-    points: int = 100,
-    seed: int = 1234,
-    draws: tuple[np.ndarray, np.ndarray] | None = None,
+    params: InteractionParams, state, points: int = 100, seed: int = 1234
 ) -> ResidualReport:
     """Finite-difference check of the kinetic eigenvalue away from boundaries.
 
@@ -341,22 +311,20 @@ def interior_residual(
     to the locally re-evaluated wavefunction, with step h = 1e-4/kappa;
     the sum must reproduce the state's energy times the wavefunction.
     Sample configurations keep all pairwise separations at least 10*h so
-    stencils never cross a coincidence hyperplane: the particles sit in
-    the order of interior_draws' ranks, with gaps 10*h + E/kappa for its
-    unit exponentials E. The mass enters through the kinetic prefactor
-    and must come from the interaction, not from the state under test.
-    draws, the result of interior_draws(state.n, points, seed), lets
-    several states share one draw; when it is given, points and seed are
-    not used. The stencils of all points go through one evaluator call.
+    stencils never cross a coincidence hyperplane: from default_rng(seed),
+    each point's particles sit in a random order (the argsort of a row of
+    a (points, n) block of uniforms), with gaps 10*h + E for E a row of a
+    (points, n - 1) block of exponentials of mean 1/kappa. The mass enters
+    through the kinetic prefactor and must come from the interaction, not
+    from the state under test. The stencils of all points go through one
+    evaluator call.
     """
     n = state.n
     kappa = state.kappa
     h = 1e-4 / kappa
-    ranks, unit = interior_draws(n, points, seed) if draws is None else draws
-    if ranks.shape[1:] != (n,):
-        raise ValueError(f"draws are for {ranks.shape[1]} particles, the state has {n}")
-    points = len(ranks)
-    gaps = 10.0 * h + (1.0 / kappa) * unit
+    rng = np.random.default_rng(seed)
+    ranks = np.argsort(rng.random((points, n)), axis=1)
+    gaps = 10.0 * h + rng.exponential(1.0 / kappa, (points, n - 1))
     offsets = np.concatenate([np.zeros((points, 1)), -np.cumsum(gaps, axis=1)], axis=1)
     coords = np.empty((points, n))
     np.put_along_axis(coords, ranks, offsets, axis=1)

@@ -59,10 +59,10 @@ def test_c03_two_bound_state_family(record_criterion):
 
 
 def test_c04_flux_conservation(record_criterion):
-    # 1000 draws, each followed in the stream by its 10 wavenumbers, as
-    # rng.uniform(1e-2, 10.0, size=10) after each draw would give them.
-    params, u = verify.random_params(np.random.default_rng(40), 1000, extra=10)
-    ks = (1e-2 + (10.0 - 1e-2) * u).T  # (10, 1000): row j holds the j-th wavenumber of every draw
+    # 1000 draws, each at 10 wavenumbers: row j of ks holds the j-th wavenumber of every draw.
+    rng = np.random.default_rng(40)
+    params = verify.random_params(rng, 1000)
+    ks = rng.uniform(1e-2, 10.0, (10, 1000))
     amps = scattering.amplitudes(params, ks)
     worst_defect = float(np.max(scattering.unitarity_defect(amps)))
     t_minus, r_minus = verify.scattering_matching_oracle(params, ks, "minus")
