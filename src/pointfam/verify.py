@@ -26,7 +26,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import InteractionParams, boundary_matrix, validate_params
-from .errors import SingularSystem
+from .errors import InputError, SingularSystem
 
 _SQRT2 = math.sqrt(2.0)
 _KAPPA_MIN = 1e-12
@@ -115,8 +115,8 @@ def _bisect(coeffs: tuple[np.ndarray, ...], lo: np.ndarray, hi: np.ndarray) -> n
     return root
 
 
-def oracle_bound_kappas(params: InteractionParams) -> list[float] | list[list[float]]:
-    """Positive decay constants found numerically, ascending.
+def oracle_bound_kappas(params: InteractionParams) -> np.ndarray:
+    """Positive decay constants found numerically: an array of shape fields.shape + (2,).
 
     The decay-rate polynomial has no root above k_max, which combines a
     coefficient-based bound with the Cauchy root bound. Its derivative
@@ -126,8 +126,9 @@ def oracle_bound_kappas(params: InteractionParams) -> list[float] | list[list[fl
     are told apart however close they are. Each bracket whose ends have
     opposite signs is bisected down to adjacent floats, and an exact zero
     at the vertex is one double root. The delta = 0 case reduces to a
-    direct linear solve. A batch gives one list per member (flattened),
-    with all brackets bisected together.
+    direct linear solve. Each member's pair holds its roots above
+    KAPPA_MIN in ascending order, NaN-padded at the end; the brackets of
+    all members are bisected together.
     """
     fields = np.broadcast_arrays(params.alpha, params.beta, params.gamma, params.delta, params.mass)
     a, b, g, d, m = (np.ravel(x) for x in fields)
@@ -152,8 +153,8 @@ def oracle_bound_kappas(params: InteractionParams) -> list[float] | list[list[fl
     cross = quad[:, None] & (np.sign(f_lo) * np.sign(f_hi) < 0.0)
     owner = np.nonzero(cross)[0]
     found[cross] = _bisect(tuple(c[owner] for c in coeffs), lo[cross], hi[cross])
-    kappas = [[r for r in row if r > _KAPPA_MIN] for row in found.tolist()]  # NaN marks no root
-    return kappas[0] if fields[0].ndim == 0 else kappas
+    found[~(found > _KAPPA_MIN)] = np.nan  # NaN marks no root
+    return np.sort(found, axis=-1).reshape(fields[0].shape + (2,))
 
 
 def _py_cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -179,15 +180,16 @@ def scattering_matching_oracle(
     the right. The boundary condition applied to the two-sided ansatz
     gives a 2x2 complex linear system in (t, r), solved as such. The
     parameter fields and k are floats or arrays that broadcast together:
-    floats give complex t and r, arrays give arrays of the broadcast shape
-    from one stacked solve. The value checks cover every entry.
+    floats give complex scalars t and r, arrays give arrays of the
+    broadcast shape from one stacked solve. A k that is not positive
+    anywhere, or another incidence, raises InputError.
     """
     k = np.asarray(k, dtype=float)
     bad = ~(k > 0.0)
     if bad.any():
-        raise ValueError(f"wavenumber must be positive, got {float(k[bad][0])!r}")
+        raise InputError(f"wavenumber must be positive, got {float(k[bad][0])!r}")
     if incidence not in ("minus", "plus"):
-        raise ValueError(f"incidence must be 'minus' or 'plus', got {incidence!r}")
+        raise InputError(f"incidence must be 'minus' or 'plus', got {incidence!r}")
     fields = (params.alpha, params.beta, params.gamma, params.delta, params.mass, params.phase, k)
     shape = np.broadcast_shapes(*map(np.shape, fields))
     a, b, g, d, m, ph, k = (np.broadcast_to(x, shape).ravel() for x in fields)
@@ -206,9 +208,7 @@ def scattering_matching_oracle(
     if singular.any():
         raise SingularSystem(f"matching system singular at k = {float(k[singular][0])!r}")
     t, r = np.linalg.solve(system, rhs[:, :, None])[:, :, 0].T
-    if not shape:
-        return complex(t[0]), complex(r[0])
-    return t.reshape(shape), r.reshape(shape)
+    return t.reshape(shape)[()], r.reshape(shape)[()]
 
 
 def _local_parity_signs(orderings: np.ndarray) -> np.ndarray:
@@ -253,7 +253,7 @@ def boundary_residual_3body(
     the triple point, where the line analysis breaks down.
     """
     if line not in _LINE_PARTICLES:
-        raise ValueError(f"line must be one of {sorted(_LINE_PARTICLES)}, got {line!r}")
+        raise InputError(f"line must be one of {sorted(_LINE_PARTICLES)}, got {line!r}")
     i, j, spect = _LINE_PARTICLES[line]
     kappa = state.kappa
     m2 = 2.0 * params.mass

@@ -43,7 +43,7 @@ def test_c03_two_bound_state_family(record_criterion):
     oracle = verify.oracle_bound_kappas(TWO_STATE)
     checks = [
         len(states) == 2,
-        len(oracle) == 2,
+        np.count_nonzero(~np.isnan(oracle)) == 2,
         abs(states[0].kappa - 3.0) <= 1e-12,
         abs(states[1].kappa - 1.0) <= 1e-12,
         abs(oracle[0] - 1.0) <= 1e-10,
@@ -239,7 +239,7 @@ def test_c10_momentum_identity(record_criterion):
     for phi in rng.uniform(1e-9, math.pi / 3.0 - 1e-9, size=10_000):
         kin = diffraction.ray_kinematics(1.0, float(phi))
         worst = max(worst, abs(kin.k1 + kin.k3 - kin.k2))
-    _, notes = suites.run_diffraction_suite(samples=200)
+    _, notes = suites.run_diffraction_suite()
     noted = any("k1 + k3 = k2" in note for note in notes)
     ok = worst <= 1e-15 and noted
     record_criterion(10, "normal-momentum additivity k1 + k3 = k2", ok)

@@ -1,4 +1,7 @@
-"""Static guards on the package source: no unused module-level import or private helper, a clean __all__.
+"""Static guards on the package source.
+
+No unused module-level import or private helper, a clean __all__, and no
+raise of a bare ValueError.
 
 No linter runs on this tree, so a deletion that leaves an import, a
 private helper or an __all__ entry behind is caught here instead.
@@ -74,3 +77,13 @@ def test_private_helpers_are_used_in_src():
         if all(where == file and first <= line <= last for where, line in uses.get(name, []))
     ]
     assert not unused, f"private helpers no src code uses: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_untyped_value_errors(path):
+    # Every refusal is a PointFamError subclass, so the CLI reports it in one line with exit 1.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    raised = [node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+              for node in ast.walk(tree) if isinstance(node, ast.Raise) and node.exc is not None]
+    lines = [node.lineno for node in raised if isinstance(node, ast.Name) and node.id == "ValueError"]
+    assert not lines, f"{path.name} raises ValueError at lines {lines}; raise a PointFamError subclass"

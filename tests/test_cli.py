@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -146,7 +147,7 @@ def test_scatter_subcommand(capsys, delta_file):
 def test_scatter_rejects_nonpositive_range(capsys, delta_file):
     code, _, err = run_cli(capsys, "scatter", "--params", delta_file, "--k-range", "0:2:0.5")
     assert code == 1
-    assert "scatter" in err
+    assert err == "scatter: wavenumber must be positive, got 0.0\n"
 
 
 def test_phase_diagram_subcommand(capsys):
@@ -351,6 +352,30 @@ def test_params_check_rejects_non_finite(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and "theta" in err
+
+
+@pytest.mark.parametrize("token", ["true", '"1e0"', '"1_0"', "null", "[]", "1" + "0" * 400],
+                         ids=["bool", "string-float", "string-underscore", "null", "list", "int-past-float"])
+def test_params_field_must_be_a_json_number(capsys, tmp_path, token):
+    # Only a JSON int or float that a float holds is a number; float() alone took the first
+    # three and raised an uncaught OverflowError on the last.
+    path = tmp_path / "p.json"
+    path.write_text('{"alpha": -1, "beta": 2, "gamma": -1, "delta": 0, "theta": 0, "mass": %s}' % token)
+    for command in ("params-check", "bound"):
+        code, out, err = run_cli(capsys, command, "--params", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"{command}: parameter field 'mass' ") and err.count("\n") == 1
+
+
+def test_subcommands_and_their_handlers():
+    # Each subcommand's name comes from its handler's: _cmd_nbody_eval runs "nbody-eval".
+    (sub,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == [
+        "params-check", "bound", "scatter", "phase-diagram", "nbody", "nbody-eval",
+        "diffraction", "diffraction-scan", "verify", "mcguire",
+    ]
+    for name, parser in sub.choices.items():
+        assert parser.get_default("run") is getattr(cli, "_cmd_" + name.replace("-", "_"))
 
 
 def test_usage_errors_exit_one(capsys, delta_file):

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies
 
-from pointfam.core import PARAM_FIELDS, InteractionParams, canonical_interaction, validate_params
+from pointfam.core import (
+    CONSTRAINT_TOL, PARAM_FIELDS, InteractionParams, canonical_interaction, validate_params,
+)
+from pointfam.errors import InputError
 from pointfam.many_body import nbody_bound_states
 from pointfam.one_body import bound_spectrum
 from pointfam.scattering import amplitudes, unitarity_defect
@@ -45,9 +48,9 @@ def test_large_k_transmission_limits():
 
 def test_rejects_nonpositive_wavenumber():
     p = canonical_interaction("delta", -2.0, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         amplitudes(p, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         amplitudes(p, -1.0)
 
 
@@ -95,9 +98,9 @@ def test_parameter_batch_matches_batch_of_one(rng):
 def test_array_amplitudes_reject_any_bad_entry():
     p = canonical_interaction("delta", -2.0, 0.5)
     for bad in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             amplitudes(p, np.array([0.5, bad, 2.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         amplitudes(p, math.nan)
 
 
@@ -177,6 +180,51 @@ def test_theta_changes_no_observable(u, theta, log_k):
         assert [(s.kappa, s.energy) for s in nbody_bound_states(p, n)] == [
             (s.kappa, s.energy) for s in nbody_bound_states(q, n)
         ]
+
+
+def _flux_defect_bound(p, k):
+    """First-order rounding bound on unitarity_defect's error against the exact defect.
+
+    den and the reflection numerator are each off by at most 3u times the sum
+    of their terms' moduli (S_den, S_num): two roundings per product and one
+    per sum. A complex division is within 11u of its quotient (Smith's
+    algorithm), a product with the phase within 3u, the phase itself 1u, and
+    each hypot(.)**2 within 3u. Summing |t|^2 and |r|^2 rounds once; the
+    subtraction of 1 is exact. That makes at most 77u + (12 S_den + 6 S_num)u / |den|,
+    taken here as (80 + 12 (S_den + S_num) / |den|) u.
+    """
+    a, b, g, d, m = p.alpha, p.beta, p.gamma, p.delta, p.mass
+    den = abs(complex(d * k * k - 4.0 * b * m * m, 2.0 * k * m * (a + g)))
+    terms = 2.0 * abs(d) * k * k + 8.0 * abs(b) * m * m + 2.0 * k * m * (abs(a + g) + abs(a - g))
+    return (80.0 + 12.0 * terms / den) * 2.0**-53
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    u=strategies.tuples(*[_UNIT] * 6), push=strategies.floats(-0.99, 0.99), log_k=strategies.floats(-6.0, 6.0)
+)
+def test_flux_defect_matches_constraint_defect(u, push, log_k):
+    # Off the constraint by eps = alpha*gamma - beta*delta - 1, both directions give
+    # |t|^2 + |r|^2 - 1 = -16 k^2 m^2 eps / |den|^2 exactly. Measured worst over 40,000
+    # draws of this distribution: 0.10 of the bound, 9.3u absolute.
+    import mpmath
+
+    alpha, gamma, delta = (-3.0 + 6.0 * v for v in u[:3])
+    mass = 0.2 + 1.8 * u[4]
+    eps = push * CONSTRAINT_TOL
+    if abs(delta) > 0.1:
+        beta = (alpha * gamma - 1.0 - eps) / delta
+    else:
+        assume(abs(alpha) >= 0.2)
+        beta, gamma, delta = -3.0 + 6.0 * u[5], (1.0 + eps) / alpha, 0.0
+    p = validate_params(alpha, beta, gamma, delta, 2.0 * math.pi * u[3], mass)
+    k = 10.0**log_k
+    with mpmath.workdps(60):
+        a, b, g, d, m, kk = map(mpmath.mpf, (p.alpha, p.beta, p.gamma, p.delta, p.mass, k))
+        den2 = (d * kk * kk - 4 * b * m * m) ** 2 + 4 * kk * kk * m * m * (a + g) ** 2
+        exact = float(abs(16 * kk * kk * m * m * (a * g - b * d - 1) / den2))
+    got = float(unitarity_defect(amplitudes(p, k)))
+    assert abs(got - exact) <= _flux_defect_bound(p, k), (got, exact)
 
 
 def test_symmetric_member_reflects_equally(rng):

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies
 from conftest import stack_params
 from pointfam import suites, verify
 from pointfam.core import PARAM_FIELDS, InteractionParams, canonical_interaction, validate_params
-from pointfam.errors import SingularDenominator, SingularSystem
+from pointfam.errors import InputError, SingularDenominator, SingularSystem
 from pointfam.many_body import nbody_bound_states
 from pointfam.one_body import bound_spectrum, phase_diagram_count
 from pointfam.scattering import amplitudes, unitarity_defect
@@ -42,12 +42,19 @@ def test_report_build_consistency():
 # ------------------------------------------------------------- bound oracle
 
 
+def _found(pair):
+    """The roots of one oracle pair, dropping its NaN padding."""
+    return pair[~np.isnan(pair)].tolist()
+
+
 def test_oracle_kappas_delta():
-    assert oracle_bound_kappas(DELTA) == [1.0]
+    kappas = oracle_bound_kappas(DELTA)
+    assert kappas.shape == (2,)
+    assert _found(kappas) == [1.0]
 
 
 def test_oracle_kappas_two_state():
-    roots = oracle_bound_kappas(TWO_STATE)
+    roots = _found(oracle_bound_kappas(TWO_STATE))
     assert len(roots) == 2
     assert abs(roots[0] - 1.0) <= 1e-10
     assert abs(roots[1] - 3.0) <= 1e-10
@@ -55,14 +62,14 @@ def test_oracle_kappas_two_state():
 
 def test_oracle_kappas_empty():
     p = validate_params(2.0, 3.0, 2.0, 1.0, 0.0, 0.5)
-    assert oracle_bound_kappas(p) == []
+    assert np.isnan(oracle_bound_kappas(p)).all()
 
 
 def test_oracle_handles_wide_quadratic():
     # zero-trace member whose root escapes the coefficient-based bound;
     # the Cauchy bound keeps it inside the bracketing interval
     p = validate_params(10.0, -1.0, -10.0, 101.0, 0.0, 1.0)
-    roots = oracle_bound_kappas(p)
+    roots = _found(oracle_bound_kappas(p))
     assert len(roots) == 1
     expected = math.sqrt(404.0) / 101.0
     assert abs(roots[0] - expected) <= 1e-9
@@ -73,7 +80,8 @@ def test_oracle_handles_wide_quadratic():
 
 def test_oracle_agrees_with_closed_form(rng):
     p = random_params(rng, 1000)
-    for i, oracle in enumerate(oracle_bound_kappas(p)):
+    for i, pair in enumerate(oracle_bound_kappas(p)):
+        oracle = _found(pair)
         member = InteractionParams(*(float(getattr(p, f)[i]) for f in PARAM_FIELDS))
         kappas = sorted(st.kappa for st in bound_spectrum(member))
         assert len(oracle) == len(kappas)
@@ -104,7 +112,8 @@ def test_oracle_roots_against_mpmath():
     rng = np.random.default_rng(BOUND_SUITE_SEED)
     batch = stack_params([_scalar_random_params(rng) for _ in range(1000)])
     worst_ulps = 0.0
-    for i, roots in enumerate(oracle_bound_kappas(batch)):
+    for i, pair in enumerate(oracle_bound_kappas(batch)):
+        roots = _found(pair)
         p = InteractionParams(*(float(getattr(batch, f)[i]) for f in PARAM_FIELDS))
         exact = _exact_positive_roots(p)
         assert len(roots) == len(exact), p
@@ -127,7 +136,8 @@ def test_oracle_roots_within_condition_bound(seed):
     # 5*cond ulps, and returning an end of the final bracket adds at most one
     # ulp, no more than cond >= 1. Hence 6*cond ulps for any draw.
     batch = random_params(np.random.default_rng(seed), 1000)
-    for i, roots in enumerate(oracle_bound_kappas(batch)):
+    for i, pair in enumerate(oracle_bound_kappas(batch)):
+        roots = _found(pair)
         p = InteractionParams(*(float(getattr(batch, f)[i]) for f in PARAM_FIELDS))
         exact = _exact_positive_roots(p)
         assert len(roots) == len(exact), p
@@ -143,7 +153,7 @@ def test_oracle_separates_close_roots(alpha):
     p = validate_params(alpha, alpha * alpha - 1.0, alpha, 1.0, 0.0, 1.0)
     exact = _exact_positive_roots(p)
     assert exact == [-2.0 * alpha - 2.0, -2.0 * alpha + 2.0]
-    roots = oracle_bound_kappas(p)
+    roots = _found(oracle_bound_kappas(p))
     assert len(roots) == 2
     for r, e in zip(roots, exact):
         assert abs(r - e) <= 1e-10 * e
@@ -169,7 +179,7 @@ def test_root_counts_match_phase_diagram(alpha, gamma, delta, beta):
         gamma, delta = 1.0 / alpha, 0.0
         count = phase_diagram_count(alpha, gamma, delta, beta)
     p = validate_params(alpha, beta, gamma, delta, 0.0, 1.0)
-    assert len(oracle_bound_kappas(p)) == len(bound_spectrum(p)) == count
+    assert len(_found(oracle_bound_kappas(p))) == len(bound_spectrum(p)) == count
 
 
 def _scalar_random_params(rng):
@@ -255,8 +265,12 @@ def test_batched_oracle_equals_one_set_at_a_time():
     rng = np.random.default_rng(BOUND_SUITE_SEED)
     sets = [_scalar_random_params(rng) for _ in range(1000)]
     expected = [_scalar_oracle(p) for p in sets]
-    assert oracle_bound_kappas(stack_params(sets)) == expected
-    assert [oracle_bound_kappas(p) for p in sets[:20]] == expected[:20]
+    batch = oracle_bound_kappas(stack_params(sets))
+    assert batch.shape == (1000, 2)
+    assert [_found(pair) for pair in batch] == expected
+    assert [_found(oracle_bound_kappas(p)) for p in sets[:20]] == expected[:20]
+    # NaN pads the end of a pair only.
+    assert not (np.isnan(batch[:, 0]) & ~np.isnan(batch[:, 1])).any()
 
 
 def test_bound_and_scatter_reports_pinned():
@@ -341,11 +355,11 @@ def test_matching_oracle_agrees_with_closed_form(rng):
 
 
 def test_matching_oracle_input_checks():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         scattering_matching_oracle(DELTA, -1.0, "minus")
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         scattering_matching_oracle(DELTA, 1.0, "left")
-    with pytest.raises(ValueError, match="'left'"):
+    with pytest.raises(InputError, match="'left'"):
         scattering_matching_oracle(stack_params([DELTA, TWO_STATE]), np.array([1.0, 2.0]), "left")
     with pytest.raises(ValueError, match="cannot be broadcast"):
         scattering_matching_oracle(stack_params([DELTA, TWO_STATE]), np.array([1.0, 2.0, 3.0]), "minus")
@@ -380,7 +394,7 @@ def test_matching_oracle_batch_equals_batch_of_one():
 @pytest.mark.parametrize("bad", [0.0, -2.5, float("nan")])
 def test_matching_oracle_rejects_bad_k_anywhere(bad):
     ks = np.array([1.0, 2.0, bad, 3.0])
-    with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+    with pytest.raises(InputError, match=re.escape(f"got {bad!r}")):
         scattering_matching_oracle(DELTA, ks, "minus")
 
 
@@ -423,7 +437,7 @@ def test_boundary_residual_detects_corruption():
 
 def test_boundary_residual_rejects_unknown_line():
     state = nbody_bound_states(DELTA, 3)[0]
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         boundary_residual_3body(DELTA, state, "x13", 10)
 
 
