@@ -13,10 +13,10 @@ and writes blocks of rows. A phase-diagram grid goes out one alpha line at
 a time, each line one str.join of pieces cut from the row template and
 separator that _write_table builds from _Grid's cell templates.
 A result that is inf or NaN is never written: the command fails with
-NonFiniteResult instead. Ranges, phase-diagram grids and --samples are
-capped at SIZE_CAP values. Exit codes: 0 on success, 1 on usage or
-validation errors, a non-finite result or a closed standard output,
-2 when a verification suite fails.
+NonFiniteResult instead. Ranges, phase-diagram grids, --samples and the
+coordinates of an nbody-eval points file are capped at SIZE_CAP values.
+Exit codes: 0 on success, 1 on usage or validation errors, a non-finite
+result or a closed standard output, 2 when a verification suite fails.
 """
 
 from __future__ import annotations
@@ -392,6 +392,8 @@ def _cmd_nbody_eval(args) -> int:
     if not 0 <= args.state_index < len(states):
         raise InputError(f"state index {args.state_index} out of range; {len(states)} state(s) available")
     points = _load_points(args.points, args.n)
+    if points.size > SIZE_CAP:
+        raise InputError(f"{args.points!r} has more than {SIZE_CAP} coordinates")
     psi = many_body.eval_nbody_wavefunction(states[args.state_index], points)
     columns = [f"x{i}" for i in range(1, args.n + 1)] + ["re(psi)", "im(psi)"]
     _write_table(columns, np.column_stack((points, psi.real, psi.imag)), args.output)

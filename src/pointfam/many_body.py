@@ -5,7 +5,10 @@ in the summed pair distances; crossing a hyperplane multiplies the
 coefficient by the jump ratio eta or its inverse. The coefficients end up
 two-valued: 1 on even orderings of the particles and 1/eta on odd ones,
 whichever path is taken. The decay constant is the same kappa as in the
-two-body problem and the energy scales as N(N^2-1).
+two-body problem and the energy scales as N(N^2-1). The summed pair
+distance is sum_k k(N-k) g_k over the N-1 gaps g_k between neighbours in
+sorted order, whose terms are all >= 0, and the parity of an ordering is
+that of its sorting permutation.
 
 For three particles the coincidence hyperplanes cut the relative plane
 into six wedges, one per ordering; neighbouring wedges have orderings of
@@ -16,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -27,18 +29,6 @@ from .one_body import bound_spectrum
 SQRT2 = math.sqrt(2.0)
 
 COINCIDENCE_TOL = 1e-14
-
-# Largest N for which a state is constructed.
-N_CAP = 8
-
-
-def _check_apart(coords, where: str = "") -> None:
-    """Raise OnBoundary naming the first pair closer than COINCIDENCE_TOL."""
-    for i, j in combinations(range(len(coords)), 2):
-        if abs(coords[i] - coords[j]) < COINCIDENCE_TOL:
-            raise OnBoundary(
-                f"{where}coordinates {i + 1} and {j + 1} coincide within {COINCIDENCE_TOL}"
-            )
 
 
 @dataclass(frozen=True)
@@ -59,8 +49,11 @@ class NBodyBoundState:
 
 
 def nbody_energy(kappa: float, mass: float, n: int) -> float:
-    """Bound-state energy -kappa^2 * N(N^2-1) / (12 m)."""
-    return -kappa * kappa * n * (n * n - 1) / (12.0 * mass)
+    """Bound-state energy -kappa^2 * N(N^2-1) / (12 m); -inf for an int N too large to become a float."""
+    try:
+        return -kappa * kappa * n * (n * n - 1) / (12.0 * mass)
+    except OverflowError:
+        return -math.inf
 
 
 def nbody_bound_states(params: InteractionParams, n: int) -> list[NBodyBoundState]:
@@ -73,8 +66,6 @@ def nbody_bound_states(params: InteractionParams, n: int) -> list[NBodyBoundStat
     """
     if n < 2:
         raise InputError("n must be at least 2")
-    if n > N_CAP:
-        raise InputError(f"n = {n} exceeds the configured cap {N_CAP}")
     states = []
     for st in bound_spectrum(params):
         energy = nbody_energy(st.kappa, params.mass, n)
@@ -83,46 +74,52 @@ def nbody_bound_states(params: InteractionParams, n: int) -> list[NBodyBoundStat
     return states
 
 
+def _odd_permutations(order: np.ndarray) -> np.ndarray:
+    """Parity of each row's permutation, counting the swaps that put each entry in place."""
+    perm, where = order.copy(), np.argsort(order, axis=1)
+    rows, odd = np.arange(len(perm)), np.zeros(len(perm), dtype=bool)
+    for k in range(perm.shape[1] - 1):
+        j, v = where[:, k], perm[:, k]  # where entry k sits, and what sits at k
+        perm[rows, j] = v
+        where[rows, v] = j
+        odd ^= j != k
+    return odd
+
+
 def eval_nbody_wavefunction(state: NBodyBoundState, coords):
     """Unnormalized wavefunction value at the given particle coordinates.
 
     coords is one point of N coordinates, which gives a complex, or a
     (P, N) array of points, which gives a complex array of length P.
-    The exponent is -kappa times the sum of all scaled pair distances
-    |x_i - x_j|/sqrt(2), which is totally symmetric; only the coefficient
-    distinguishes configurations: c_odd where an odd number of pairs
-    i < j have x_j > x_i, else c_even. Each pass over a pair adds that
-    pair's distance to every point in the same order as a scalar loop,
-    so sums and values are bit-identical to evaluating point by point.
-    A point with two coordinates closer than COINCIDENCE_TOL lies on a
+    The exponent is -kappa/sqrt(2) times the sum of all pair distances,
+    summed as sum_k k(N-k) g_k over the gaps g_k between neighbours in
+    sorted order, a gap at a time, so a batch equals point-by-point bit for
+    bit. The coefficient is c_odd where an odd number of pairs i < j have
+    x_j > x_i, that is where the sorting permutation's parity differs from
+    that of N(N-1)/2, else c_even. A gap below COINCIDENCE_TOL is a
     coincidence boundary, where the coefficient is undefined: it raises
     OnBoundary naming the pair (and, for an array, the row).
     """
     points = np.asarray(coords, dtype=float)
     single = points.ndim <= 1
-    if single:
-        points = points.reshape(1, -1)
-    if points.ndim != 2 or points.shape[1] != state.n:
-        raise InputError(f"expected {state.n} coordinates, got {points.shape[-1]}")
-    total = np.zeros(len(points))
-    odd = np.zeros(len(points), dtype=bool)
-    close = np.zeros(len(points), dtype=bool)
-    for i, j in combinations(range(state.n), 2):
-        diff = points[:, i] - points[:, j]
-        distance = np.abs(diff)
-        total += distance
-        odd ^= diff < 0.0
-        close |= distance < COINCIDENCE_TOL
+    points = np.atleast_2d(points)
+    n = state.n
+    if points.ndim != 2 or points.shape[1] != n:
+        raise InputError(f"expected {n} coordinates, got {points.shape[-1]}")
+    order = np.argsort(points, axis=1, kind="stable")
+    gaps = np.diff(np.take_along_axis(points, order, axis=1), axis=1)
+    close = gaps < COINCIDENCE_TOL
     if close.any():
-        row = int(np.flatnonzero(close)[0])
-        _check_apart(points[row].tolist(), "" if single else f"row {row + 1}: ")
+        row, k = np.argwhere(close)[0].tolist()
+        i, j = sorted(order[row, k:k + 2].tolist())
+        where = "" if single else f"row {row + 1}: "
+        raise OnBoundary(f"{where}coordinates {i + 1} and {j + 1} coincide within {COINCIDENCE_TOL}")
+    total = sum(k * (n - k) * gaps[:, k - 1] for k in range(1, n))
+    odd = _odd_permutations(order) ^ bool(n * (n - 1) // 2 % 2)
     exponents = (-state.kappa * total / SQRT2).tolist()
     # math.exp per point keeps the point-by-point values; np.exp differs from it
     # in the last ulp for some inputs.
-    values = [
-        (state.c_odd if o else state.c_even) * math.exp(e)
-        for o, e in zip(odd.tolist(), exponents)
-    ]
+    values = [(state.c_odd if o else state.c_even) * math.exp(e) for o, e in zip(odd.tolist(), exponents)]
     return values[0] if single else np.array(values, dtype=complex)
 
 

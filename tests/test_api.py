@@ -1,7 +1,7 @@
 """Static guards on the package source.
 
-No unused module-level import or private helper, a clean __all__, and no
-raise of a bare ValueError.
+No unused module-level import or private helper, a clean __all__, no
+raise of a bare ValueError, and oracles that import no closed form.
 
 No linter runs on this tree, so a deletion that leaves an import, a
 private helper or an __all__ entry behind is caught here instead.
@@ -87,3 +87,17 @@ def test_no_untyped_value_errors(path):
               for node in ast.walk(tree) if isinstance(node, ast.Raise) and node.exc is not None]
     lines = [node.lineno for node in raised if isinstance(node, ast.Name) and node.id == "ValueError"]
     assert not lines, f"{path.name} raises ValueError at lines {lines}; raise a PointFamError subclass"
+
+
+def test_oracles_import_no_closed_form():
+    # verify.py checks the closed forms, so it may share only parameters and errors with them.
+    tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "pointfam"):
+            path = (node.module or "").removeprefix("pointfam").lstrip(".")
+            modules |= {path.split(".")[0]} if path else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            modules |= {alias.name.partition(".")[2] or "pointfam" for alias in node.names
+                        if alias.name.split(".")[0] == "pointfam"}
+    assert modules <= {"core", "errors"}, f"verify.py imports pointfam modules {sorted(modules - {'core', 'errors'})}"

@@ -559,6 +559,24 @@ def test_nbody_eval_names_the_coincident_row(capsys, delta_file, tmp_path):
     assert err == f"nbody-eval: row 3: coordinates 1 and 3 coincide within {many_body.COINCIDENCE_TOL}\n"
 
 
+@pytest.mark.parametrize("command", ["nbody", "nbody-eval"])
+def test_nbody_refuses_an_n_whose_energy_overflows(capsys, delta_file, tmp_path, command):
+    extra = ["--state-index", "0", "--points", str(tmp_path / "unread.csv")] if command == "nbody-eval" else []
+    code, out, err = run_cli(capsys, command, "--params", delta_file, "--n", "1" + "0" * 160, *extra)
+    assert (code, out, err) == (1, "", f"{command}: energy is -inf, not a finite number\n")
+
+
+def test_nbody_eval_points_are_capped(capsys, monkeypatch, delta_file, tmp_path):
+    monkeypatch.setattr(cli, "SIZE_CAP", 9)
+    path = tmp_path / "pts.csv"
+    argv = ("nbody-eval", "--params", delta_file, "--n", "3", "--state-index", "0", "--points", str(path))
+    path.write_text("1,2,3\n4,5,6\n7,8,9\n")
+    assert run_cli(capsys, *argv)[0] == 0
+    path.write_text("1,2,3\n4,5,6\n7,8,9\n10,11,12\n")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", f"nbody-eval: {str(path)!r} has more than 9 coordinates\n")
+
+
 # ---------------------------------------------------------------- points files
 
 

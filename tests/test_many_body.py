@@ -1,12 +1,16 @@
+import dataclasses
 import math
+import re
 from itertools import combinations
 
+import mpmath
 import numpy as np
 import pytest
 
 from pointfam.core import canonical_interaction, validate_params
 from pointfam.errors import InputError, NonBinding, NonFiniteResult, OnBoundary
 from pointfam.many_body import (
+    COINCIDENCE_TOL,
     coupling_from_pair_strength,
     eval_nbody_wavefunction,
     mcguire_reference,
@@ -19,7 +23,9 @@ from pointfam.verify import random_params
 
 DELTA = canonical_interaction("delta", -2.0, 0.5)
 TWO_STATE = validate_params(-2.0, 3.0, -2.0, 1.0, 0.0, 0.5)
+GENERIC = validate_params(-2.0, 7.0, -4.0, 1.0, 0.4, 0.8)  # |eta| != 1, kappa 7.06 and 2.54
 SQRT2 = math.sqrt(2.0)
+U = 2.0**-53  # unit roundoff
 
 
 def inversion_parity(ordering):
@@ -65,12 +71,28 @@ def test_two_body_states_reduce_to_spectrum():
             assert nb.energy == ob.energy
 
 
-def test_nbody_cap_and_bad_n():
+def test_nbody_bad_n_and_uncapped_n():
     with pytest.raises(InputError):
         nbody_bound_states(DELTA, 1)
-    with pytest.raises(InputError):
-        nbody_bound_states(DELTA, 9)
-    assert len(nbody_bound_states(DELTA, 8)) == 1
+    for n in (9, 10**6):
+        (state,) = nbody_bound_states(DELTA, n)
+        assert state.n == n
+
+
+def test_nbody_energies_match_exact_law():
+    # energy = -kappa*kappa*n*(n*n-1)/(12*mass) rounds five times (n and n*n-1
+    # are exact as floats here), so to first order its relative error is at
+    # most 5u against kappa^2 N(N^2-1)/(12 m) taken exactly in the float kappa.
+    # Measured worst ratio to that bound: 0.50.
+    worst = 0.0
+    with mpmath.workdps(40):
+        mass = mpmath.mpf(GENERIC.mass)
+        scales = [mpmath.mpf(st.kappa) ** 2 / (12 * mass) for st in nbody_bound_states(GENERIC, 2)]
+        for n in np.unique(np.geomspace(2, 10_000, 400).round().astype(int)).tolist():
+            for st, scale in zip(nbody_bound_states(GENERIC, n), scales, strict=True):
+                exact = scale * (n * (n * n - 1))
+                worst = max(worst, abs(st.energy + exact) / (5 * U * exact))
+    assert worst <= 1.0
 
 
 def test_energy_scaling_factor(rng):
@@ -128,24 +150,59 @@ def test_eval_wrong_arity():
         eval_nbody_wavefunction(st, [1.0, 0.0])
 
 
-def _eval_per_point(state, coords):
-    """The point-by-point evaluation the array kernel replaced."""
-    total = 0.0
-    for i, j in combinations(range(state.n), 2):
-        total += abs(coords[i] - coords[j])
-    ordering = tuple(np.argsort(-np.array(coords), kind="stable") + 1)
-    return coefficient(state, ordering) * math.exp(-state.kappa * total / SQRT2)
+def exact_modulus_ratio(state, coords, modulus):
+    """|modulus - exp(-kappa S/sqrt2)| over its first-order bound, S the exact pair-distance sum.
+
+    S is summed over all pairs i < j in integers, after scaling the
+    coordinates by a common power of two. The kernel rounds each sorted gap,
+    each weight times gap and N-2 running sums (at most N u on S, whose
+    terms are all >= 0), then -kappa*S and the division by the rounded sqrt2
+    (3u more), and math.exp (1 ulp, 2u): to first order the relative error
+    is at most (N+3)|e| u + 2u for the exponent e.
+    """
+    ratios = [x.as_integer_ratio() for x in coords]
+    scale = max(den for _, den in ratios)
+    ints = [num * (scale // den) for num, den in ratios]
+    pair_sum = sum(abs(a - b) for a, b in combinations(ints, 2))
+    with mpmath.workdps(40):
+        exponent = -mpmath.mpf(state.kappa) * pair_sum / scale / mpmath.sqrt(2)
+        exact = mpmath.exp(exponent)
+        bound = ((state.n + 3) * abs(exponent) + 2) * U
+        return float(abs(modulus - exact) / (exact * bound))
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
 def test_eval_array_matches_per_point_exactly(rng, n):
-    for st in nbody_bound_states(TWO_STATE, n):
-        points = rng.normal(scale=1.5 / st.kappa, size=(500, n))
-        values = eval_nbody_wavefunction(st, points)
-        assert values.shape == (500,)
-        expected = [_eval_per_point(st, pt) for pt in points.tolist()]
-        assert values.tolist() == expected
-        assert [eval_nbody_wavefunction(st, pt) for pt in points.tolist()] == expected
+    # Batch equals one at a time bit for bit; each value is the inversion-rule
+    # coefficient times the modulus exactly; the modulus is within its
+    # first-order bound of the exact pair sum (worst measured ratio 0.45).
+    for params in (TWO_STATE, GENERIC):
+        for st in nbody_bound_states(params, n):
+            points = rng.normal(scale=1.5 / st.kappa, size=(500, n))
+            values = eval_nbody_wavefunction(st, points)
+            assert values.shape == (500,)
+            assert [eval_nbody_wavefunction(st, pt) for pt in points.tolist()] == values.tolist()
+            unit = dataclasses.replace(st, c_even=1.0 + 0.0j, c_odd=1.0 + 0.0j)
+            moduli = eval_nbody_wavefunction(unit, points)
+            assert not moduli.imag.any()
+            for pt, value, modulus in zip(points.tolist(), values.tolist(), moduli.real.tolist()):
+                ordering = tuple(np.argsort(-np.array(pt), kind="stable") + 1)
+                assert value == coefficient(st, ordering) * modulus
+            checked = zip(points.tolist()[:100], moduli.real.tolist())
+            assert max(exact_modulus_ratio(st, pt, m) for pt, m in checked) <= 1.0
+
+
+@pytest.mark.parametrize("n, count", [(64, 6), (1000, 2)])
+def test_eval_large_n_against_exact_pair_sum(rng, n, count):
+    # Uniform on [-w, w], the pairs' distances sum to about n^2 w/3, so the
+    # exponent is about 300; worst measured ratio to the first-order bound:
+    # 0.035 at N = 64 and 0.018 at N = 1000.
+    st = nbody_bound_states(TWO_STATE, n)[1]
+    width = 300.0 * 3.0 * SQRT2 / (st.kappa * n * n)
+    points = rng.uniform(-width, width, size=(count, n))
+    moduli = np.abs(eval_nbody_wavefunction(st, points))
+    assert min(moduli) > 0.0
+    assert max(exact_modulus_ratio(st, pt, m) for pt, m in zip(points.tolist(), moduli.tolist())) <= 1.0
 
 
 def test_eval_array_names_the_coincident_row():
@@ -155,6 +212,20 @@ def test_eval_array_names_the_coincident_row():
         eval_nbody_wavefunction(st, points)
     with pytest.raises(InputError):
         eval_nbody_wavefunction(st, points[:, :2])
+
+
+@pytest.mark.parametrize("coords", [
+    [3e-15, 5.0, 0.0, -2.0],  # particles 1 and 3 close, 2 between them in index order
+    [1.6e-14, -5.0, 0.0, 8e-15],  # a cluster of 1, 3 and 4 in which 1 and 3 are not close
+], ids=["non-adjacent-pair", "three-cluster"])
+def test_eval_names_a_pair_that_is_close(coords):
+    st = nbody_bound_states(DELTA, 4)[0]
+    for points, where in ((coords, ""), ([[0.0, 1.0, 2.0, 3.0], coords], "row 2: ")):
+        with pytest.raises(OnBoundary) as info:
+            eval_nbody_wavefunction(st, points)
+        named = re.fullmatch(rf"{where}coordinates (\d) and (\d) coincide within {COINCIDENCE_TOL}", str(info.value))
+        i, j = int(named[1]), int(named[2])
+        assert i < j and abs(coords[i - 1] - coords[j - 1]) < COINCIDENCE_TOL
 
 
 def test_probability_density_is_theta_free(rng):
@@ -317,3 +388,6 @@ def test_overflowing_nbody_state_is_refused():
     large = validate_params(-1.0, 1e154, -1.0, 0.0, math.pi, 1.0)
     with pytest.raises(NonFiniteResult, match="energy is -inf, not a finite number"):
         nbody_bound_states(large, 8)
+    # past about 1.3e154, N(N^2-1) no longer converts to a float
+    with pytest.raises(NonFiniteResult, match="energy is -inf, not a finite number"):
+        nbody_bound_states(DELTA, 10**400)
