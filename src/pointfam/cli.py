@@ -4,14 +4,16 @@ Every subcommand reads the same parameter JSON object
 {"alpha": r, "beta": r, "gamma": r, "delta": r, "theta": r, "mass": r}
 and writes either a JSON object or a CSV table to standard output
 (`verify` also writes a human-readable table to standard error).
-Floats are always rendered with 17 significant digits and field order is
+Floats are always rendered as "%.17g" renders them and field order is
 fixed, so repeated runs are byte-identical. Objects and state lists go
 through _write_records, as JSON by _json_dumps or as CSV lines of its own;
 every other table (CSV, or JSON {"columns", "rows"}) is a float array or a
-_Grid and goes to _write_table, which formats each row with one %-template
-and writes blocks of rows. A phase-diagram grid goes out one alpha line at
-a time, each line one str.join of pieces cut from the row template and
-separator that _write_table builds from _Grid's cell templates.
+_Grid and goes to _write_table. A float array is written _BLOCK_ROWS rows
+at a time, each block's text made by _float_text in whole-array integer
+arithmetic. A phase-diagram grid goes out one alpha line at a time, each
+line one str.join of pieces cut from the row template and separator that
+_write_table builds from _Grid's cell templates; its axis labels come from
+_float_text too.
 A result that is inf or NaN is never written: the command fails with
 NonFiniteResult instead. Ranges, phase-diagram grids, --samples and the
 coordinates of an nbody-eval points file are capped at SIZE_CAP values.
@@ -25,6 +27,7 @@ import argparse
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -53,6 +56,181 @@ _BLOCK_ROWS = 1024
 
 def _fmt(value: float) -> str:
     return _FLOAT % value
+
+
+# _float_text writes a float array as "%.17g" writes each cell. A cell's 17
+# digits are d = round(|x| * 10**(16 - e)) with e = floor(log10|x|). Dekker's
+# exact product of |x| and hi, the float nearest 10**(16 - e), plus |x| times
+# lo = 10**(16 - e) - hi (rounded) gives |x| * 10**(16 - e) within ~1e-14, so
+# the rounding to d is certain unless the fraction lies within _TIE_BAND of
+# 1/2. Such cells, cells with |x| outside [1e-270, 1e270], where a product
+# would leave the float range, and cells whose log10 rounds across a power of
+# ten take d and e from "%.16e" % x instead, the 17 digits "%.17g" prints.
+#
+# Each cell then fills a 48-byte row, six 8-byte words:
+#   byte  0      "-"
+#         1-5    "0.000", the lead of 0.0001 <= |x| < 0.1 in fixed notation
+#         6-39   digit 1, ".", digit 2, ".", ..., digit 17, "."
+#         40-44  "e", the exponent's sign and three digits
+#         45     the separator
+#         46-47  padding
+# _KEEP[class] zeroes the bytes that the cell's text does not use, and one
+# bytes.translate deletes them. The class fixes which bytes those are: the
+# sign, the notation (fixed for e in -4..16, else scientific with a 2- or
+# 3-digit exponent) and the number of digits left after trailing zeros.
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for 53-bit floats
+_TIE_BAND = 1e-6
+_K_MIN, _K_MAX = -254, 287  # 16 - e for every |x| in [1e-270, 1e270]
+_E_MIN, _E_MAX = -324, 308  # the decimal exponents of finite floats
+_ROW = 48
+
+
+def _pow10_table() -> np.ndarray:
+    """Rows (hi, lo, high, low) for 10**k, k = _K_MIN.._K_MAX.
+
+    hi is 10**k rounded to the nearest float and lo is 10**k - hi rounded,
+    both from exact int arithmetic: int-to-float conversion and int / int
+    division round correctly. high + low = hi is Veltkamp's split of hi.
+    """
+    hi, lo = [], []
+    q = 1
+    for _ in range(-_K_MIN):  # 10**-1, 10**-2, ...
+        q *= 10
+        h = 1 / q
+        num, den = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((den - num * q) / (den * q))
+    hi.reverse()
+    lo.reverse()
+    p = 1
+    for _ in range(_K_MAX + 1):  # 10**0, 10**1, ...
+        h = float(p)
+        hi.append(h)
+        lo.append(float(p - int(h)))
+        p *= 10
+    hi, lo = np.array(hi), np.array(lo)
+    high = hi * _SPLIT - (hi * _SPLIT - hi)
+    return np.stack((hi, lo, high, hi - high))
+
+
+def _word_tables():
+    """The words of a row, and what a cell's digits and exponent add to its class.
+
+    lead[d]: bytes 0-7 for first digit d; quad[g]: "d.d.d.d." for the four
+    digits of g; expo[e - _E_MIN]: bytes 40-47 for exponent e, separator
+    zero; last[j, g]: the place among digits 1-17 of the last nonzero digit
+    of g as group j = 0..3 (digits 2-5, ..., 14-17), 0 if g is 0, but 1 for
+    group 0, since digit 1 is kept; notation[e - _E_MIN]: e's notation * 17 - 1.
+    """
+    quad = np.full((10, 10, 10, 10, 8), ord("."), np.uint8)
+    place = np.zeros((10, 10, 10, 10), np.uint8)  # of g's last nonzero digit among its four
+    for i in range(4):
+        digit = np.arange(10).reshape((10,) + (1,) * (3 - i))
+        quad[..., 2 * i] = digit + ord("0")
+        place = np.where(digit != 0, i + 1, place)
+    place = place.ravel()
+    last = np.where(place > 0, place + np.arange(1, 17, 4, dtype=np.uint8)[:, None], 0)
+    last[0, 0] = 1
+    lead = np.frombuffer(b"".join(b"-0.000%d." % d for d in range(10)), np.uint8)
+    e = np.arange(_E_MIN, _E_MAX + 1)
+    expo = np.zeros((e.size, 8), np.uint8)
+    expo[:, 0] = ord("e")
+    expo[:, 1] = np.where(e < 0, ord("-"), ord("+"))
+    expo[:, 2:5] = np.abs(e)[:, None] // np.array([100, 10, 1]) % 10 + ord("0")
+    notation = np.where((e >= -4) & (e <= 16), e + 4, np.where(np.abs(e) >= 100, 22, 21)) * 17 - 1
+    return lead.view(np.uint64), quad.view(np.uint64).ravel(), expo.view(np.uint64).ravel(), last, notation
+
+
+def _keep_table() -> np.ndarray:
+    """_KEEP[class]: six words whose bytes are 0xff where a row's byte is kept, else 0.
+
+    class = (negative * 23 + notation) * 17 + digits - 1, where notation is
+    e + 4 in fixed notation and 21 or 22 in scientific notation with a 2- or
+    3-digit exponent, and digits (1..17) is the count left after trailing
+    zeros.
+    """
+    byte = np.arange(_ROW)
+    negative = np.arange(2)[:, None, None, None]
+    notation = np.arange(23)[:, None, None]
+    digits = np.arange(1, 18)[:, None]
+    e = notation - 4
+    fixed = notation <= 20
+    place = (byte - 4) // 2  # of the digit at this byte, or of the digit the "." here follows
+    in_digits = (byte >= 6) & (byte < 40)
+    before = np.where(fixed, e + 1, 1)  # digits before the point; fixed notation keeps them all
+    keep = (byte == 0) & (negative == 1)
+    keep = keep | in_digits & (byte % 2 == 0) & (place <= np.maximum(digits, before))
+    keep = keep | in_digits & (byte % 2 == 1) & (place == before) & (digits > before)
+    keep = keep | fixed & (e < 0) & (byte >= 1) & (byte < 2 - e)
+    keep = keep | ~fixed & (byte >= 40) & (byte < 45) & ((byte != 42) | (notation == 22))
+    keep = keep | (byte == 45)
+    return (keep.reshape(-1, _ROW) * np.uint8(0xFF)).view(np.uint64)
+
+
+_POW10 = _pow10_table()
+_LEAD, _QUAD, _EXPO, _LAST, _NOTATION = _word_tables()
+_KEEP = _keep_table()
+
+
+def _separator_word(char: str) -> np.uint64:
+    """The word of bytes 40-47 with char at byte 45 and zeros elsewhere."""
+    return np.frombuffer(b"\0" * 5 + char.encode("ascii") + b"\0\0", np.uint64)[0]
+
+
+def _float_text(block: np.ndarray, cell_sep: str, row_sep: str) -> str:
+    """The text of a 2-D finite float64 array, each cell as "%.17g" writes it.
+
+    A cell is followed by cell_sep, the last cell of a row by row_sep; both
+    are one ASCII character other than NUL.
+    """
+    rows, cols = block.shape
+    v = block.ravel()
+    a = np.abs(v)
+    inside = (a >= 1e-270) & (a <= 1e270)
+    x = np.where(inside, a, 1.0)
+    e = np.floor(np.log10(x)).astype(np.int64)
+    hi, lo, high, low = np.take(_POW10, 16 - _K_MIN - e, axis=1)
+    p = x * hi
+    s = x * _SPLIT
+    x_high = s - (s - x)
+    x_low = x - x_high
+    # x * hi - p exactly (Dekker), plus x * lo: x * 10**(16 - e) = p + t
+    t = (((x_high * high - p) + x_high * low) + x_low * high) + x_low * low + x * lo
+    r = np.rint(t)
+    d = p.astype(np.int64) + r.astype(np.int64)
+    proven = inside & (np.abs(np.abs(t - r) - 0.5) > _TIE_BAND) & (d >= 10**16) & (d <= 10**17)
+    proven &= (d != 10**16) | (p - 1e16 + t >= 0)  # not below 10**16, where e is one too large
+    carry = d == 10**17
+    d[carry] = 10**16
+    e += carry
+    zero = a == 0
+    d[zero] = 0
+    e[zero] = 0
+    for i in np.flatnonzero(~(proven | zero)).tolist():
+        mantissa, _, exponent = ("%.16e" % v[i]).lstrip("-").partition("e")
+        d[i], e[i] = int(mantissa.replace(".", "")), int(exponent)
+    lead = d // 10**16
+    rest = d - lead * 10**16
+    upper = (rest // 10**8).astype(np.int32)  # digits 2-9
+    lower = (rest - upper * 10**8).astype(np.int32)  # digits 10-17
+    first, third = upper // 10**4, lower // 10**4
+    groups = [first, upper - first * 10**4, third, lower - third * 10**4]
+    e -= _E_MIN
+    digits = functools.reduce(np.maximum, map(np.take, _LAST, groups))
+    text = np.take(_KEEP, np.take(_NOTATION, e) + np.signbit(v) * (23 * 17) + digits, axis=0)
+    text[:, 0] &= np.take(_LEAD, lead)
+    for j, group in enumerate(groups, 1):
+        text[:, j] &= np.take(_QUAD, group)
+    ends = np.take(_EXPO, e)
+    ends |= _separator_word(cell_sep)
+    ends.reshape(rows, cols)[:, -1] ^= _separator_word(cell_sep) ^ _separator_word(row_sep)
+    text[:, 5] &= ends
+    return text.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _float_cells(values: np.ndarray) -> list[str]:
+    """The "%.17g" text of each value of a 1-D finite float array."""
+    return _float_text(values[:, None], "\n", "\n").split("\n")[:-1]
 
 
 def _json_scalar(value) -> str:
@@ -111,9 +289,11 @@ def _write_records(columns: list[str], rows: list[tuple], output: str, key: str 
 def _write_table(columns: list[str], rows, output: str) -> None:
     """Write a table as CSV, or as JSON {"columns": [...], "rows": [[...], ...]}.
 
-    rows is a non-empty 2-D float array, every cell written with "%.17g",
-    or a _Grid, written with its cell templates. One %-template formats a
-    row. A non-finite float raises NonFiniteResult before anything is written.
+    rows is a non-empty 2-D float array, every cell written as "%.17g" writes
+    it, or a _Grid, written with its cell templates. A row is its opening,
+    its cells joined by a cell separator, and its closing; rows are joined
+    by a row separator. A non-finite float raises NonFiniteResult before
+    anything is written.
     """
     grid = isinstance(rows, _Grid)
     if not grid:
@@ -123,13 +303,15 @@ def _write_table(columns: list[str], rows, output: str) -> None:
             raise NonFiniteResult(
                 f"{columns[col]} is {float(rows[row, col])!r}, not a finite number; nothing written"
             )
-    cells = _Grid.cells if grid else [_FLOAT] * rows.shape[1]
     if output == "csv":
-        head, template, sep, tail = ",".join(columns) + "\n", ",".join(cells) + "\n", "", ""
+        head, (opening, cell, closing, sep), tail = ",".join(columns) + "\n", ("", ",", "\n", ""), ""
     else:
         head = '{\n  "columns": ' + _json_dumps(columns, 1) + ',\n  "rows": [\n'
-        template, sep, tail = "    [\n      " + ",\n      ".join(cells) + "\n    ]", ",\n", "\n  ]\n}\n"
-    blocks = rows.blocks(template, sep) if grid else _row_blocks(rows, template, sep)
+        (opening, cell, closing, sep), tail = _JSON_ROWS, "\n  ]\n}\n"
+    if grid:
+        blocks = rows.blocks(opening + cell.join(_Grid.cells) + closing, sep)
+    else:
+        blocks = _row_blocks(rows, output)
     sys.stdout.write(head)
     lead = ""
     for text in blocks:
@@ -138,10 +320,20 @@ def _write_table(columns: list[str], rows, output: str) -> None:
     sys.stdout.write(tail)
 
 
-def _row_blocks(rows: np.ndarray, template: str, sep: str):
-    """The text of each _BLOCK_ROWS rows."""
+# The rows of a JSON table: a row's opening, its cell separator, its closing, and the row separator.
+_JSON_ROWS = ("    [\n      ", ",\n      ", "\n    ]", ",\n")
+
+
+def _row_blocks(rows: np.ndarray, output: str):
+    """The text of each _BLOCK_ROWS rows: CSV lines, or JSON rows laid out by _JSON_ROWS."""
+    opening, cell, closing, sep = _JSON_ROWS
     for start in range(0, len(rows), _BLOCK_ROWS):
-        yield sep.join([template % tuple(r) for r in rows[start:start + _BLOCK_ROWS].tolist()])
+        block = rows[start:start + _BLOCK_ROWS]
+        if output == "csv":
+            yield _float_text(block, ",", "\n")
+        else:  # ";" ends a row until it is replaced: no number's text holds "," or ";"
+            text = _float_text(block, ",", ";")[:-1].replace(",", cell)
+            yield opening + text.replace(";", closing + sep + opening) + closing
 
 
 class _Grid:
@@ -219,26 +411,40 @@ def _load_points(path: str, n: int) -> np.ndarray:
 
     Line 1 is a header if it is not all numbers. Blank lines and text from
     "#" to the end of a line are skipped; spaces around cells and CRLF
-    endings are allowed. numpy's C reader parses _BLOCK_ROWS lines at a
-    time, and a block it refuses is read again line by line to name the line.
+    endings are allowed. The file is read _BLOCK_ROWS lines at a time and
+    numpy's C reader parses each block; a block it refuses is read again
+    line by line to name the line. Once the points so far hold more than
+    SIZE_CAP coordinates, the file is refused and the rest goes unread.
     """
-    lines = _read_text(path).split("\n")
-    if _read_numbers(lines[:1]) is None:
-        lines[0] = ""  # header row
-    blocks = [lines[start:start + _BLOCK_ROWS] for start in range(0, len(lines), _BLOCK_ROWS)]
-    tables = [_read_numbers(block) for block in blocks]
-    for k, table in enumerate(tables):
+    tables, size = [], 0
+    for k, block in enumerate(_line_blocks(path)):
+        if k == 0 and _read_numbers(block[:1]) is None:
+            block[0] = ""  # header row
+        table = _read_numbers(block)
         if table is None or table.size and table.shape[1] != n:
-            for line_no, line in enumerate(blocks[k], k * _BLOCK_ROWS + 1):
+            for line_no, line in enumerate(block, k * _BLOCK_ROWS + 1):
                 row = _read_numbers([line])
                 if row is None:
                     raise InputError(f"{path!r} line {line_no}: bad number")
                 if row.size and row.shape[1] != n:
                     raise InputError(f"{path!r} line {line_no}: expected {n} coordinates, got {row.shape[1]}")
-    points = np.concatenate([table.reshape(-1, n) for table in tables])
-    if not len(points):
+        size += table.size
+        if size > SIZE_CAP:
+            raise InputError(f"{path!r} has more than {SIZE_CAP} coordinates")
+        tables.append(table.reshape(-1, n))
+    if not size:
         raise InputError(f"{path!r} contains no points")
-    return points
+    return np.concatenate(tables)
+
+
+def _line_blocks(path: str):
+    """The lines of a UTF-8 text file, _BLOCK_ROWS at a time."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            while block := list(itertools.islice(fh, _BLOCK_ROWS)):
+                yield block
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path!r}: {exc}") from exc
 
 
 def _read_numbers(lines: list[str]) -> np.ndarray | None:
@@ -367,7 +573,7 @@ def _cmd_phase_diagram(args) -> int:
     if len(alphas) * len(gammas) > SIZE_CAP:
         raise InputError(f"the grid has more than {SIZE_CAP} points")
     counts = one_body.phase_diagram_count(alphas[:, None], gammas[None, :], args.delta, args.beta)
-    grid = _Grid(list(map(_fmt, alphas.tolist())), list(map(_fmt, gammas.tolist())), counts)
+    grid = _Grid(_float_cells(alphas), _float_cells(gammas), counts)
     _write_table(["alpha", "gamma", "count"], grid, args.output)
     return 0
 
@@ -392,8 +598,6 @@ def _cmd_nbody_eval(args) -> int:
     if not 0 <= args.state_index < len(states):
         raise InputError(f"state index {args.state_index} out of range; {len(states)} state(s) available")
     points = _load_points(args.points, args.n)
-    if points.size > SIZE_CAP:
-        raise InputError(f"{args.points!r} has more than {SIZE_CAP} coordinates")
     psi = many_body.eval_nbody_wavefunction(states[args.state_index], points)
     columns = [f"x{i}" for i in range(1, args.n + 1)] + ["re(psi)", "im(psi)"]
     _write_table(columns, np.column_stack((points, psi.real, psi.imag)), args.output)

@@ -1,13 +1,17 @@
 """Static guards on the package source.
 
 No unused module-level import or private helper, a clean __all__, no
-raise of a bare ValueError, and oracles that import no closed form.
+raise of a bare ValueError, oracles that import no closed form, and a CLI
+import that loads neither fractions nor decimal.
 
 No linter runs on this tree, so a deletion that leaves an import, a
 private helper or an __all__ entry behind is caught here instead.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -101,3 +105,12 @@ def test_oracles_import_no_closed_form():
             modules |= {alias.name.partition(".")[2] or "pointfam" for alias in node.names
                         if alias.name.split(".")[0] == "pointfam"}
     assert modules <= {"core", "errors"}, f"verify.py imports pointfam modules {sorted(modules - {'core', 'errors'})}"
+
+
+def test_cli_import_loads_no_fractions_or_decimal():
+    # The float writer's tables are built at import with int arithmetic; either module would add to every start-up.
+    code = "import sys, pointfam.cli; print(sorted(m for m in ('fractions', 'decimal') if m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -547,6 +547,45 @@ def test_nbody_eval_bytes_match_per_point_reference(capsys, two_state_file, tmp_
     assert out == _ref_table(columns, rows, output)
 
 
+def _template_table(columns, table, output) -> str:
+    """A float table as the former writer printed it: one %-template per row, 1024 rows a block."""
+    cells = ["%.17g"] * table.shape[1]
+    if output == "csv":
+        head, template, sep, tail = ",".join(columns) + "\n", ",".join(cells) + "\n", "", ""
+    else:
+        names = ",\n".join(f"    {json.dumps(c)}" for c in columns)
+        head = '{\n  "columns": [\n' + names + '\n  ],\n  "rows": [\n'
+        template, sep, tail = "    [\n      " + ",\n      ".join(cells) + "\n    ]", ",\n", "\n  ]\n}\n"
+    blocks = [sep.join([template % tuple(r) for r in table[start:start + 1024].tolist()])
+              for start in range(0, len(table), 1024)]
+    return head + sep.join(blocks) + tail
+
+
+@pytest.mark.parametrize("output", ["csv", "json"])
+@pytest.mark.parametrize("command", ["scatter", "nbody-eval"])
+def test_float_tables_match_the_template_writer(capsys, monkeypatch, two_state_file, tmp_path, command, output):
+    tables = []
+    write_table = cli._write_table
+
+    def spy(columns, rows, out):
+        tables.append((columns, rows))
+        write_table(columns, rows, out)
+
+    monkeypatch.setattr(cli, "_write_table", spy)
+    if command == "scatter":
+        argv = ["--k-range", "0.01:25:0.01"]  # 2500 rows: blocks of rows meet twice
+    else:
+        points = np.random.default_rng(3).uniform(-1.0, 1.0, size=(1500, 3))
+        points[:4] = [[1.0, -0.0, 0.5], [2.0, 3.0, -4.0], [1e-5, -1e-5, 0.0], [0.1, 0.2, 0.30000000000000004]]
+        path = tmp_path / "points.csv"
+        path.write_text("".join(",".join(map(repr, pt)) + "\n" for pt in points.tolist()))
+        argv = ["--n", "3", "--state-index", "1", "--points", str(path)]
+    code, out, _ = run_cli(capsys, command, "--params", two_state_file, *argv, "--output", output)
+    assert code == 0
+    (columns, table), = tables
+    assert out == _template_table(columns, table, output)
+
+
 def test_nbody_eval_names_the_coincident_row(capsys, delta_file, tmp_path):
     pts = tmp_path / "pts.csv"
     pts.write_text("x1,x2,x3\n1.0,0.0,-1.0\n2.0,0.5,-0.5\n0.25,-3.0,0.25\n1.0,1.0,1.0\n")
@@ -575,6 +614,24 @@ def test_nbody_eval_points_are_capped(capsys, monkeypatch, delta_file, tmp_path)
     path.write_text("1,2,3\n4,5,6\n7,8,9\n10,11,12\n")
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (1, "", f"nbody-eval: {str(path)!r} has more than 9 coordinates\n")
+
+
+def test_points_file_over_the_cap_is_refused_after_one_block(monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "SIZE_CAP", 9)
+    calls = []
+    read_numbers = cli._read_numbers
+
+    def counting(lines):
+        calls.append(len(lines))
+        return read_numbers(lines)
+
+    monkeypatch.setattr(cli, "_read_numbers", counting)
+    path = tmp_path / "pts.csv"
+    path.write_text("x1,x2,x3\n" + "1,2,3\n" * 4999)
+    with pytest.raises(InputError) as info:
+        cli._load_points(str(path), 3)
+    assert str(info.value) == f"{str(path)!r} has more than 9 coordinates"
+    assert calls == [1, cli._BLOCK_ROWS]  # the header line, then the first block only
 
 
 # ---------------------------------------------------------------- points files
