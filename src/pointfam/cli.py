@@ -6,14 +6,13 @@ and writes either a JSON object or a CSV table to standard output
 (`verify` also writes a human-readable table to standard error).
 Floats are always rendered as "%.17g" renders them and field order is
 fixed, so repeated runs are byte-identical. Objects and state lists go
-through _write_records, as JSON by _json_dumps or as CSV lines of its own;
-every other table (CSV, or JSON {"columns", "rows"}) is a float array or a
-_Grid and goes to _write_table. A float array is written _BLOCK_ROWS rows
-at a time, each block's text made by _float_text in whole-array integer
-arithmetic. A phase-diagram grid goes out one alpha line at a time, each
-line one str.join of pieces cut from the row template and separator that
-_write_table builds from _Grid's cell templates; its axis labels come from
-_float_text too.
+through _write_records, as JSON by _json_dumps or as CSV lines of its own.
+Every other table (CSV, or JSON {"columns", "rows"}) goes through
+_write_table, which lays out the head, rows and tail and takes the text of
+the rows, a block at a time, from a producer: _float_blocks writes a float
+array _BLOCK_ROWS rows at a time with _float_text, in whole-array integer
+arithmetic; _grid_blocks writes a phase-diagram grid one alpha line at a
+time, each line one str.join, with axis labels from _float_text too.
 A result that is inf or NaN is never written: the command fails with
 NonFiniteResult instead. Ranges, phase-diagram grids, --samples and the
 coordinates of an nbody-eval points file are capped at SIZE_CAP values.
@@ -46,16 +45,10 @@ from .errors import InputError, NonFiniteResult, PointFamError, UsageError
 # allocated: a million scatter rows are already ~0.2 GB of CSV.
 SIZE_CAP = 1_000_000
 
-_FLOAT = "%.17g"
-
 # Tables are formatted and written, and points files parsed, this many rows at
 # a time. That bounds the text held in memory, and a reader that closed
 # standard output is noticed at the next block.
 _BLOCK_ROWS = 1024
-
-
-def _fmt(value: float) -> str:
-    return _FLOAT % value
 
 
 # _float_text writes a float array as "%.17g" writes each cell. A cell's 17
@@ -88,26 +81,17 @@ _ROW = 48
 def _pow10_table() -> np.ndarray:
     """Rows (hi, lo, high, low) for 10**k, k = _K_MIN.._K_MAX.
 
-    hi is 10**k rounded to the nearest float and lo is 10**k - hi rounded,
-    both from exact int arithmetic: int-to-float conversion and int / int
-    division round correctly. high + low = hi is Veltkamp's split of hi.
+    With 10**k = num / den, hi = num / den and lo = 10**k - hi, both
+    correctly rounded by int / int division. high + low = hi is Veltkamp's
+    split of hi.
     """
     hi, lo = [], []
-    q = 1
-    for _ in range(-_K_MIN):  # 10**-1, 10**-2, ...
-        q *= 10
-        h = 1 / q
-        num, den = h.as_integer_ratio()
+    for k in range(_K_MIN, _K_MAX + 1):
+        num, den = 10 ** max(k, 0), 10 ** max(-k, 0)
+        h = num / den
+        h_num, h_den = h.as_integer_ratio()
         hi.append(h)
-        lo.append((den - num * q) / (den * q))
-    hi.reverse()
-    lo.reverse()
-    p = 1
-    for _ in range(_K_MAX + 1):  # 10**0, 10**1, ...
-        h = float(p)
-        hi.append(h)
-        lo.append(float(p - int(h)))
-        p *= 10
+        lo.append((num * h_den - h_num * den) / (den * h_den))
     hi, lo = np.array(hi), np.array(lo)
     high = hi * _SPLIT - (hi * _SPLIT - hi)
     return np.stack((hi, lo, high, hi - high))
@@ -242,7 +226,7 @@ def _json_scalar(value) -> str:
         value = float(value)  # a numpy float's repr would read np.float64(...)
         if not math.isfinite(value):
             raise NonFiniteResult(f"a result is {value!r}, not a finite number; nothing written")
-        return _fmt(value)
+        return "%.17g" % value
     if isinstance(value, str):
         return json.dumps(value)
     if value is None:
@@ -286,81 +270,62 @@ def _write_records(columns: list[str], rows: list[tuple], output: str, key: str 
         sys.stdout.write("\n".join([",".join(columns), *lines]) + "\n")
 
 
-def _write_table(columns: list[str], rows, output: str) -> None:
+def _write_table(columns: list[str], output: str, produce, *data) -> None:
     """Write a table as CSV, or as JSON {"columns": [...], "rows": [[...], ...]}.
 
-    rows is a non-empty 2-D float array, every cell written as "%.17g" writes
-    it, or a _Grid, written with its cell templates. A row is its opening,
-    its cells joined by a cell separator, and its closing; rows are joined
-    by a row separator. A non-finite float raises NonFiniteResult before
-    anything is written.
+    A row is its opening, its cells joined by a cell separator, and its
+    closing; rows are joined by a row separator. produce(*data, opening,
+    cell, closing, sep) yields the text of the rows, at least one block of
+    them, each laid out so; the head goes out with the first block, so a
+    producer that refuses its data before its first yield leaves nothing
+    written.
     """
-    grid = isinstance(rows, _Grid)
-    if not grid:
-        finite = np.isfinite(rows)
-        if not finite.all():
-            row, col = np.argwhere(~finite)[0]
-            raise NonFiniteResult(
-                f"{columns[col]} is {float(rows[row, col])!r}, not a finite number; nothing written"
-            )
     if output == "csv":
-        head, (opening, cell, closing, sep), tail = ",".join(columns) + "\n", ("", ",", "\n", ""), ""
+        head, opening, cell, closing, sep, tail = ",".join(columns) + "\n", "", ",", "\n", "", ""
     else:
         head = '{\n  "columns": ' + _json_dumps(columns, 1) + ',\n  "rows": [\n'
-        (opening, cell, closing, sep), tail = _JSON_ROWS, "\n  ]\n}\n"
-    if grid:
-        blocks = rows.blocks(opening + cell.join(_Grid.cells) + closing, sep)
-    else:
-        blocks = _row_blocks(rows, output)
-    sys.stdout.write(head)
-    lead = ""
-    for text in blocks:
+        opening, cell, closing, sep, tail = "    [\n      ", ",\n      ", "\n    ]", ",\n", "\n  ]\n}\n"
+    lead = head
+    for text in produce(*data, opening, cell, closing, sep):
         sys.stdout.write(lead + text)
         lead = sep
     sys.stdout.write(tail)
 
 
-# The rows of a JSON table: a row's opening, its cell separator, its closing, and the row separator.
-_JSON_ROWS = ("    [\n      ", ",\n      ", "\n    ]", ",\n")
+def _float_blocks(table: np.ndarray, columns: list[str], opening, cell, closing, sep):
+    """The text of each _BLOCK_ROWS rows of a 2-D float array, every cell as "%.17g" writes it.
 
-
-def _row_blocks(rows: np.ndarray, output: str):
-    """The text of each _BLOCK_ROWS rows: CSV lines, or JSON rows laid out by _JSON_ROWS."""
-    opening, cell, closing, sep = _JSON_ROWS
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        block = rows[start:start + _BLOCK_ROWS]
-        if output == "csv":
-            yield _float_text(block, ",", "\n")
-        else:  # ";" ends a row until it is replaced: no number's text holds "," or ";"
+    A non-finite cell raises NonFiniteResult, naming its column, before the first block.
+    """
+    finite = np.isfinite(table)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise NonFiniteResult(f"{columns[col]} is {float(table[row, col])!r}, not a finite number; nothing written")
+    for start in range(0, len(table), _BLOCK_ROWS):
+        block = table[start:start + _BLOCK_ROWS]
+        if opening:  # ";" ends a row until it is replaced: no number's text holds "," or ";"
             text = _float_text(block, ",", ";")[:-1].replace(",", cell)
             yield opening + text.replace(";", closing + sep + opening) + closing
+        else:  # a CSV row has no opening and one-character separators
+            yield _float_text(block, cell, closing)
 
 
-class _Grid:
-    """The rows (outer[i], inner[j], table[i, j]) of a grid, written a line of fixed i at a time.
+def _grid_blocks(outer: list[str], inner: list[str], table: np.ndarray, opening, cell, closing, sep):
+    """The rows (outer[i], inner[j], table[i, j]) of a grid of small non-negative ints.
 
-    Both text columns come formatted and table holds small non-negative ints,
-    so a row's text after its outer cell is formatted once per (j, int) pair
-    and a line is one str.join with the outer cell in the separator.
+    The text of a row after its outer cell is made once per (j, int) pair
+    that occurs. Each line of fixed i, or each _BLOCK_ROWS rows of a longer
+    line, is one str.join with the outer cell in the separator.
     """
-
-    cells = ("%s", "%s", "%d")
-
-    def __init__(self, outer: list[str], inner: list[str], table: np.ndarray):
-        self.outer, self.inner, self.table = outer, inner, table
-
-    def blocks(self, template: str, sep: str):
-        """The text of each line, or of each _BLOCK_ROWS rows of a longer line."""
-        lead = template[:template.index("%")]  # the row text before the outer cell
-        width = len(self.inner)
-        rests = np.empty((int(self.table.max()) + 1, width), dtype=object)
-        for count, rest in enumerate(rests):  # only the pairs that occur
-            for j in np.flatnonzero((self.table == count).any(axis=0)).tolist():
-                rest[j] = (template % ("", self.inner[j], count))[len(lead):]
-        for outer, line in zip(self.outer, rests[self.table, np.arange(width)].tolist()):
-            prefix = lead + outer
-            for start in range(0, width, _BLOCK_ROWS):
-                yield prefix + (sep + prefix).join(line[start:start + _BLOCK_ROWS])
+    width = len(inner)
+    rests = np.empty((int(table.max()) + 1, width), dtype=object)
+    for count, rest in enumerate(rests):
+        for j in np.flatnonzero((table == count).any(axis=0)).tolist():
+            rest[j] = cell + inner[j] + cell + str(count) + closing
+    for label, line in zip(outer, rests[table, np.arange(width)].tolist()):
+        prefix = opening + label
+        for start in range(0, width, _BLOCK_ROWS):
+            yield prefix + (sep + prefix).join(line[start:start + _BLOCK_ROWS])
 
 
 def _parse_range(text: str) -> np.ndarray:
@@ -497,7 +462,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", required=True, type=float)
     p.add_argument("--alpha", required=True, metavar="A0:A1:STEP")
     p.add_argument("--gamma", required=True, metavar="G0:G1:STEP")
-    p.add_argument("--beta", type=float, default=None, help="required when delta = 0")
+    p.add_argument("--beta", type=float, default=None, help="required when delta = 0, refused otherwise")
 
     p = add(_cmd_nbody, "N-body bound states", output="json")
     p.add_argument("--n", required=True, type=int)
@@ -561,20 +526,22 @@ def _cmd_scatter(args) -> int:
     t, r, r_minus = amps.t_plus, amps.r_plus, amps.r_minus
     moduli = [np.hypot(z.real, z.imag) ** 2 for z in (t, r)]
     table = np.column_stack([ks, *moduli, t.real, t.imag, r.real, r.imag, r_minus.real, r_minus.imag])
-    _write_table(columns, table, args.output)
+    _write_table(columns, args.output, _float_blocks, table, columns)
     return 0
 
 
 def _cmd_phase_diagram(args) -> int:
     if not math.isfinite(args.delta) or not math.isfinite(args.beta or 0.0):
         raise InputError("delta and beta must be finite")
+    if args.delta != 0.0 and args.beta is not None:
+        raise InputError("--beta applies only to delta = 0; for delta != 0 alpha*gamma - beta*delta = 1 fixes it")
     alphas = _parse_range(args.alpha)
     gammas = _parse_range(args.gamma)
     if len(alphas) * len(gammas) > SIZE_CAP:
         raise InputError(f"the grid has more than {SIZE_CAP} points")
     counts = one_body.phase_diagram_count(alphas[:, None], gammas[None, :], args.delta, args.beta)
-    grid = _Grid(_float_cells(alphas), _float_cells(gammas), counts)
-    _write_table(["alpha", "gamma", "count"], grid, args.output)
+    labels = _float_cells(alphas), _float_cells(gammas)
+    _write_table(["alpha", "gamma", "count"], args.output, _grid_blocks, *labels, counts)
     return 0
 
 
@@ -600,7 +567,7 @@ def _cmd_nbody_eval(args) -> int:
     points = _load_points(args.points, args.n)
     psi = many_body.eval_nbody_wavefunction(states[args.state_index], points)
     columns = [f"x{i}" for i in range(1, args.n + 1)] + ["re(psi)", "im(psi)"]
-    _write_table(columns, np.column_stack((points, psi.real, psi.imag)), args.output)
+    _write_table(columns, args.output, _float_blocks, np.column_stack((points, psi.real, psi.imag)), columns)
     return 0
 
 

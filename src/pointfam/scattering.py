@@ -23,7 +23,6 @@ DENOMINATOR_MIN = 1e-300
 class ScatteringAmplitudes:
     """Amplitudes for both incidence directions, in the broadcast shape of k and the parameter fields."""
 
-    k: float | np.ndarray
     t_plus: complex | np.ndarray
     t_minus: complex | np.ndarray
     r_plus: complex | np.ndarray
@@ -55,7 +54,6 @@ def amplitudes(params: InteractionParams, k: float | np.ndarray) -> ScatteringAm
         cross = 2j * k * m * (a - g)
         r_num = d * k * k + 4.0 * b * m * m
         return ScatteringAmplitudes(
-            k=k,
             t_plus=t_common / ph,
             t_minus=t_common * ph,
             r_plus=(r_num - cross) / den,

@@ -19,8 +19,6 @@ from .core import InteractionParams, canonical_interaction, validate_params
 from .errors import InputError
 from .verify import ResidualReport
 
-SUITE_NAMES = ("bound", "scatter", "nbody-boundary", "nbody-interior", "diffraction")
-
 _SEED = 20240901
 
 
@@ -185,6 +183,7 @@ _SUITES = {
     "nbody-interior": run_nbody_interior_suite,
     "diffraction": run_diffraction_suite,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str) -> tuple[list[ResidualReport], list[str]]:

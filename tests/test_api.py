@@ -1,8 +1,9 @@
 """Static guards on the package source.
 
-No unused module-level import or private helper, a clean __all__, no
-raise of a bare ValueError, oracles that import no closed form, and a CLI
-import that loads neither fractions nor decimal.
+No unused module-level import or private helper, no public function or
+class without a caller in the package, a clean __all__, no raise of a
+bare ValueError, oracles that import no closed form, and a CLI import that
+loads neither fractions nor decimal.
 
 No linter runs on this tree, so a deletion that leaves an import, a
 private helper or an __all__ entry behind is caught here instead.
@@ -49,8 +50,8 @@ def test_all_names_resolve_once():
     assert not missing, f"pointfam.__all__ names missing attributes: {missing}"
 
 
-def _private_definitions(tree: ast.Module):
-    """(name, first line, last line) of every private function, class or constant at module level."""
+def _definitions(tree: ast.Module):
+    """(name, first line, last line, is a function or class) of every function, class or constant at module level."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -60,12 +61,15 @@ def _private_definitions(tree: ast.Module):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                yield name, node.lineno, node.end_lineno
+            yield name, node.lineno, node.end_lineno, isinstance(node, (ast.FunctionDef, ast.ClassDef))
 
 
-def test_private_helpers_are_used_in_src():
-    # A use inside the helper's own definition (recursion) does not count; neither does a test.
+def _unused_in_src(keep) -> list[str]:
+    """The module-level definitions that keep(name, is_def) selects and no src code uses, as "file: name (line)".
+
+    A use inside the definition itself (recursion) does not count; neither
+    does a test, nor an import, so a re-export from __init__ is no use.
+    """
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
     uses = {}
     for file, tree in trees.items():
@@ -74,13 +78,29 @@ def test_private_helpers_are_used_in_src():
                 uses.setdefault(node.id, []).append((file, node.lineno))
             elif isinstance(node, ast.Attribute):
                 uses.setdefault(node.attr, []).append((file, node.lineno))
-    unused = [
+    return [
         f"{file}: {name} (line {first})"
         for file, tree in trees.items()
-        for name, first, last in _private_definitions(tree)
-        if all(where == file and first <= line <= last for where, line in uses.get(name, []))
+        for name, first, last, is_def in _definitions(tree)
+        if keep(name, is_def)
+        and all(where == file and first <= line <= last for where, line in uses.get(name, []))
     ]
+
+
+def test_private_helpers_are_used_in_src():
+    unused = _unused_in_src(lambda name, is_def: name.startswith("_") and not name.startswith("__"))
     assert not unused, f"private helpers no src code uses: {', '.join(unused)}"
+
+
+# Called by acceptance criterion 3 (the two levels of one interaction are orthogonal), not by a command.
+_PUBLIC_WITHOUT_A_CALLER = {"orthogonality_sum"}
+
+
+def test_public_functions_and_classes_have_a_caller_in_src():
+    # A public name needs a caller in a command, a suite or another module; a test alone is not one.
+    unused = _unused_in_src(lambda name, is_def: is_def and not name.startswith("_")
+                            and name not in _PUBLIC_WITHOUT_A_CALLER)
+    assert not unused, f"public functions and classes no src code uses: {', '.join(unused)}"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

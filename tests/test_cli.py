@@ -565,13 +565,13 @@ def _template_table(columns, table, output) -> str:
 @pytest.mark.parametrize("command", ["scatter", "nbody-eval"])
 def test_float_tables_match_the_template_writer(capsys, monkeypatch, two_state_file, tmp_path, command, output):
     tables = []
-    write_table = cli._write_table
+    float_blocks = cli._float_blocks
 
-    def spy(columns, rows, out):
-        tables.append((columns, rows))
-        write_table(columns, rows, out)
+    def spy(table, columns, *layout):
+        tables.append((columns, table))
+        return float_blocks(table, columns, *layout)
 
-    monkeypatch.setattr(cli, "_write_table", spy)
+    monkeypatch.setattr(cli, "_float_blocks", spy)
     if command == "scatter":
         argv = ["--k-range", "0.01:25:0.01"]  # 2500 rows: blocks of rows meet twice
     else:
@@ -702,6 +702,19 @@ def test_non_finite_results_are_refused(capsys, tmp_path, command, params, extra
     assert err.count("\n") == 1 and "not a finite number" in err and err.startswith(f"{command}: ")
 
 
+@pytest.mark.parametrize("output", ["csv", "json"])
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_float_table_with_a_nan_cell_writes_nothing(capsys, delta_file, tmp_path, column, output):
+    # The NaN sits in the second block of rows, so a check made block by block would already have written the first.
+    points = np.random.default_rng(5).uniform(-1.0, 1.0, size=(2 * cli._BLOCK_ROWS, 3))
+    points[cli._BLOCK_ROWS + 7, column] = np.nan
+    path = tmp_path / "points.csv"
+    path.write_text("".join(",".join(map(repr, pt)) + "\n" for pt in points.tolist()))
+    code, out, err = run_cli(capsys, "nbody-eval", "--params", delta_file, "--n", "3", "--state-index", "0",
+                             "--points", str(path), "--output", output)
+    assert (code, out, err) == (1, "", f"nbody-eval: x{column + 1} is nan, not a finite number; nothing written\n")
+
+
 _AMP_REFUSAL = "diffraction: amp_two_path_re is nan, not a finite number; nothing written\n"
 
 
@@ -741,6 +754,16 @@ def test_overflowing_span_is_refused_in_one_line(capsys, text):
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, "phase-diagram", "--delta", "1", f"--alpha={text}", "--gamma=0:1:1")
     assert (code, out, err) == (1, "", f"phase-diagram: range {text!r} overflows: hi - lo is past the largest float\n")
+
+
+@pytest.mark.parametrize("output", ["csv", "json"])
+def test_phase_diagram_refuses_beta_off_the_delta_zero_slice(capsys, output):
+    # For delta != 0 the constraint alpha*gamma - beta*delta = 1 fixes beta, so a given one would go unused.
+    code, out, err = run_cli(capsys, "phase-diagram", "--delta", "1", "--beta", "5", "--alpha=-3:3:1",
+                             "--gamma=-3:3:1", "--output", output)
+    assert (code, out) == (1, "")
+    assert err == ("phase-diagram: --beta applies only to delta = 0; "
+                   "for delta != 0 alpha*gamma - beta*delta = 1 fixes it\n")
 
 
 def test_phase_diagram_counts_the_cancelling_root(capsys):
