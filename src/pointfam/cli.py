@@ -377,22 +377,25 @@ def _load_points(path: str, n: int) -> np.ndarray:
     Line 1 is a header if it is not all numbers. Blank lines and text from
     "#" to the end of a line are skipped; spaces around cells and CRLF
     endings are allowed. The file is read _BLOCK_ROWS lines at a time and
-    numpy's C reader parses each block; a block it refuses is read again
-    line by line to name the line. Once the points so far hold more than
-    SIZE_CAP coordinates, the file is refused and the rest goes unread.
+    numpy's C reader parses each block; a block it refuses, or one with a
+    NaN or infinite coordinate, is read again line by line to name the
+    line. Once the points so far hold more than SIZE_CAP coordinates, the
+    file is refused and the rest goes unread.
     """
     tables, size = [], 0
     for k, block in enumerate(_line_blocks(path)):
         if k == 0 and _read_numbers(block[:1]) is None:
             block[0] = ""  # header row
         table = _read_numbers(block)
-        if table is None or table.size and table.shape[1] != n:
+        if table is None or table.size and (table.shape[1] != n or not np.isfinite(table).all()):
             for line_no, line in enumerate(block, k * _BLOCK_ROWS + 1):
                 row = _read_numbers([line])
                 if row is None:
                     raise InputError(f"{path!r} line {line_no}: bad number")
                 if row.size and row.shape[1] != n:
                     raise InputError(f"{path!r} line {line_no}: expected {n} coordinates, got {row.shape[1]}")
+                if not np.isfinite(row).all():
+                    raise InputError(f"{path!r} line {line_no}: {float(row[~np.isfinite(row)][0])!r} is not finite")
         size += table.size
         if size > SIZE_CAP:
             raise InputError(f"{path!r} has more than {SIZE_CAP} coordinates")

@@ -42,12 +42,10 @@ _SCAN_HI = np.array([10.0, PHI_MAX - 0.01])
 
 @dataclass(frozen=True)
 class RayKinematics:
-    """Incidence angles and normal wavenumbers derived from (k, phi), or arrays of them."""
+    """Wavenumber k, incidence angle phi and the normal wavenumbers derived from them, or arrays of them."""
 
     k: float | np.ndarray
     phi: float | np.ndarray
-    phi2: float | np.ndarray
-    phi3: float | np.ndarray
     k1: float | np.ndarray
     k2: float | np.ndarray
     k3: float | np.ndarray
@@ -64,7 +62,7 @@ class DiffractionReport:
 
 
 def ray_kinematics(k: float | np.ndarray, phi: float | np.ndarray) -> RayKinematics:
-    """Angles phi, phi + pi/3, -phi + pi/3 and the normal components k_i = k sin(phi_i).
+    """Normal wavenumbers k_i = k sin(phi_i), phi_1 = phi, phi_2 = phi + pi/3, phi_3 = pi/3 - phi.
 
     k and phi are floats or broadcastable arrays. Every k must be finite
     and positive, and every phi must lie strictly inside (0, pi/3) so that
@@ -88,7 +86,7 @@ def ray_kinematics(k: float | np.ndarray, phi: float | np.ndarray) -> RayKinemat
     k3 = k * np.sin(phi3)
     if not (np.abs(k1 + k3 - k2) <= 1e-12 * np.maximum(1.0, k)).all():
         raise InvariantViolation("normal wavenumbers break k1 + k3 = k2")
-    return RayKinematics(k, phi, phi2, phi3, k1, k2, k3)
+    return RayKinematics(k, phi, k1, k2, k3)
 
 
 def outgoing_amplitudes(

@@ -146,11 +146,15 @@ def mcguire_reference(g0: float, mass: float, n: int) -> tuple[float, float]:
     """Reference (kappa, energy) for the attractive contact potential.
 
     g0 < 0 is the bare pair strength; kappa = -g0*m/sqrt(2) and the N-body
-    energy is -g0^2 * m * N(N^2-1) / 24. Raises NonPositiveMass for
-    mass <= 0 and NonFiniteResult when kappa or the energy overflows.
+    energy is -g0^2 * m * N(N^2-1) / 24. Raises InputError for a NaN or
+    infinite g0 or mass, NonPositiveMass for mass <= 0 and
+    NonFiniteResult when kappa or the energy overflows.
     """
     if n < 2:
         raise InputError("n must be at least 2")
+    for name, value in (("g0", g0), ("mass", mass)):
+        if not math.isfinite(value):
+            raise InputError(f"{name} must be finite, got {value!r}")
     if g0 >= 0.0:
         raise NonBinding(f"pair strength must be negative to bind, got {g0!r}")
     if not mass > 0.0:

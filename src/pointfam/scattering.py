@@ -27,7 +27,6 @@ class ScatteringAmplitudes:
     t_minus: complex | np.ndarray
     r_plus: complex | np.ndarray
     r_minus: complex | np.ndarray
-    denominator: complex | np.ndarray
 
 
 def amplitudes(params: InteractionParams, k: float | np.ndarray) -> ScatteringAmplitudes:
@@ -58,7 +57,6 @@ def amplitudes(params: InteractionParams, k: float | np.ndarray) -> ScatteringAm
             t_minus=t_common * ph,
             r_plus=(r_num - cross) / den,
             r_minus=(r_num + cross) / den,
-            denominator=den,
         )
 
 

@@ -244,13 +244,18 @@ def boundary_residual_3body(
 ) -> ResidualReport:
     """Residual of the boundary condition along one coincidence line.
 
-    At each sample point on the chosen line the one-sided limits of the
-    wavefunction and its normal derivative are computed analytically from
-    the exponential form, and the boundary matrix is applied to the column
-    (psi', 2m psi) of the negative side. The reported residual is the
-    worst component mismatch relative to the local column magnitude.
-    Sample points keep a transverse distance of at least 0.5/kappa from
-    the triple point, where the line analysis breaks down.
+    In the normal coordinate u = (x_i - x_j)/sqrt(2) the one-sided limits
+    at each sample point on the line come from the exponential form. Sorted
+    with i ahead of j in the tie x_i = x_j, the coordinates give the
+    ordering just above the line (u -> +0); crossing the line swaps i and
+    j, which are adjacent in it, so below the line the parity flips and the
+    other coefficient holds. Only |x_i - x_j| = sqrt(2)|u| varies with u on
+    the line, so psi'(u -> +-0) = -+kappa psi(+-0). The boundary matrix is
+    applied to the column (psi', 2m psi) below the line; the reported
+    residual is the worst component mismatch with the column above,
+    relative to the local column magnitude. Sample points keep a transverse
+    distance of at least 0.5/kappa from the triple point, where the line
+    analysis breaks down.
     """
     if line not in _LINE_PARTICLES:
         raise InputError(f"line must be one of {sorted(_LINE_PARTICLES)}, got {line!r}")
@@ -266,30 +271,15 @@ def boundary_residual_3body(
     coords[:, spect - 1] = -math.sqrt(1.5) * transverse
 
     decay = _local_decay(kappa, coords)
+    tiebreak = np.zeros(coords.shape)
+    tiebreak[:, i - 1] = -1.0  # i ahead of j in the tie x_i = x_j: the ordering just above the line
+    even_above = _local_parity_signs(np.lexsort((tiebreak, -coords), axis=1)) == 1
+    psi_above = np.where(even_above, state.c_even, state.c_odd) * decay
+    psi_below = np.where(even_above, state.c_odd, state.c_even) * decay
 
-    # One-sided derivatives are taken along the unit normal (e_i - e_j)/sqrt(2).
-    disp = {i: 1.0 / _SQRT2, j: -1.0 / _SQRT2, spect: 0.0}
-    columns = {}
-    for side in (1, -1):
-        # Ordering on this side of the line: i above j for side = +1; a
-        # second sort key breaks the tie x_i = x_j.
-        tiebreak = np.zeros(3)
-        tiebreak[i - 1], tiebreak[j - 1] = -side, side
-        order = np.lexsort((np.broadcast_to(tiebreak, coords.shape), -coords), axis=1)
-        psi = np.where(_local_parity_signs(order) == 1, state.c_even, state.c_odd) * decay
-
-        slope = 0.0
-        for a, b in combinations((1, 2, 3), 2):
-            if {a, b} == {i, j}:
-                sign = float(side if a == i else -side)
-            else:
-                sign = np.copysign(1.0, coords[:, a - 1] - coords[:, b - 1])
-            slope = slope + sign * (disp[a] - disp[b])
-        psi_prime = -(kappa / _SQRT2) * slope * psi
-        columns[side] = np.stack([psi_prime, m2 * psi], axis=1)
-
-    lhs = columns[1]
-    rhs = (matrix @ columns[-1][:, :, None])[:, :, 0]
+    lhs = np.stack([-kappa * psi_above, m2 * psi_above], axis=1)  # (psi', 2m psi) at u -> +0
+    below = np.stack([kappa * psi_below, m2 * psi_below], axis=1)  # at u -> -0
+    rhs = (matrix @ below[:, :, None])[:, :, 0]
     scale = np.maximum(np.maximum(np.abs(lhs).max(axis=1), np.abs(rhs).max(axis=1)), 1e-300)
     residuals = np.abs(lhs - rhs).max(axis=1) / scale
     worst = int(np.argmax(residuals))

@@ -1,9 +1,10 @@
 """Static guards on the package source.
 
 No unused module-level import or private helper, no public function or
-class without a caller in the package, a clean __all__, no raise of a
-bare ValueError, oracles that import no closed form, and a CLI import that
-loads neither fractions nor decimal.
+class without a caller in the package, no dataclass field that the
+package never reads, a clean __all__, no raise of a bare ValueError,
+oracles that import no closed form, and a CLI import that loads neither
+fractions nor decimal.
 
 No linter runs on this tree, so a deletion that leaves an import, a
 private helper or an __all__ entry behind is caught here instead.
@@ -64,13 +65,17 @@ def _definitions(tree: ast.Module):
             yield name, node.lineno, node.end_lineno, isinstance(node, (ast.FunctionDef, ast.ClassDef))
 
 
+def _src_trees() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+
+
 def _unused_in_src(keep) -> list[str]:
     """The module-level definitions that keep(name, is_def) selects and no src code uses, as "file: name (line)".
 
     A use inside the definition itself (recursion) does not count; neither
     does a test, nor an import, so a re-export from __init__ is no use.
     """
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    trees = _src_trees()
     uses = {}
     for file, tree in trees.items():
         for node in ast.walk(tree):
@@ -101,6 +106,39 @@ def test_public_functions_and_classes_have_a_caller_in_src():
     unused = _unused_in_src(lambda name, is_def: is_def and not name.startswith("_")
                             and name not in _PUBLIC_WITHOUT_A_CALLER)
     assert not unused, f"public functions and classes no src code uses: {', '.join(unused)}"
+
+
+# Written out whole through dataclasses.asdict, so each field reaches the output without being read by name.
+_WRITTEN_WHOLE = {"ResidualReport", "InteractionParams"}
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for node in cls.decorator_list:
+        node = node.func if isinstance(node, ast.Call) else node
+        if (node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)) == "dataclass":
+            return True
+    return False
+
+
+def test_dataclass_fields_are_read_in_src():
+    # A stored field that only tests read is computed and kept for nothing; a read inside the class body is no use.
+    trees = _src_trees()
+    reads = {}
+    for file, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append((file, node.lineno))
+    unread = [
+        f"{file}: {cls.name}.{field.target.id} (line {field.lineno})"
+        for file, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls) and cls.name not in _WRITTEN_WHOLE
+        for field in cls.body
+        if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+        and all(where == file and cls.lineno <= line <= cls.end_lineno
+                for where, line in reads.get(field.target.id, []))
+    ]
+    assert not unread, f"dataclass fields no src code reads: {', '.join(unread)}"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

@@ -248,13 +248,16 @@ def test_mcguire_nonbinding_exit(capsys):
     assert "mcguire" in err
 
 
-@pytest.mark.parametrize("mass, n, message", [
-    ("-1", "3", "mass must be positive, got -1.0"),
-    ("0", "3", "mass must be positive, got 0.0"),
-    ("1", "9" * 300, "energy is -inf, not a finite number"),  # N too large for a float
-], ids=["negative-mass", "zero-mass", "300-digit-n"])
-def test_mcguire_refuses_non_physical_input(capsys, mass, n, message):
-    code, out, err = run_cli(capsys, "mcguire", "--g0", "-2", "--mass", mass, "--n", n)
+@pytest.mark.parametrize("g0, mass, n, message", [
+    ("-2", "-1", "3", "mass must be positive, got -1.0"),
+    ("-2", "0", "3", "mass must be positive, got 0.0"),
+    ("-2", "1", "9" * 300, "energy is -inf, not a finite number"),  # N too large for a float
+    ("nan", "1", "3", "g0 must be finite, got nan"),
+    ("-inf", "1", "3", "g0 must be finite, got -inf"),
+    ("-2", "inf", "3", "mass must be finite, got inf"),
+], ids=["negative-mass", "zero-mass", "300-digit-n", "nan-g0", "minus-inf-g0", "inf-mass"])
+def test_mcguire_refuses_non_physical_input(capsys, g0, mass, n, message):
+    code, out, err = run_cli(capsys, "mcguire", f"--g0={g0}", "--mass", mass, "--n", n)
     assert code == 1
     assert out == ""
     assert err == f"mcguire: {message}\n"
@@ -272,7 +275,7 @@ def test_verify_subcommand_bound(capsys):
 def test_verify_subcommand_reports_worst_input(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "nbody-boundary")
     assert code == 0
-    checks = json.loads(out)["checks"]
+    checks = json.loads(out, parse_int=float)["checks"]  # "%.17g" writes an integral float such as 8.0 as 8
     assert all(isinstance(c["worst_at"]["v"], float) for c in checks if "boundary-condition" in c["check_name"])
 
 
@@ -655,11 +658,15 @@ def test_points_file_over_the_cap_is_refused_after_one_block(monkeypatch, tmp_pa
     ("1,2,3\n" * 1500 + "1,2\n", "line 1501: expected 3 coordinates, got 2"),
     ("1,2,3\n" * 2100 + "4,5,6e\n", "line 2101: bad number"),
     (b"\xff1,2,3\n", "cannot read"),
+    ("1,2,3\n4,nan,6\n", "line 2: nan is not finite"),
+    ("x1,x2,x3\ninf,5,6\n", "line 2: inf is not finite"),
+    ("4,5,-inf\n", "line 1: -inf is not finite"),
+    ("1,2,3\n" * 1100 + "4,5,nan\n", "line 1101: nan is not finite"),
 ], ids=[
     "header", "header-on-line-1-only", "blank-and-comment-lines", "crlf-and-spaces",
     "too-few-cells", "too-many-cells", "bad-number", "empty-cell", "trailing-comment",
     "underscore-digits", "empty-file", "header-only", "comment-block", "count-past-blocks",
-    "number-past-blocks", "not-utf8",
+    "number-past-blocks", "not-utf8", "nan", "inf", "minus-inf", "non-finite-past-blocks",
 ])
 def test_points_file_rules(tmp_path, text, expected):
     path = tmp_path / "points.csv"
@@ -675,6 +682,17 @@ def test_points_file_rules(tmp_path, text, expected):
         assert message.startswith(f"cannot read {str(path)!r}: ")
     else:
         assert message == f"{str(path)!r} {expected}"
+
+
+@pytest.mark.parametrize("output", ["csv", "json"])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_non_finite_coordinates_are_refused(capsys, delta_file, tmp_path, cell, output):
+    path = tmp_path / "points.csv"
+    path.write_text("1,2,3\n" * cli._BLOCK_ROWS + f"4,{cell},6\n")
+    code, out, err = run_cli(capsys, "nbody-eval", "--params", delta_file, "--n", "3", "--state-index", "0",
+                             "--points", str(path), "--output", output)
+    line = cli._BLOCK_ROWS + 1
+    assert (code, out, err) == (1, "", f"nbody-eval: {str(path)!r} line {line}: {cell} is not finite\n")
 
 
 @pytest.mark.parametrize("where", ["missing", "directory"])
@@ -704,14 +722,13 @@ def test_non_finite_results_are_refused(capsys, tmp_path, command, params, extra
 
 @pytest.mark.parametrize("output", ["csv", "json"])
 @pytest.mark.parametrize("column", [0, 1, 2])
-def test_float_table_with_a_nan_cell_writes_nothing(capsys, delta_file, tmp_path, column, output):
+def test_float_table_with_a_nan_cell_writes_nothing(capsys, monkeypatch, delta_file, column, output):
     # The NaN sits in the second block of rows, so a check made block by block would already have written the first.
     points = np.random.default_rng(5).uniform(-1.0, 1.0, size=(2 * cli._BLOCK_ROWS, 3))
     points[cli._BLOCK_ROWS + 7, column] = np.nan
-    path = tmp_path / "points.csv"
-    path.write_text("".join(",".join(map(repr, pt)) + "\n" for pt in points.tolist()))
+    monkeypatch.setattr(cli, "_load_points", lambda path, n: points)  # the loader itself refuses a NaN coordinate
     code, out, err = run_cli(capsys, "nbody-eval", "--params", delta_file, "--n", "3", "--state-index", "0",
-                             "--points", str(path), "--output", output)
+                             "--points", "points.csv", "--output", output)
     assert (code, out, err) == (1, "", f"nbody-eval: x{column + 1} is nan, not a finite number; nothing written\n")
 
 

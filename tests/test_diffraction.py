@@ -22,8 +22,6 @@ GENERIC = validate_params(-2.0, 3.0, -2.0, 1.0, 0.0, 0.5)
 
 def test_ray_kinematics_symmetric_point():
     kin = ray_kinematics(1.0, math.pi / 6.0)
-    assert abs(kin.phi2 - math.pi / 2.0) <= 1e-15
-    assert abs(kin.phi3 - math.pi / 6.0) <= 1e-15
     assert abs(kin.k1 - 0.5) <= 1e-15
     assert abs(kin.k3 - 0.5) <= 1e-15
     assert abs(kin.k2 - 1.0) <= 1e-15
