@@ -37,7 +37,7 @@ from .one_body import (
 from .scattering import ScatteringAmplitudes, amplitudes, unitarity_defect
 from .verify import (
     ResidualReport,
-    boundary_residual_3body,
+    boundary_residual_nbody,
     interior_residual,
     oracle_bound_kappas,
     scattering_matching_oracle,
@@ -53,7 +53,7 @@ __all__ = [
     "ScatteringAmplitudes",
     "amplitudes",
     "boundary_matrix",
-    "boundary_residual_3body",
+    "boundary_residual_nbody",
     "bound_spectrum",
     "canonical_interaction",
     "eval_nbody_wavefunction",

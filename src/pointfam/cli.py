@@ -534,8 +534,6 @@ def _cmd_scatter(args) -> int:
 
 
 def _cmd_phase_diagram(args) -> int:
-    if not math.isfinite(args.delta) or not math.isfinite(args.beta or 0.0):
-        raise InputError("delta and beta must be finite")
     if args.delta != 0.0 and args.beta is not None:
         raise InputError("--beta applies only to delta = 0; for delta != 0 alpha*gamma - beta*delta = 1 fixes it")
     alphas = _parse_range(args.alpha)

@@ -50,6 +50,14 @@ class InteractionParams:
         return asdict(self)
 
 
+def require_finite(**values) -> None:
+    """Raise InputError naming the first keyword value, or entry of an array value, that is NaN or infinite."""
+    for name, value in values.items():
+        bad = np.extract(~np.isfinite(value), value)
+        if bad.size:
+            raise InputError(f"{name} must be finite, got {float(bad[0])!r}")
+
+
 def validate_params(alpha, beta, gamma, delta, theta, mass) -> InteractionParams:
     """Check the inputs and return them packaged, or raise.
 
@@ -60,10 +68,8 @@ def validate_params(alpha, beta, gamma, delta, theta, mass) -> InteractionParams
     naming the first offending entry. The values are never adjusted.
     """
     table = np.array(np.broadcast_arrays(alpha, beta, gamma, delta, theta, mass), dtype=float)
-    bad = ~np.isfinite(table)
-    if bad.any():
-        at = tuple(np.argwhere(bad)[0])
-        raise InputError(f"{PARAM_FIELDS[at[0]]} must be finite, got {table[at].item()!r}")
+    if not np.isfinite(table).all():  # one check, then field by field only to name the failure
+        require_finite(**dict(zip(PARAM_FIELDS, table)))
     a, b, g, d, _, m = table
     det = a * g - b * d
     bad = ~(np.abs(det - 1.0) <= CONSTRAINT_TOL)
@@ -76,6 +82,15 @@ def validate_params(alpha, beta, gamma, delta, theta, mass) -> InteractionParams
     if bad.any():
         raise NonPositiveMass(f"mass must be positive, got {np.extract(bad, m)[0].item()!r}")
     return InteractionParams(*(table.tolist() if m.ndim == 0 else table))
+
+
+def validate_wavenumber(k: float | np.ndarray) -> float | np.ndarray:
+    """k as a float or float array, or InputError naming the first entry that is not finite and positive."""
+    k = np.asarray(k, dtype=float)[()]
+    ok = (k > 0.0) & np.isfinite(k)
+    if not ok.all():
+        raise InputError(f"wavenumber must be finite and positive, got {float(np.extract(~ok, k)[0])!r}")
+    return k
 
 
 def canonical_interaction(kind: str, strength: float, mass: float) -> InteractionParams:

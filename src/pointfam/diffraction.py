@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InteractionParams
+from .core import InteractionParams, validate_wavenumber
 from .errors import GrazingAngle, InputError, InvariantViolation
 from .scattering import amplitudes
 
@@ -69,12 +69,8 @@ def ray_kinematics(k: float | np.ndarray, phi: float | np.ndarray) -> RayKinemat
     every k_i is positive. The construction forces k1 + k3 = k2
     identically; a violation raises InvariantViolation.
     """
-    k = np.asarray(k, dtype=float)[()]
+    k = validate_wavenumber(k)
     phi = np.asarray(phi, dtype=float)[()]
-    ok = (k > 0.0) & np.isfinite(k)
-    if not ok.all():
-        bad = float(np.extract(~ok, k)[0])
-        raise InputError(f"total wavenumber must be finite and positive, got {bad!r}")
     ok = (0.0 < phi) & (phi < PHI_MAX)
     if not ok.all():
         bad = float(np.extract(~ok, phi)[0])

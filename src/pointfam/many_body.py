@@ -13,6 +13,12 @@ that of its sorting permutation.
 For three particles the coincidence hyperplanes cut the relative plane
 into six wedges, one per ordering; neighbouring wedges have orderings of
 opposite parity, so the coefficient alternates around the triple point.
+
+Checked against the pair boundary condition on each hyperplane x_i = x_j
+(verify.boundary_residual_nbody, u = (x_i - x_j)/sqrt(2)): when eta^2 = 1
+these coefficients meet it for every pair in either orientation at any N
+tried (2..6). When eta^2 != 1 they meet it at N = 3 only in the cyclic
+orientation (1,2), (2,3), (3,1), and at N = 4 and 5 for no ordered pair.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InteractionParams
+from .core import InteractionParams, require_finite
 from .errors import InputError, NonBinding, NonFiniteResult, NonPositiveMass, OnBoundary
 from .one_body import bound_spectrum
 
@@ -48,6 +54,13 @@ class NBodyBoundState:
     branch: str
 
 
+def _particle_count(n) -> int:
+    """n as an int, or InputError unless it is an int or numpy integer (not a bool) of at least 2."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
+        raise InputError(f"n must be an integer of at least 2, got {n!r}")
+    return int(n)
+
+
 def nbody_energy(kappa: float, mass: float, n: int) -> float:
     """Bound-state energy -kappa^2 * N(N^2-1) / (12 m); -inf for an int N too large to become a float."""
     try:
@@ -62,10 +75,10 @@ def nbody_bound_states(params: InteractionParams, n: int) -> list[NBodyBoundStat
     Each two-body decay constant lifts to an N-body state with the same
     kappa and the parity-ruled coefficient pair. Level ordering follows
     energy; no level crossing is assumed when parameters vary. Raises
-    NonFiniteResult when a kappa, energy or eta overflows.
+    InputError unless n is an integer of at least 2, and NonFiniteResult
+    when a kappa, energy or eta overflows.
     """
-    if n < 2:
-        raise InputError("n must be at least 2")
+    n = _particle_count(n)
     states = []
     for st in bound_spectrum(params):
         energy = nbody_energy(st.kappa, params.mass, n)
@@ -96,9 +109,10 @@ def eval_nbody_wavefunction(state: NBodyBoundState, coords):
     sorted order, a gap at a time, so a batch equals point-by-point bit for
     bit. The coefficient is c_odd where an odd number of pairs i < j have
     x_j > x_i, that is where the sorting permutation's parity differs from
-    that of N(N-1)/2, else c_even. A gap below COINCIDENCE_TOL is a
-    coincidence boundary, where the coefficient is undefined: it raises
-    OnBoundary naming the pair (and, for an array, the row).
+    that of N(N-1)/2, else c_even. A NaN or infinite coordinate raises
+    InputError naming it. A gap below COINCIDENCE_TOL is a coincidence
+    boundary, where the coefficient is undefined: it raises OnBoundary
+    naming the pair (and, for an array, the row).
     """
     points = np.asarray(coords, dtype=float)
     single = points.ndim <= 1
@@ -106,6 +120,7 @@ def eval_nbody_wavefunction(state: NBodyBoundState, coords):
     n = state.n
     if points.ndim != 2 or points.shape[1] != n:
         raise InputError(f"expected {n} coordinates, got {points.shape[-1]}")
+    require_finite(coordinates=points)
     order = np.argsort(points, axis=1, kind="stable")
     gaps = np.diff(np.take_along_axis(points, order, axis=1), axis=1)
     close = gaps < COINCIDENCE_TOL
@@ -147,14 +162,12 @@ def mcguire_reference(g0: float, mass: float, n: int) -> tuple[float, float]:
 
     g0 < 0 is the bare pair strength; kappa = -g0*m/sqrt(2) and the N-body
     energy is -g0^2 * m * N(N^2-1) / 24. Raises InputError for a NaN or
-    infinite g0 or mass, NonPositiveMass for mass <= 0 and
-    NonFiniteResult when kappa or the energy overflows.
+    infinite g0 or mass or an n that is not an integer of at least 2,
+    NonPositiveMass for mass <= 0 and NonFiniteResult when kappa or the
+    energy overflows.
     """
-    if n < 2:
-        raise InputError("n must be at least 2")
-    for name, value in (("g0", g0), ("mass", mass)):
-        if not math.isfinite(value):
-            raise InputError(f"{name} must be finite, got {value!r}")
+    n = _particle_count(n)
+    require_finite(g0=g0, mass=mass)
     if g0 >= 0.0:
         raise NonBinding(f"pair strength must be negative to bind, got {g0!r}")
     if not mass > 0.0:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PARAM_FIELDS, InteractionParams
+from .core import PARAM_FIELDS, InteractionParams, require_finite
 from .errors import InputError, InvalidSlice, InvariantViolation, NonFiniteResult
 
 # Roots at or below this are treated as non-normalizable and dropped.
@@ -108,8 +108,11 @@ def phase_diagram_count(alpha, gamma, delta: float, beta: float | None = None):
     above KAPPA_MIN are counted at mass 1. For delta = 0 the slice is only
     meaningful when alpha*gamma = 1 at every point, and the sign of the
     single candidate root depends on beta, which the caller must supply.
+    A NaN or infinite alpha, gamma, delta or beta raises InputError naming
+    the field.
     """
     alpha, gamma = np.asarray(alpha, dtype=float), np.asarray(gamma, dtype=float)
+    require_finite(alpha=alpha, gamma=gamma, delta=delta, beta=beta or 0.0)
     if delta == 0.0:
         if (np.abs(alpha * gamma - 1.0) > 1e-12).any():
             raise InvalidSlice(

@@ -84,7 +84,7 @@ def run_scatter_suite() -> tuple[list[ResidualReport], list[str]]:
 
 
 def run_nbody_boundary_suite() -> tuple[list[ResidualReport], list[str]]:
-    """Boundary-condition residuals for three-body states on all three lines."""
+    """Boundary-condition residuals for three-body states on the cyclic pairs (1,2), (2,3), (3,1)."""
     samples = 50
     reports = []
     cases = [
@@ -93,15 +93,15 @@ def run_nbody_boundary_suite() -> tuple[list[ResidualReport], list[str]]:
     ]
     for label, params in cases:
         for state in many_body.nbody_bound_states(params, 3):
-            for line in ("x12", "x23", "x31"):
-                rep = verify.boundary_residual_3body(params, state, line, samples)
+            for i, j in ((1, 2), (2, 3), (3, 1)):
+                rep = verify.boundary_residual_nbody(params, state, i, j, samples)
                 reports.append(
                     replace(rep, check_name=f"{label} {state.branch} {rep.check_name}")
                 )
     params = cases[1][1]
     state = many_body.nbody_bound_states(params, 3)[0]
     corrupted = replace(state, c_odd=state.c_odd * 1.1)
-    rep = verify.boundary_residual_3body(params, corrupted, "x12", samples)
+    rep = verify.boundary_residual_nbody(params, corrupted, 1, 2, samples)
     indicator = 0.0 if rep.max_residual > 1e-2 else 1.0
     reports.append(
         ResidualReport.build("negative control: corrupted coefficients detected", indicator, 1, 0.5)

@@ -25,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import InteractionParams, boundary_matrix, validate_params
+from .core import InteractionParams, boundary_matrix, validate_params, validate_wavenumber
 from .errors import InputError, SingularSystem
 
 _SQRT2 = math.sqrt(2.0)
@@ -181,13 +181,10 @@ def scattering_matching_oracle(
     gives a 2x2 complex linear system in (t, r), solved as such. The
     parameter fields and k are floats or arrays that broadcast together:
     floats give complex scalars t and r, arrays give arrays of the
-    broadcast shape from one stacked solve. A k that is not positive
-    anywhere, or another incidence, raises InputError.
+    broadcast shape from one stacked solve. A k that is not finite and
+    positive anywhere, or another incidence, raises InputError.
     """
-    k = np.asarray(k, dtype=float)
-    bad = ~(k > 0.0)
-    if bad.any():
-        raise InputError(f"wavenumber must be positive, got {float(k[bad][0])!r}")
+    k = validate_wavenumber(k)
     if incidence not in ("minus", "plus"):
         raise InputError(f"incidence must be 'minus' or 'plus', got {incidence!r}")
     fields = (params.alpha, params.beta, params.gamma, params.delta, params.mass, params.phase, k)
@@ -233,60 +230,56 @@ def _eval_state_local(state, coords: np.ndarray) -> np.ndarray:
     return np.where(even, state.c_even, state.c_odd) * _local_decay(state.kappa, coords)
 
 
-# Cyclically oriented normal coordinate per coincidence line: the first
-# two entries name the coinciding pair (i, j) with u = (x_i - x_j)/sqrt(2),
-# the third is the spectator.
-_LINE_PARTICLES = {"x12": (1, 2, 3), "x23": (2, 3, 1), "x31": (3, 1, 2)}
-
-
-def boundary_residual_3body(
-    params: InteractionParams, state, line: str, samples: int
+def boundary_residual_nbody(
+    params: InteractionParams, state, i: int, j: int, samples: int
 ) -> ResidualReport:
-    """Residual of the boundary condition along one coincidence line.
+    """Residual of the boundary condition on the coincidence hyperplane x_i = x_j.
 
-    In the normal coordinate u = (x_i - x_j)/sqrt(2) the one-sided limits
-    at each sample point on the line come from the exponential form. Sorted
-    with i ahead of j in the tie x_i = x_j, the coordinates give the
-    ordering just above the line (u -> +0); crossing the line swaps i and
-    j, which are adjacent in it, so below the line the parity flips and the
-    other coefficient holds. Only |x_i - x_j| = sqrt(2)|u| varies with u on
-    the line, so psi'(u -> +-0) = -+kappa psi(+-0). The boundary matrix is
-    applied to the column (psi', 2m psi) below the line; the reported
-    residual is the worst component mismatch with the column above,
-    relative to the local column magnitude. Sample points keep a transverse
-    distance of at least 0.5/kappa from the triple point, where the line
-    analysis breaks down.
+    Particles are numbered 1..N and u = (x_i - x_j)/sqrt(2). A stable sort
+    puts the lower-numbered of i and j ahead in the tie x_i = x_j: the
+    ordering just above the hyperplane (u -> +0) when i < j, just below it
+    when i > j. Crossing the hyperplane swaps i and j, which are adjacent in
+    that ordering, so the parity flips and the other coefficient holds on
+    the other side. Only |x_i - x_j| = sqrt(2)|u| varies with u on the
+    hyperplane, since each other particle's two distances change by
+    opposite amounts, so psi'(u -> +-0) = -+kappa psi(+-0). The boundary
+    matrix is applied to the column (psi', 2m psi) below; the residual is
+    the worst component mismatch with the column above, relative to the
+    local column magnitude. At transverse value v, i and j sit at 0 and the
+    others, in index order, at -sqrt(1.5)*v*(1, ..., N-2), with
+    |v| >= 0.5/kappa. A pair that is not two different integers of 1..N,
+    or samples < 1, raises InputError.
     """
-    if line not in _LINE_PARTICLES:
-        raise InputError(f"line must be one of {sorted(_LINE_PARTICLES)}, got {line!r}")
-    i, j, spect = _LINE_PARTICLES[line]
+    n = state.n
+    if i == j or not all(isinstance(p, (int, np.integer)) and 1 <= p <= n for p in (i, j)):
+        raise InputError(f"pair must be two different particles of 1..{n}, got ({i}, {j})")
+    if samples < 1:
+        raise InputError(f"samples must be at least 1, got {samples}")
     kappa = state.kappa
     m2 = 2.0 * params.mass
-    matrix = boundary_matrix(params)
 
-    half = max(1, (samples + 1) // 2)
-    magnitudes = np.linspace(0.5 / kappa, 8.0 / kappa, half)
+    magnitudes = np.linspace(0.5 / kappa, 8.0 / kappa, (samples + 1) // 2)
     transverse = np.stack([magnitudes, -magnitudes], axis=1).reshape(-1)[:samples]
-    coords = np.zeros((len(transverse), 3))
-    coords[:, spect - 1] = -math.sqrt(1.5) * transverse
+    coords = np.zeros((samples, n))
+    others = [p for p in range(n) if p not in (i - 1, j - 1)]
+    coords[:, others] = -math.sqrt(1.5) * np.outer(transverse, np.arange(1, n - 1))
 
     decay = _local_decay(kappa, coords)
-    tiebreak = np.zeros(coords.shape)
-    tiebreak[:, i - 1] = -1.0  # i ahead of j in the tie x_i = x_j: the ordering just above the line
-    even_above = _local_parity_signs(np.lexsort((tiebreak, -coords), axis=1)) == 1
+    # The tie order is the one above the hyperplane for i < j and the one below it for i > j.
+    even_above = (_local_parity_signs(np.argsort(-coords, axis=1, kind="stable")) == 1) ^ (i > j)
     psi_above = np.where(even_above, state.c_even, state.c_odd) * decay
     psi_below = np.where(even_above, state.c_odd, state.c_even) * decay
 
     lhs = np.stack([-kappa * psi_above, m2 * psi_above], axis=1)  # (psi', 2m psi) at u -> +0
     below = np.stack([kappa * psi_below, m2 * psi_below], axis=1)  # at u -> -0
-    rhs = (matrix @ below[:, :, None])[:, :, 0]
+    rhs = (boundary_matrix(params) @ below[:, :, None])[:, :, 0]
     scale = np.maximum(np.maximum(np.abs(lhs).max(axis=1), np.abs(rhs).max(axis=1)), 1e-300)
     residuals = np.abs(lhs - rhs).max(axis=1) / scale
     worst = int(np.argmax(residuals))
     return ResidualReport.build(
-        f"boundary-condition {line}",
+        f"boundary-condition x{i}{j}",
         residuals[worst],
-        len(transverse),
+        samples,
         1e-10,
         worst_at={"v": float(transverse[worst])},
     )
@@ -307,8 +300,10 @@ def interior_residual(
     (points, n - 1) block of exponentials of mean 1/kappa. The mass enters
     through the kinetic prefactor and must come from the interaction, not
     from the state under test. The stencils of all points go through one
-    evaluator call.
+    evaluator call. points < 1 raises InputError.
     """
+    if points < 1:
+        raise InputError(f"points must be at least 1, got {points}")
     n = state.n
     kappa = state.kappa
     h = 1e-4 / kappa

@@ -147,7 +147,7 @@ def test_scatter_subcommand(capsys, delta_file):
 def test_scatter_rejects_nonpositive_range(capsys, delta_file):
     code, _, err = run_cli(capsys, "scatter", "--params", delta_file, "--k-range", "0:2:0.5")
     assert code == 1
-    assert err == "scatter: wavenumber must be positive, got 0.0\n"
+    assert err == "scatter: wavenumber must be finite and positive, got 0.0\n"
 
 
 def test_phase_diagram_subcommand(capsys):
@@ -727,6 +727,8 @@ def test_float_table_with_a_nan_cell_writes_nothing(capsys, monkeypatch, delta_f
     points = np.random.default_rng(5).uniform(-1.0, 1.0, size=(2 * cli._BLOCK_ROWS, 3))
     points[cli._BLOCK_ROWS + 7, column] = np.nan
     monkeypatch.setattr(cli, "_load_points", lambda path, n: points)  # the loader itself refuses a NaN coordinate
+    psi = np.ones(len(points), dtype=complex)  # and so does the evaluator
+    monkeypatch.setattr(cli.many_body, "eval_nbody_wavefunction", lambda state, coords: psi)
     code, out, err = run_cli(capsys, "nbody-eval", "--params", delta_file, "--n", "3", "--state-index", "0",
                              "--points", "points.csv", "--output", output)
     assert (code, out, err) == (1, "", f"nbody-eval: x{column + 1} is nan, not a finite number; nothing written\n")

@@ -10,8 +10,10 @@ from pointfam.core import (
     params_from_dict,
     validate_params,
 )
+from pointfam.diffraction import ray_kinematics
 from pointfam.errors import ConstraintViolation, InputError, NonPositiveMass
-from pointfam.verify import random_params
+from pointfam.scattering import amplitudes
+from pointfam.verify import random_params, scattering_matching_oracle
 
 
 def test_validate_accepts_constraint_members():
@@ -21,6 +23,21 @@ def test_validate_accepts_constraint_members():
     validate_params(1.0, 0.0, 1.0, 0.0, 0.0, 1.0)
     p = validate_params(-2.0, 3.0, -2.0, 1.0, 0.0, 0.5)
     assert p.alpha * p.gamma - p.beta * p.delta == 1.0
+
+
+@pytest.mark.parametrize("k", [math.inf, math.nan, -1.0, 0.0])
+@pytest.mark.parametrize("use", [
+    lambda p, k: amplitudes(p, k),
+    lambda p, k: scattering_matching_oracle(p, k, "minus"),
+    lambda p, k: ray_kinematics(k, 0.5),
+], ids=["amplitudes", "matching-oracle", "ray-kinematics"])
+def test_one_wavenumber_rule(use, k):
+    # The closed form, its oracle and the ray kinematics refuse the same k with the same message.
+    p = canonical_interaction("delta", -2.0, 0.5)
+    with pytest.raises(InputError, match=f"^wavenumber must be finite and positive, got {k!r}$"):
+        use(p, k)
+    with pytest.raises(InputError, match=f"got {k!r}$"):  # the first bad entry of an array is named
+        use(p, np.array([1.0, k, -2.0]))
 
 
 def test_validate_rejects_constraint_violation():

@@ -79,6 +79,20 @@ def test_nbody_bad_n_and_uncapped_n():
         assert state.n == n
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, True, "3", None, np.float64(3.0)])
+def test_n_that_is_not_an_integer_is_refused(n):
+    with pytest.raises(InputError, match=f"^n must be an integer of at least 2, got {re.escape(repr(n))}$"):
+        nbody_bound_states(DELTA, n)
+    with pytest.raises(InputError, match="^n must be an integer of at least 2"):
+        mcguire_reference(-1.0, 1.0, n)
+
+
+def test_numpy_integer_n_is_taken_as_an_int():
+    (state,) = nbody_bound_states(DELTA, np.int64(4))
+    assert type(state.n) is int and state == nbody_bound_states(DELTA, 4)[0]
+    assert mcguire_reference(-1.0, 1.0, np.int32(4)) == mcguire_reference(-1.0, 1.0, 4)
+
+
 def test_nbody_energies_match_exact_law():
     # energy = -kappa*kappa*n*(n*n-1)/(12*mass) rounds five times (n and n*n-1
     # are exact as floats here), so to first order its relative error is at
@@ -142,6 +156,15 @@ def test_eval_on_boundary_raises():
         eval_nbody_wavefunction(st, [1.0, 1.0, 0.0])
     with pytest.raises(OnBoundary, match="^coordinates 1 and 2 coincide"):
         eval_nbody_wavefunction(st, [0.0, 5e-15, 1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_eval_refuses_a_non_finite_coordinate(bad):
+    st = nbody_bound_states(DELTA, 3)[0]
+    with pytest.raises(InputError, match=f"^coordinates must be finite, got {bad!r}$"):
+        eval_nbody_wavefunction(st, [0.0, bad, 1.0])
+    with pytest.raises(InputError, match=f"^coordinates must be finite, got {bad!r}$"):
+        eval_nbody_wavefunction(st, [[0.0, 2.0, 1.0], [0.0, 1.0, bad]])
 
 
 def test_eval_wrong_arity():

@@ -169,6 +169,19 @@ def test_phase_diagram_delta_zero_slice():
         phase_diagram_count(-1.0, -1.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["alpha", "gamma", "delta", "beta"])
+def test_phase_diagram_refuses_a_non_finite_field(field, bad):
+    # A NaN or inf is not a count of 0; delta = 0 with alpha = gamma = -1 is a valid slice, so beta is read too.
+    args = dict(alpha=np.array([-1.0, -1.0]), gamma=-1.0, delta=0.0, beta=2.0)
+    if field == "alpha":
+        args["alpha"][1] = bad
+    else:
+        args[field] = bad
+    with pytest.raises(InputError, match=f"^{field} must be finite, got {bad!r}$"):
+        phase_diagram_count(**args)
+
+
 def test_phase_diagram_matches_brute_force_grid():
     grid = np.linspace(-4.0, 4.0, 100)
     for alpha in grid:

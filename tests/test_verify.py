@@ -2,7 +2,7 @@ import math
 import re
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ from pointfam.suites import SUITE_NAMES, run_nbody_interior_suite, run_suite
 from pointfam.verify import (
     ResidualReport,
     _eval_state_local,
-    boundary_residual_3body,
+    boundary_residual_nbody,
     interior_residual,
     oracle_bound_kappas,
     random_params,
@@ -412,7 +412,7 @@ def test_matching_oracle_singular_entry(incidence):
 
 def test_boundary_residual_delta_state():
     state = nbody_bound_states(DELTA, 3)[0]
-    rep = boundary_residual_3body(DELTA, state, "x12", 50)
+    rep = boundary_residual_nbody(DELTA, state, 1, 2, 50)
     assert rep.passed
     assert rep.max_residual <= 1e-12
     assert rep.samples == 50
@@ -422,15 +422,15 @@ def test_boundary_residual_all_lines_both_states():
     for theta in (0.0, 0.7):
         params = validate_params(-2.0, 3.0, -2.0, 1.0, theta, 0.5)
         for state in nbody_bound_states(params, 3):
-            for line in ("x12", "x23", "x31"):
-                rep = boundary_residual_3body(params, state, line, 50)
-                assert rep.max_residual <= 1e-10, (theta, state.branch, line)
+            for i, j in ((1, 2), (2, 3), (3, 1)):
+                rep = boundary_residual_nbody(params, state, i, j, 50)
+                assert rep.max_residual <= 1e-10, (theta, state.branch, i, j)
 
 
 def test_boundary_residual_detects_corruption():
     state = nbody_bound_states(TWO_STATE, 3)[0]
     corrupted = replace(state, c_odd=state.c_odd * 1.1)
-    rep = boundary_residual_3body(TWO_STATE, corrupted, "x12", 50)
+    rep = boundary_residual_nbody(TWO_STATE, corrupted, 1, 2, 50)
     assert not rep.passed
     assert rep.max_residual > 1e-2
 
@@ -438,7 +438,60 @@ def test_boundary_residual_detects_corruption():
 def test_boundary_residual_rejects_unknown_line():
     state = nbody_bound_states(DELTA, 3)[0]
     with pytest.raises(InputError):
-        boundary_residual_3body(DELTA, state, "x13", 10)
+        boundary_residual_nbody(DELTA, state, 1, 4, 10)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("params", [DELTA, TWO_STATE], ids=["contact", "two-state"])
+def test_boundary_residual_every_pair_when_eta_squared_is_one(params, n):
+    # eta = +-1: the parity rule meets every pair's boundary condition in either orientation.
+    for state in nbody_bound_states(params, n):
+        assert state.eta ** 2 == pytest.approx(1.0, abs=1e-12)
+        for i, j in permutations(range(1, n + 1), 2):
+            rep = boundary_residual_nbody(params, state, i, j, 50)
+            assert rep.max_residual <= 1e-10, (n, state.branch, i, j, rep.max_residual)
+            assert rep.check_name == f"boundary-condition x{i}{j}" and rep.samples == 50
+
+
+@pytest.mark.parametrize("n, passing", [
+    (3, [(1, 2), (2, 3), (3, 1)]),  # the cyclic orientation of c07
+    (4, []),
+    (5, []),
+])
+def test_boundary_residual_pairs_that_hold_when_eta_squared_is_not_one(n, passing):
+    # eta^2 != 1: with N >= 4 the parity rule meets no pair's boundary condition in a fixed orientation.
+    for state in nbody_bound_states(TWO_STATE_TILTED, n):
+        assert abs(state.eta ** 2 - 1.0) > 0.1
+        reports = {(i, j): boundary_residual_nbody(TWO_STATE_TILTED, state, i, j, 50)
+                   for i, j in permutations(range(1, n + 1), 2)}
+        assert [pair for pair, rep in reports.items() if rep.passed] == passing
+        assert min(rep.max_residual for pair, rep in reports.items() if pair not in passing) > 1.0
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_boundary_residual_detects_corruption_beyond_three_bodies(n):
+    state = nbody_bound_states(TWO_STATE, n)[0]
+    corrupted = replace(state, c_odd=state.c_odd * 1.1)
+    for i, j in permutations(range(1, n + 1), 2):
+        rep = boundary_residual_nbody(TWO_STATE, corrupted, i, j, 50)
+        assert not rep.passed
+        assert rep.max_residual == pytest.approx(1.0 / 11.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("i, j, samples", [
+    (1, 1, 10), (0, 2, 10), (2, 4, 10), (1.5, 2, 10), (1, 2.0, 10), (1, 2, 0), (1, 2, -3),
+])
+def test_boundary_residual_refuses_a_bad_pair_or_sample_count(i, j, samples):
+    state = nbody_bound_states(DELTA, 3)[0]
+    with pytest.raises(InputError, match="^(pair|samples) must be"):
+        boundary_residual_nbody(DELTA, state, i, j, samples)
+
+
+@pytest.mark.parametrize("samples", [1, 2, 3])
+def test_boundary_residual_takes_few_samples(samples):
+    state = nbody_bound_states(DELTA, 3)[0]
+    rep = boundary_residual_nbody(DELTA, state, 3, 1, samples)
+    assert rep.samples == samples and rep.passed
 
 
 # -------------------------------------------------------- interior residual
@@ -605,6 +658,13 @@ def test_interior_residual_detects_wrong_energy():
     wrong = replace(state, energy=state.energy * 1.01)
     rep = interior_residual(DELTA, wrong, points=20)
     assert rep.max_residual > 1e-3
+
+
+@pytest.mark.parametrize("points", [0, -1])
+def test_interior_residual_refuses_no_points(points):
+    state = nbody_bound_states(DELTA, 3)[0]
+    with pytest.raises(InputError, match=f"^points must be at least 1, got {points}$"):
+        interior_residual(DELTA, state, points=points)
 
 
 def test_interior_residual_detects_wrong_mass():
