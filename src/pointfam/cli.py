@@ -14,8 +14,9 @@ array _BLOCK_ROWS rows at a time with _float_text, in whole-array integer
 arithmetic; _grid_blocks writes a phase-diagram grid one alpha line at a
 time, each line one str.join, with axis labels from _float_text too.
 A result that is inf or NaN is never written: the command fails with
-NonFiniteResult instead. Ranges, phase-diagram grids, --samples and the
-coordinates of an nbody-eval points file are capped at SIZE_CAP values.
+NonFiniteResult instead. Ranges, phase-diagram grids and the coordinates
+of an nbody-eval points file are capped at core.SIZE_CAP values; the
+library caps --samples by the same rule (core.validate_count).
 Exit codes: 0 on success, 1 on usage or validation errors, a non-finite
 result or a closed standard output, 2 when a verification suite fails.
 """
@@ -36,14 +37,9 @@ import warnings
 import numpy as np
 
 from . import __version__, diffraction, many_body, one_body, scattering, suites
-from .core import params_from_dict
+from .core import SIZE_CAP, params_from_dict
 from .errors import InputError, NonFiniteResult, PointFamError, UsageError
 
-
-# Largest number of values one lo:hi:step range, one phase-diagram grid or
-# one --samples may ask for. Larger requests are refused before anything is
-# allocated: a million scatter rows are already ~0.2 GB of CSV.
-SIZE_CAP = 1_000_000
 
 # Tables are formatted and written, and points files parsed, this many rows at
 # a time. That bounds the text held in memory, and a reader that closed
@@ -588,8 +584,6 @@ def _cmd_diffraction(args) -> int:
 
 
 def _cmd_diffraction_scan(args) -> int:
-    if args.samples > SIZE_CAP:
-        raise InputError(f"--samples is capped at {SIZE_CAP}")
     params = _load_params(args.params)
     max_residual, verdict = diffraction.no_diffraction_scan(params, args.samples, args.middle_reflection)
     record = {

@@ -27,6 +27,12 @@ CONSTRAINT_TOL = 1e-12
 
 PARAM_FIELDS = ("alpha", "beta", "gamma", "delta", "theta", "mass")
 
+# Largest count a caller may ask for: the samples of a scan, the points or
+# draws of a check, and the values of one CLI range, phase-diagram grid or
+# points file. Larger requests are refused before anything is allocated: a
+# million scatter rows are already ~0.2 GB of CSV.
+SIZE_CAP = 1_000_000
+
 
 @dataclass(frozen=True)
 class InteractionParams:
@@ -58,6 +64,18 @@ def require_finite(**values) -> None:
             raise InputError(f"{name} must be finite, got {float(bad[0])!r}")
 
 
+def validate_count(name: str, value, low: int, high: int | None = SIZE_CAP) -> int:
+    """value as an int if it is an int or numpy integer, not a bool, of low..high, else InputError naming it.
+
+    high None sets no upper end.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if low <= value and (high is None or value <= high):
+            return int(value)
+    cap = "" if high is None else f" and at most {high}"
+    raise InputError(f"{name} must be an integer of at least {low}{cap}, got {value!r}")
+
+
 def validate_params(alpha, beta, gamma, delta, theta, mass) -> InteractionParams:
     """Check the inputs and return them packaged, or raise.
 
@@ -71,7 +89,8 @@ def validate_params(alpha, beta, gamma, delta, theta, mass) -> InteractionParams
     if not np.isfinite(table).all():  # one check, then field by field only to name the failure
         require_finite(**dict(zip(PARAM_FIELDS, table)))
     a, b, g, d, _, m = table
-    det = a * g - b * d
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN determinant is refused below
+        det = a * g - b * d
     bad = ~(np.abs(det - 1.0) <= CONSTRAINT_TOL)
     if bad.any():
         raise ConstraintViolation(

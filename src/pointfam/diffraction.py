@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InteractionParams, validate_wavenumber
+from .core import InteractionParams, validate_count, validate_wavenumber
 from .errors import GrazingAngle, InputError, InvariantViolation
 from .scattering import amplitudes
 
@@ -130,11 +130,10 @@ def scan_points(samples: int) -> np.ndarray:
     """Deterministic low-discrepancy (k, phi) rows for residual scans, shape (samples, 2).
 
     The Halton sequence in bases 2 and 3 (Halton 1960) from index 1, which
-    skips the degenerate (0, 0) point, mapped into the scan box.
+    skips the degenerate (0, 0) point, mapped into the scan box. samples
+    must be an integer of 1..SIZE_CAP.
     """
-    if samples < 1:
-        raise InputError("samples must be at least 1")
-    index = np.arange(1, samples + 1)
+    index = np.arange(1, validate_count("samples", samples, 1) + 1)
     unit = np.column_stack((_radical_inverse(index, 2), _radical_inverse(index, 3)))
     return _SCAN_LO + (_SCAN_HI - _SCAN_LO) * unit
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InteractionParams, require_finite
+from .core import InteractionParams, require_finite, validate_count
 from .errors import InputError, NonBinding, NonFiniteResult, NonPositiveMass, OnBoundary
 from .one_body import bound_spectrum
 
@@ -54,13 +54,6 @@ class NBodyBoundState:
     branch: str
 
 
-def _particle_count(n) -> int:
-    """n as an int, or InputError unless it is an int or numpy integer (not a bool) of at least 2."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
-        raise InputError(f"n must be an integer of at least 2, got {n!r}")
-    return int(n)
-
-
 def nbody_energy(kappa: float, mass: float, n: int) -> float:
     """Bound-state energy -kappa^2 * N(N^2-1) / (12 m); -inf for an int N too large to become a float."""
     try:
@@ -78,7 +71,7 @@ def nbody_bound_states(params: InteractionParams, n: int) -> list[NBodyBoundStat
     InputError unless n is an integer of at least 2, and NonFiniteResult
     when a kappa, energy or eta overflows.
     """
-    n = _particle_count(n)
+    n = validate_count("n", n, 2, None)
     states = []
     for st in bound_spectrum(params):
         energy = nbody_energy(st.kappa, params.mass, n)
@@ -122,14 +115,15 @@ def eval_nbody_wavefunction(state: NBodyBoundState, coords):
         raise InputError(f"expected {n} coordinates, got {points.shape[-1]}")
     require_finite(coordinates=points)
     order = np.argsort(points, axis=1, kind="stable")
-    gaps = np.diff(np.take_along_axis(points, order, axis=1), axis=1)
+    with np.errstate(over="ignore"):  # a sum past the float range is inf; psi underflowed to 0 long before
+        gaps = np.diff(np.take_along_axis(points, order, axis=1), axis=1)
+        total = sum(k * (n - k) * gaps[:, k - 1] for k in range(1, n))
     close = gaps < COINCIDENCE_TOL
     if close.any():
         row, k = np.argwhere(close)[0].tolist()
         i, j = sorted(order[row, k:k + 2].tolist())
         where = "" if single else f"row {row + 1}: "
         raise OnBoundary(f"{where}coordinates {i + 1} and {j + 1} coincide within {COINCIDENCE_TOL}")
-    total = sum(k * (n - k) * gaps[:, k - 1] for k in range(1, n))
     odd = _odd_permutations(order) ^ bool(n * (n - 1) // 2 % 2)
     exponents = (-state.kappa * total / SQRT2).tolist()
     # math.exp per point keeps the point-by-point values; np.exp differs from it
@@ -166,7 +160,7 @@ def mcguire_reference(g0: float, mass: float, n: int) -> tuple[float, float]:
     NonPositiveMass for mass <= 0 and NonFiniteResult when kappa or the
     energy overflows.
     """
-    n = _particle_count(n)
+    n = validate_count("n", n, 2, None)
     require_finite(g0=g0, mass=mass)
     if g0 >= 0.0:
         raise NonBinding(f"pair strength must be negative to bind, got {g0!r}")

@@ -25,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import InteractionParams, boundary_matrix, validate_params, validate_wavenumber
+from .core import InteractionParams, boundary_matrix, validate_count, validate_params, validate_wavenumber
 from .errors import InputError, SingularSystem
 
 _SQRT2 = math.sqrt(2.0)
@@ -72,9 +72,10 @@ def random_params(rng: np.random.Generator, draws: int | None = None) -> Interac
     gamma = 1/alpha and a uniform beta in [-3, 3], or drawn again when
     |alpha| < 0.2. Each pass draws one (rows still wanted, 6) block.
 
-    draws None gives one set with float fields, an int a batch of that many.
+    draws None gives one set with float fields, an int of 1..SIZE_CAP a
+    batch of that many.
     """
-    count = 1 if draws is None else draws
+    count = 1 if draws is None else validate_count("draws", draws, 1)
     rows = np.empty((0, 6))
     while len(rows) < count:
         a, g, d, theta, mass, b = rng.uniform(_DRAW_LOW, _DRAW_HIGH, (count - len(rows), 6)).T
@@ -247,14 +248,15 @@ def boundary_residual_nbody(
     the worst component mismatch with the column above, relative to the
     local column magnitude. At transverse value v, i and j sit at 0 and the
     others, in index order, at -sqrt(1.5)*v*(1, ..., N-2), with
-    |v| >= 0.5/kappa. A pair that is not two different integers of 1..N,
-    or samples < 1, raises InputError.
+    |v| >= 0.5/kappa. An i or j that is not an integer of 1..N, i = j, or
+    samples that is not an integer of 1..SIZE_CAP raises InputError. The
+    check is named x{i}{j} below N = 10 and x{i},{j} from there on.
     """
     n = state.n
-    if i == j or not all(isinstance(p, (int, np.integer)) and 1 <= p <= n for p in (i, j)):
+    i, j = validate_count("i", i, 1, n), validate_count("j", j, 1, n)
+    samples = validate_count("samples", samples, 1)
+    if i == j:
         raise InputError(f"pair must be two different particles of 1..{n}, got ({i}, {j})")
-    if samples < 1:
-        raise InputError(f"samples must be at least 1, got {samples}")
     kappa = state.kappa
     m2 = 2.0 * params.mass
 
@@ -277,7 +279,7 @@ def boundary_residual_nbody(
     residuals = np.abs(lhs - rhs).max(axis=1) / scale
     worst = int(np.argmax(residuals))
     return ResidualReport.build(
-        f"boundary-condition x{i}{j}",
+        f"boundary-condition x{i}{',' if n >= 10 else ''}{j}",
         residuals[worst],
         samples,
         1e-10,
@@ -300,10 +302,10 @@ def interior_residual(
     (points, n - 1) block of exponentials of mean 1/kappa. The mass enters
     through the kinetic prefactor and must come from the interaction, not
     from the state under test. The stencils of all points go through one
-    evaluator call. points < 1 raises InputError.
+    evaluator call. points that is not an integer of 1..SIZE_CAP, or a
+    seed that is not an integer of at least 0, raises InputError.
     """
-    if points < 1:
-        raise InputError(f"points must be at least 1, got {points}")
+    points, seed = validate_count("points", points, 1), validate_count("seed", seed, 0, None)
     n = state.n
     kappa = state.kappa
     h = 1e-4 / kappa

@@ -196,6 +196,31 @@ def test_nbody_eval_subcommand(capsys, delta_file, tmp_path):
     assert abs(float(first[3]) - math.exp(-2.0 * math.sqrt(2.0))) <= 1e-12
 
 
+def test_nbody_eval_far_apart_points_give_zero_without_a_warning(capsys, delta_file, tmp_path):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x1,x2\n-1.7e308,1.7e308\n")
+    code, out, err = run_cli(
+        capsys, "nbody-eval", "--params", delta_file, "--n", "2", "--state-index", "0", "--points", str(pts)
+    )
+    assert (code, err) == (0, "")
+    assert out == "x1,x2,re(psi),im(psi)\n-1.6999999999999999e+308,1.6999999999999999e+308,0,0\n"
+
+
+def test_bound_refuses_an_overflowing_determinant_in_one_line(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    huge = dict(alpha=1.7e308, beta=1.7e308, gamma=1.7e308, delta=1.0, theta=0.0, mass=1.0)
+    path.write_text(json.dumps(huge))
+    code, out, err = run_cli(capsys, "bound", "--params", str(path))
+    assert (code, out, err) == (1, "", "bound: alpha*gamma - beta*delta = inf, must equal 1 within 1e-12\n")
+
+
+@pytest.mark.parametrize("samples", ["0", "-1", "1000001"])
+def test_diffraction_scan_refuses_a_bad_sample_count_in_one_line(capsys, delta_file, samples):
+    code, out, err = run_cli(capsys, "diffraction-scan", "--params", delta_file, "--samples", samples)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("diffraction-scan: samples must be an integer")
+
+
 def test_nbody_eval_bad_state_index(capsys, delta_file, tmp_path):
     pts = tmp_path / "pts.csv"
     pts.write_text("1.0,0.0,-1.0\n")

@@ -1,19 +1,29 @@
 import math
+import pickle
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pointfam.core import (
+    SIZE_CAP,
     boundary_matrix,
     canonical_interaction,
     params_from_dict,
+    validate_count,
     validate_params,
 )
-from pointfam.diffraction import ray_kinematics
-from pointfam.errors import ConstraintViolation, InputError, NonPositiveMass
+from pointfam.diffraction import no_diffraction_scan, ray_kinematics, scan_points
+from pointfam.errors import ConstraintViolation, InputError, NonFiniteResult, NonPositiveMass
+from pointfam.many_body import mcguire_reference, nbody_bound_states
 from pointfam.scattering import amplitudes
-from pointfam.verify import random_params, scattering_matching_oracle
+from pointfam.verify import (
+    boundary_residual_nbody,
+    interior_residual,
+    random_params,
+    scattering_matching_oracle,
+)
 
 
 def test_validate_accepts_constraint_members():
@@ -40,12 +50,86 @@ def test_one_wavenumber_rule(use, k):
         use(p, np.array([1.0, k, -2.0]))
 
 
+def test_count_rule():
+    assert validate_count("k", 1, 1) == 1 and validate_count("k", SIZE_CAP, 1) == SIZE_CAP
+    assert type(validate_count("k", np.uint8(7), 0, 7)) is int
+    assert validate_count("k", 10**400, 2, None) == 10**400
+    with pytest.raises(InputError, match="^k must be an integer of at least 1 and at most 7, got 8$"):
+        validate_count("k", 8, 1, 7)
+    with pytest.raises(InputError, match="^k must be an integer of at least 2, got 1$"):
+        validate_count("k", 1, 2, None)
+
+
+_P = canonical_interaction("delta", -2.0, 0.5)
+_TRIMER = nbody_bound_states(_P, 3)[0]
+
+# Every count the rule guards: (argument, call taking the count, least value, greatest or None).
+_COUNTS = {
+    "nbody_bound_states-n": ("n", lambda c: nbody_bound_states(_P, c), 2, None),
+    "mcguire_reference-n": ("n", lambda c: mcguire_reference(-1.0, 1.0, c), 2, None),
+    "scan_points-samples": ("samples", scan_points, 1, SIZE_CAP),
+    "no_diffraction_scan-samples": ("samples", lambda c: no_diffraction_scan(_P, c), 1, SIZE_CAP),
+    "boundary_residual_nbody-i": ("i", lambda c: boundary_residual_nbody(_P, _TRIMER, c, 2, 4), 1, 3),
+    "boundary_residual_nbody-j": ("j", lambda c: boundary_residual_nbody(_P, _TRIMER, 1, c, 4), 1, 3),
+    "boundary_residual_nbody-samples": (
+        "samples", lambda c: boundary_residual_nbody(_P, _TRIMER, 1, 2, c), 1, SIZE_CAP
+    ),
+    "interior_residual-points": ("points", lambda c: interior_residual(_P, _TRIMER, points=c), 1, SIZE_CAP),
+    "interior_residual-seed": ("seed", lambda c: interior_residual(_P, _TRIMER, 5, seed=c), 0, None),
+    "random_params-draws": ("draws", lambda c: random_params(np.random.default_rng(5), c), 1, SIZE_CAP),
+}
+
+
+def _bad_counts(name, low, high):
+    """The values a count of least value low and greatest value high (None: no end) must refuse."""
+    yield from (2.5, True, "3")
+    if name != "draws":  # draws None asks for one float set
+        yield None
+    integers = (0, -1, low - 1) + (() if high is None else (10**400, SIZE_CAP + 1))
+    yield from dict.fromkeys(v for v in integers if v < low or high is not None and v > high)
+
+
+@pytest.mark.parametrize("use, value", [
+    pytest.param(use, value, id=f"{use}-{'10**400' if value == 10**400 else repr(value)}")
+    for use, (name, _, low, high) in _COUNTS.items() for value in _bad_counts(name, low, high)
+])
+def test_every_count_goes_through_the_rule(use, value):
+    name, call, low, high = _COUNTS[use]
+    cap = "" if high is None else f" and at most {high}"
+    message = f"^{name} must be an integer of at least {low}{cap}, got {re.escape(repr(value))}$"
+    with pytest.raises(InputError, match=message):
+        call(value)
+
+
+@pytest.mark.parametrize("use", _COUNTS)
+def test_a_numpy_integer_count_acts_as_an_int(use):
+    _, call, _, _ = _COUNTS[use]
+    assert pickle.dumps(call(np.int64(3))) == pickle.dumps(call(3))
+
+
+def test_uncapped_counts_take_a_huge_integer():
+    # An N too large for a float ends in an infinite energy, not in the count rule.
+    with pytest.raises(NonFiniteResult, match="^energy is -inf"):
+        nbody_bound_states(_P, 10**400)
+    with pytest.raises(NonFiniteResult, match="^energy is -inf"):
+        mcguire_reference(-1.0, 1.0, 10**400)
+    assert interior_residual(_P, _TRIMER, 5, seed=10**400).passed
+
+
 def test_validate_rejects_constraint_violation():
     with pytest.raises(ConstraintViolation):
         validate_params(-1.0, 2.0, -1.0, 0.1, 0.0, 1.0)
     # values are stored as given, never renormalized
     p = validate_params(-2.0, 3.0, -2.0, 1.0, 0.0, 0.5)
     assert p.beta == 3.0
+
+
+@pytest.mark.parametrize("delta, det", [(1.0, "inf"), (1.7e308, "nan")])
+def test_an_overflowing_determinant_is_refused_without_a_warning(delta, det):
+    # RuntimeWarnings are errors under the test configuration.
+    message = rf"^alpha\*gamma - beta\*delta = {det}, must equal 1 within 1e-12$"
+    with pytest.raises(ConstraintViolation, match=message):
+        validate_params(1.7e308, 1.7e308, 1.7e308, delta, 0.0, 1.0)
 
 
 def test_validate_rejects_bad_mass():

@@ -93,6 +93,14 @@ def test_numpy_integer_n_is_taken_as_an_int():
     assert mcguire_reference(-1.0, 1.0, np.int32(4)) == mcguire_reference(-1.0, 1.0, 4)
 
 
+@pytest.mark.parametrize("coords", [(1.7e308, 0.0, 1.0), (-1.7e308, 0.0, 1.0), (-1.7e308, 1.7e308)])
+def test_a_gap_sum_past_the_float_range_gives_zero_without_a_warning(coords):
+    # psi underflows long before the summed distance overflows; RuntimeWarnings are errors here.
+    state = nbody_bound_states(DELTA, len(coords))[0]
+    assert eval_nbody_wavefunction(state, coords) == 0
+    assert eval_nbody_wavefunction(state, [coords, [0.5 * x for x in coords]]).tolist() == [0, 0]
+
+
 def test_nbody_energies_match_exact_law():
     # energy = -kappa*kappa*n*(n*n-1)/(12*mass) rounds five times (n and n*n-1
     # are exact as floats here), so to first order its relative error is at

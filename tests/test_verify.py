@@ -483,7 +483,7 @@ def test_boundary_residual_detects_corruption_beyond_three_bodies(n):
 ])
 def test_boundary_residual_refuses_a_bad_pair_or_sample_count(i, j, samples):
     state = nbody_bound_states(DELTA, 3)[0]
-    with pytest.raises(InputError, match="^(pair|samples) must be"):
+    with pytest.raises(InputError, match="^(pair|i|j|samples) must be"):
         boundary_residual_nbody(DELTA, state, i, j, samples)
 
 
@@ -492,6 +492,17 @@ def test_boundary_residual_takes_few_samples(samples):
     state = nbody_bound_states(DELTA, 3)[0]
     rep = boundary_residual_nbody(DELTA, state, 3, 1, samples)
     assert rep.samples == samples and rep.passed
+
+
+def test_boundary_check_names_tell_every_ordered_pair_apart():
+    assert boundary_residual_nbody(DELTA, nbody_bound_states(DELTA, 9)[0], 1, 2, 1).check_name == (
+        "boundary-condition x12"
+    )
+    state = nbody_bound_states(DELTA, 11)[0]
+    names = {(i, j): boundary_residual_nbody(DELTA, state, i, j, 1).check_name
+             for i, j in permutations(range(1, 12), 2)}
+    assert len(set(names.values())) == 110
+    assert names[1, 11] == "boundary-condition x1,11" and names[11, 1] == "boundary-condition x11,1"
 
 
 # -------------------------------------------------------- interior residual
@@ -663,7 +674,8 @@ def test_interior_residual_detects_wrong_energy():
 @pytest.mark.parametrize("points", [0, -1])
 def test_interior_residual_refuses_no_points(points):
     state = nbody_bound_states(DELTA, 3)[0]
-    with pytest.raises(InputError, match=f"^points must be at least 1, got {points}$"):
+    message = f"^points must be an integer of at least 1 and at most 1000000, got {points}$"
+    with pytest.raises(InputError, match=message):
         interior_residual(DELTA, state, points=points)
 
 
