@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
 import platform
 import sys
@@ -47,12 +48,24 @@ def _inputs_module() -> types.ModuleType:
     return module
 
 
-def _digest(*parts) -> str:
-    return hashlib.sha256(json.dumps(parts).encode()).hexdigest()
+def _digest(*parts: str) -> str:
+    """SHA-256 of the parts, each prefixed by its length so that no two part lists hash alike."""
+    sha = hashlib.sha256()
+    for part in parts:
+        data = part.encode()
+        sha.update(b"%d:%b" % (len(data), data))
+    return sha.hexdigest()
 
 
 def versions() -> str:
     return f"python {platform.python_version()}, numpy {np.__version__}"
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def compute(tmp: Path) -> dict[str, str]:
@@ -63,17 +76,12 @@ def compute(tmp: Path) -> dict[str, str]:
         warnings.simplefilter("always")
         for workload, make in (("sweep", inputs.sweep_inputs), ("cli-mix", inputs.cli_mix_inputs)):
             for seed in SEEDS:
-                for cmd in make(seed, tmp / f"{workload}-{seed}"):
-                    for extra in OUTPUTS:
-                        argv = [*cmd["argv"], *extra]
-                        out, err = io.StringIO(), io.StringIO()
-                        with redirect_stdout(out), redirect_stderr(err):
-                            code = cli.main(argv)
-                        placed = [arg.replace(str(tmp), "{tmp}") for arg in argv]
-                        name = " ".join((workload, str(seed), cmd["label"], *extra))
-                        digests[name] = _digest(
-                            placed, code, out.getvalue(), err.getvalue().replace(str(tmp), "{tmp}")
-                        )
+                for cmd, extra in itertools.product(make(seed, tmp / f"{workload}-{seed}"), OUTPUTS):
+                    argv = [*cmd["argv"], *extra]
+                    code, out, err = _run(argv)
+                    name = " ".join((workload, str(seed), cmd["label"], *extra))
+                    argv_text, err = (text.replace(str(tmp), "{tmp}") for text in (json.dumps(argv), err))
+                    digests[name] = _digest(argv_text, str(code), out, err)
         digests['run_suite("all")'] = _digest(repr(run_suite("all")))
     return digests
 
@@ -87,7 +95,7 @@ def read() -> tuple[str, dict[str, str]]:
 
 def write(digests: dict[str, str]) -> None:
     header = [
-        "# SHA-256 of (argv, exit code, stdout, stderr); rewrite with: PYTHONPATH=src python tests/output_digests.py",
+        "# SHA-256 of (argv, exit code, stdout, stderr) per entry, written by tests/output_digests.py",
         f"# {versions()}",
     ]
     body = [f"{digest}  {name}" for name, digest in digests.items()]

@@ -104,6 +104,7 @@ def test_every_count_goes_through_the_rule(use, value):
 @pytest.mark.parametrize("use", _COUNTS)
 def test_a_numpy_integer_count_acts_as_an_int(use):
     _, call, _, _ = _COUNTS[use]
+    # pickle also tells a result that holds an np.int64 from one that holds an int.
     assert pickle.dumps(call(np.int64(3))) == pickle.dumps(call(3))
 
 
