@@ -495,9 +495,8 @@ def test_boundary_residual_takes_few_samples(samples):
 
 
 def test_boundary_check_names_tell_every_ordered_pair_apart():
-    assert boundary_residual_nbody(DELTA, nbody_bound_states(DELTA, 9)[0], 1, 2, 1).check_name == (
-        "boundary-condition x12"
-    )
+    nine = nbody_bound_states(DELTA, 9)[0]
+    assert boundary_residual_nbody(DELTA, nine, 1, 2, 1).check_name == "boundary-condition x12"
     state = nbody_bound_states(DELTA, 11)[0]
     names = {(i, j): boundary_residual_nbody(DELTA, state, i, j, 1).check_name
              for i, j in permutations(range(1, 12), 2)}
