@@ -38,7 +38,7 @@ import numpy as np
 
 from . import __version__, diffraction, many_body, one_body, scattering, suites
 from .core import SIZE_CAP, params_from_dict
-from .errors import InputError, NonFiniteResult, PointFamError, UsageError
+from .errors import InputError, NonFiniteResult, OnBoundary, PointFamError, UsageError
 
 
 # Tables are formatted and written, and points files parsed, this many rows at
@@ -401,6 +401,19 @@ def _load_points(path: str, n: int) -> np.ndarray:
     return np.concatenate(tables)
 
 
+def _point_line(path: str, row: int) -> int:
+    """The line number of the 0-based point row of a points file as _load_points reads it."""
+    for k, block in enumerate(_line_blocks(path)):
+        if k == 0 and _read_numbers(block[:1]) is None:
+            block[0] = ""  # header row
+        for line_no, line in enumerate(block, k * _BLOCK_ROWS + 1):
+            if line.split("#", 1)[0].strip():
+                if not row:
+                    return line_no
+                row -= 1
+    raise InputError(f"{path!r} changed while it was read")
+
+
 def _line_blocks(path: str):
     """The lines of a UTF-8 text file, _BLOCK_ROWS at a time."""
     try:
@@ -562,7 +575,10 @@ def _cmd_nbody_eval(args) -> int:
     if not 0 <= args.state_index < len(states):
         raise InputError(f"state index {args.state_index} out of range; {len(states)} state(s) available")
     points = _load_points(args.points, args.n)
-    psi = many_body.eval_nbody_wavefunction(states[args.state_index], points)
+    try:
+        psi = many_body.eval_nbody_wavefunction(states[args.state_index], points)
+    except OnBoundary as exc:
+        raise OnBoundary(f"{args.points!r} line {_point_line(args.points, exc.row)}: {exc.detail}") from exc
     columns = [f"x{i}" for i in range(1, args.n + 1)] + ["re(psi)", "im(psi)"]
     _write_table(columns, args.output, _float_blocks, np.column_stack((points, psi.real, psi.imag)), columns)
     return 0

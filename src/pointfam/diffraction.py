@@ -115,26 +115,29 @@ def outgoing_amplitudes(
     )
 
 
-def _radical_inverse(index: np.ndarray, base: int) -> np.ndarray:
-    """Van der Corput radical inverse of each integer index in the given base."""
-    result = np.zeros(index.shape)
-    scale = 1.0
-    while np.any(index):
-        scale /= base
-        index, digit = np.divmod(index, base)
-        result += digit * scale
-    return result
-
-
 def scan_points(samples: int) -> np.ndarray:
     """Deterministic low-discrepancy (k, phi) rows for residual scans, shape (samples, 2).
 
     The Halton sequence in bases 2 and 3 (Halton 1960) from index 1, which
     skips the degenerate (0, 0) point, mapped into the scan box. samples
     must be an integer of 1..SIZE_CAP.
+
+    The radical inverses of 0..base^L - 1 are built a digit level at a
+    time: level L adds digit * base^-L (the scale divided by base once per
+    level) to every entry of the previous level, so each value is the sum
+    of its digit terms from the lowest digit up, as a digit-by-digit loop
+    over each index adds them. The last level builds only the leading
+    digits that indices up to samples use.
     """
-    index = np.arange(1, validate_count("samples", samples, 1) + 1)
-    unit = np.column_stack((_radical_inverse(index, 2), _radical_inverse(index, 3)))
+    samples = validate_count("samples", samples, 1)
+    unit = np.empty((samples, 2))
+    for column, base in enumerate((2, 3)):
+        values, scale = np.zeros(1), 1.0
+        while len(values) <= samples:
+            scale /= base
+            digits = min(base, -(-(samples + 1) // len(values)))
+            values = (values + (np.arange(digits) * scale)[:, None]).ravel()
+        unit[:, column] = values[1 : samples + 1]
     return _SCAN_LO + (_SCAN_HI - _SCAN_LO) * unit
 
 

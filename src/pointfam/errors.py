@@ -20,7 +20,15 @@ class InvalidSlice(PointFamError):
 
 
 class OnBoundary(PointFamError):
-    """Two or more particle coordinates coincide; the configuration is undefined."""
+    """Two or more particle coordinates coincide; the configuration is undefined.
+
+    row is the 0-based index of the point in a batch of points, or None
+    for a single point; with a row the message starts "row {row + 1}: ".
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message if row is None else f"row {row + 1}: {message}")
+        self.row, self.detail = row, message
 
 
 class GrazingAngle(PointFamError):

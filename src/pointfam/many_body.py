@@ -122,8 +122,7 @@ def eval_nbody_wavefunction(state: NBodyBoundState, coords):
     if close.any():
         row, k = np.argwhere(close)[0].tolist()
         i, j = sorted(order[row, k:k + 2].tolist())
-        where = "" if single else f"row {row + 1}: "
-        raise OnBoundary(f"{where}coordinates {i + 1} and {j + 1} coincide within {COINCIDENCE_TOL}")
+        raise OnBoundary(f"coordinates {i + 1} and {j + 1} coincide within {COINCIDENCE_TOL}", None if single else row)
     odd = _odd_permutations(order) ^ bool(n * (n - 1) // 2 % 2)
     exponents = (-state.kappa * total / SQRT2).tolist()
     # math.exp per point keeps the point-by-point values; np.exp differs from it

@@ -2,7 +2,8 @@
 
 Every function here recomputes physics directly from the boundary
 condition: decay constants by bisecting the decay-rate polynomial to
-adjacent floats on either side of its vertex, scattering amplitudes by
+adjacent floats on either side of its vertex (every bracket of a batch
+stepped together, in place), scattering amplitudes by
 solving the plane-wave matching system, and bound-state quality by
 residuals of the boundary condition and of the kinetic eigenvalue
 problem. None of them call the closed-form code paths they are meant to
@@ -14,7 +15,9 @@ Each residual check draws its random inputs with whole-array generator
 calls and evaluates all its samples in one array pass. Where numpy's
 complex arithmetic rounds differently from Python's, the oracles round as
 Python does, so every value equals that of the same formula applied one
-sample at a time.
+sample at a time. A residual relative to a wavefunction that has
+underflowed below 1e-300 checks nothing: a sample where that happens
+raises NonFiniteResult naming it, in place of a 0/0 or a vacuous pass.
 """
 
 from __future__ import annotations
@@ -26,10 +29,12 @@ from itertools import combinations
 import numpy as np
 
 from .core import InteractionParams, boundary_matrix, validate_count, validate_params, validate_wavenumber
-from .errors import InputError, SingularSystem
+from .errors import InputError, NonFiniteResult, SingularSystem
 
 _SQRT2 = math.sqrt(2.0)
 _KAPPA_MIN = 1e-12
+# A wavefunction magnitude below this is taken to have underflowed: a residual relative to it checks nothing.
+_PSI_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -90,29 +95,56 @@ def random_params(rng: np.random.Generator, draws: int | None = None) -> Interac
 
 def _decay_poly(k, d, c1, m, c0):
     """delta*k^2 + 2*(alpha+gamma)*k*m + 4*beta*m^2, with c1 = 2*(alpha+gamma), c0 = 4*beta*m^2."""
-    return d * k * k + c1 * k * m + c0
+    f = d * k
+    f *= k
+    t = c1 * k
+    t *= m
+    f += t
+    f += c0
+    return f
+
+
+# _bisect looks for finished brackets on every _CHECK_EVERY-th step only: a
+# finished bracket stays as it is, so looking less often costs only idle steps.
+_CHECK_EVERY = 4
 
 
 def _bisect(coeffs: tuple[np.ndarray, ...], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Root of _decay_poly(k, *coeffs) in each sign-change bracket [lo, hi], one per entry.
 
     Every bracket is halved until its ends are adjacent floats; of those
-    the one with the smaller |poly| is returned (an exact zero met on the
-    way is returned at once). The brackets step together and each leaves
-    when done, so every root equals that of bisecting its bracket alone.
+    the one with the smaller |poly| is returned, and an exact zero met on
+    the way is returned as it is. Negating a bracket's coefficients where
+    poly(lo) > 0 negates poly exactly, so poly < 0 at every lo and > 0 at
+    every hi, and no end value is carried: a midpoint replaces lo where
+    poly <= 0 and hi where it is not < 0 (both at a zero, which closes the
+    bracket on it). Once a midpoint equals an end the bracket has finished,
+    and every further step leaves it as it is. So the brackets step
+    together in place, finished ones are looked for only on every
+    _CHECK_EVERY-th step, and the arrays shrink only on a step that finds
+    some; a finished bracket computes poly at its two ends again to
+    choose. Every root equals that of bisecting its bracket alone.
     """
+    flip = _decay_poly(lo, *coeffs) > 0.0
+    d, c1, m, c0 = coeffs
+    d, c1, c0 = (np.where(flip, -c, c) for c in (d, c1, c0))
     root, rows = np.empty_like(lo), np.arange(len(lo))
-    f_lo, f_hi = _decay_poly(lo, *coeffs), _decay_poly(hi, *coeffs)
+    lo, hi = lo.copy(), hi.copy()
+    step = 0
     while len(rows):
-        mid = 0.5 * (lo + hi)
-        f_mid = _decay_poly(mid, *coeffs)
-        ends = (mid == lo) | (mid == hi)
-        done = ends | (f_mid == 0.0)
-        root[rows[done]] = np.where(ends, np.where(np.abs(f_lo) <= np.abs(f_hi), lo, hi), mid)[done]
-        left = (f_mid < 0.0) == (f_lo < 0.0)
-        lo, f_lo = np.where(left, mid, lo)[~done], np.where(left, f_mid, f_lo)[~done]
-        hi, f_hi = np.where(left, hi, mid)[~done], np.where(left, f_hi, f_mid)[~done]
-        rows, coeffs = rows[~done], tuple(c[~done] for c in coeffs)
+        mid = lo + hi
+        mid *= 0.5
+        f_mid = _decay_poly(mid, d, c1, m, c0)
+        step += 1
+        ends = (mid == lo) | (mid == hi) if step % _CHECK_EVERY == 0 else None
+        np.copyto(lo, mid, where=f_mid <= 0.0)
+        np.copyto(hi, mid, where=~(f_mid < 0.0))  # NaN too: a midpoint past the float range moves hi
+        if ends is not None and ends.any():
+            end_lo, end_hi, *done = (x[ends] for x in (lo, hi, d, c1, m, c0))
+            nearer = np.abs(_decay_poly(end_lo, *done)) <= np.abs(_decay_poly(end_hi, *done))
+            root[rows[ends]] = np.where(nearer, end_lo, end_hi)
+            keep = ~ends
+            rows, lo, hi, d, c1, m, c0 = (x[keep] for x in (rows, lo, hi, d, c1, m, c0))
     return root
 
 
@@ -209,26 +241,29 @@ def scattering_matching_oracle(
     return t.reshape(shape)[()], r.reshape(shape)[()]
 
 
-def _local_parity_signs(orderings: np.ndarray) -> np.ndarray:
-    """+1 or -1 per row of a (P, N) array of orderings, from its inversion count."""
-    inversions = np.zeros(len(orderings), dtype=int)
-    for i, j in combinations(range(orderings.shape[1]), 2):
-        inversions += orderings[:, i] > orderings[:, j]
-    return np.where(inversions % 2 == 0, 1, -1)
+def _local_parity_and_decay(kappa: float, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(even, decay) per row of a (P, N) array of coordinates.
 
-
-def _local_decay(kappa: float, coords: np.ndarray) -> np.ndarray:
-    """exp(-kappa * sum over i<j of |x_i - x_j| / sqrt(2)) per row of a (P, N) array, math.exp per value."""
+    even says whether the particles' descending order is an even
+    permutation: a pair i < j with x_i < x_j is an inversion of it, and a
+    tie keeps index order, as a stable sort does. decay is
+    exp(-kappa * sum over i<j of |x_i - x_j| / sqrt(2)), the distances
+    added pair by pair and exp taken with math.exp per value.
+    """
+    odd = np.zeros(len(coords), dtype=bool)
     total = np.zeros(len(coords))
     for i, j in combinations(range(coords.shape[1]), 2):
-        total += np.abs(coords[:, i] - coords[:, j])
-    return np.array([math.exp(e) for e in (-kappa * total / _SQRT2).tolist()])
+        gap = coords[:, i] - coords[:, j]
+        odd ^= gap < 0.0
+        total += np.abs(gap)
+    decay = np.fromiter(map(math.exp, (-kappa * total / _SQRT2).tolist()), float, len(total))
+    return ~odd, decay
 
 
 def _eval_state_local(state, coords: np.ndarray) -> np.ndarray:
     """Wavefunction of an N-body state at each row of a (P, N) array, rebuilt from its raw data fields."""
-    even = _local_parity_signs(np.argsort(-coords, axis=1, kind="stable")) == 1
-    return np.where(even, state.c_even, state.c_odd) * _local_decay(state.kappa, coords)
+    even, decay = _local_parity_and_decay(state.kappa, coords)
+    return np.where(even, state.c_even, state.c_odd) * decay
 
 
 def boundary_residual_nbody(
@@ -249,8 +284,11 @@ def boundary_residual_nbody(
     local column magnitude. At transverse value v, i and j sit at 0 and the
     others, in index order, at -sqrt(1.5)*v*(1, ..., N-2), with
     |v| >= 0.5/kappa. An i or j that is not an integer of 1..N, i = j, or
-    samples that is not an integer of 1..SIZE_CAP raises InputError. The
-    check is named x{i}{j} below N = 10 and x{i},{j} from there on.
+    samples that is not an integer of 1..SIZE_CAP raises InputError. A
+    sample whose column magnitude falls below 1e-300, as psi underflows
+    once N or |v| grows (with 50 samples, from N = 9 on), raises
+    NonFiniteResult naming v. The check is named x{i}{j} below N = 10 and
+    x{i},{j} from there on.
     """
     n = state.n
     i, j = validate_count("i", i, 1, n), validate_count("j", j, 1, n)
@@ -266,20 +304,27 @@ def boundary_residual_nbody(
     others = [p for p in range(n) if p not in (i - 1, j - 1)]
     coords[:, others] = -math.sqrt(1.5) * np.outer(transverse, np.arange(1, n - 1))
 
-    decay = _local_decay(kappa, coords)
+    even, decay = _local_parity_and_decay(kappa, coords)
     # The tie order is the one above the hyperplane for i < j and the one below it for i > j.
-    even_above = (_local_parity_signs(np.argsort(-coords, axis=1, kind="stable")) == 1) ^ (i > j)
+    even_above = even ^ (i > j)
     psi_above = np.where(even_above, state.c_even, state.c_odd) * decay
     psi_below = np.where(even_above, state.c_odd, state.c_even) * decay
 
     lhs = np.stack([-kappa * psi_above, m2 * psi_above], axis=1)  # (psi', 2m psi) at u -> +0
     below = np.stack([kappa * psi_below, m2 * psi_below], axis=1)  # at u -> -0
     rhs = (boundary_matrix(params) @ below[:, :, None])[:, :, 0]
-    scale = np.maximum(np.maximum(np.abs(lhs).max(axis=1), np.abs(rhs).max(axis=1)), 1e-300)
+    name = f"boundary-condition x{i}{',' if n >= 10 else ''}{j}"
+    scale = np.maximum(np.abs(lhs).max(axis=1), np.abs(rhs).max(axis=1))
+    if not (scale >= _PSI_FLOOR).all():
+        at = int(np.argmin(scale))
+        raise NonFiniteResult(
+            f"{name}: the column magnitude is {float(scale[at])!r} at v = {float(transverse[at])!r}, "
+            f"below {_PSI_FLOOR}: psi has underflowed there"
+        )
     residuals = np.abs(lhs - rhs).max(axis=1) / scale
     worst = int(np.argmax(residuals))
     return ResidualReport.build(
-        f"boundary-condition x{i}{',' if n >= 10 else ''}{j}",
+        name,
         residuals[worst],
         samples,
         1e-10,
@@ -303,7 +348,10 @@ def interior_residual(
     through the kinetic prefactor and must come from the interaction, not
     from the state under test. The stencils of all points go through one
     evaluator call. points that is not an integer of 1..SIZE_CAP, or a
-    seed that is not an integer of at least 0, raises InputError.
+    seed that is not an integer of at least 0, raises InputError. A point
+    where |E psi| falls below 1e-300, as psi underflows once the summed
+    pair distance grows (on the contact state, from N = 16 on), raises
+    NonFiniteResult naming its coordinates.
     """
     points, seed = validate_count("points", points, 1), validate_count("seed", seed, 0, None)
     n = state.n
@@ -312,30 +360,39 @@ def interior_residual(
     rng = np.random.default_rng(seed)
     ranks = np.argsort(rng.random((points, n)), axis=1)
     gaps = 10.0 * h + rng.exponential(1.0 / kappa, (points, n - 1))
-    offsets = np.concatenate([np.zeros((points, 1)), -np.cumsum(gaps, axis=1)], axis=1)
+    offsets = np.zeros((points, n))
+    below = offsets[:, 1:]
+    np.negative(np.cumsum(gaps, axis=1, out=below), out=below)
     coords = np.empty((points, n))
-    np.put_along_axis(coords, ranks, offsets, axis=1)
+    coords[np.arange(points)[:, None], ranks] = offsets
 
     # Per point: the point itself, then for each axis the coordinate + h
     # and (coordinate + h) - 2h.
     stencil = np.repeat(coords[:, None, :], 2 * n + 1, axis=1)
-    for axis in range(n):
-        stencil[:, 2 * axis + 1 : 2 * axis + 3, axis] += h
-        stencil[:, 2 * axis + 2, axis] -= 2.0 * h
+    axes, up = np.arange(n), coords + h
+    stencil[:, 2 * axes + 1, axes] = up
+    stencil[:, 2 * axes + 2, axes] = up - 2.0 * h
     psi = _eval_state_local(state, stencil.reshape(-1, n)).reshape(points, 2 * n + 1)
 
     psi0 = psi[:, 0]
-    lap = np.zeros(points, dtype=complex)
+    diff = psi[:, 1::2] - (2.0 * psi0)[:, None] + psi[:, 2::2]
+    # (points, axis, re/im): divided part by part, as Python divides a
+    # complex by a float (numpy's complex division rounds differently),
+    # then summed an axis at a time.
+    terms = diff.view(float).reshape(points, n, 2) / (h * h)
+    lap = np.zeros((points, 2))
     for axis in range(n):
-        diff = psi[:, 2 * axis + 1] - 2.0 * psi0 + psi[:, 2 * axis + 2]
-        # Divided part by part, as Python divides a complex by a float;
-        # numpy's complex division rounds differently.
-        lap.real += diff.real / (h * h)
-        lap.imag += diff.imag / (h * h)
+        lap += terms[:, axis]
     expected = state.energy * psi0
-    m2 = 2.0 * params.mass
-    miss = np.hypot(-lap.real / m2 - expected.real, -lap.imag / m2 - expected.imag)
-    residuals = miss / np.hypot(expected.real, expected.imag)
+    scale = np.hypot(expected.real, expected.imag)
+    if not (scale >= _PSI_FLOOR).all():
+        at = int(np.argmin(scale))
+        raise NonFiniteResult(
+            f"interior-eigenvalue: |E psi| is {float(scale[at])!r} at coordinates {coords[at].tolist()!r}, "
+            f"below {_PSI_FLOOR}: psi has underflowed there"
+        )
+    miss = -lap / (2.0 * params.mass) - expected.view(float).reshape(points, 2)
+    residuals = np.hypot(miss[:, 0], miss[:, 1]) / scale
     worst = int(np.argmax(residuals))
     return ResidualReport.build(
         "interior-eigenvalue",

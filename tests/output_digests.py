@@ -11,8 +11,9 @@ output_digests.txt. A change meant to alter output rewrites the file with
 
     PYTHONPATH=src python tests/output_digests.py
 
-and lists the changed entries. The digests pin numpy and the C library as
-well as pointfam, so the file's header names the Python and numpy versions.
+which prints the names of the changed entries to stdout, one a line, for
+the change's record. The digests pin numpy and the C library as well as
+pointfam, so the file's header names the Python and numpy versions.
 """
 
 from __future__ import annotations
@@ -93,6 +94,11 @@ def read() -> tuple[str, dict[str, str]]:
     return lines[1].removeprefix("# "), recorded
 
 
+def changed(recorded: dict[str, str], current: dict[str, str]) -> list[str]:
+    """Names of the entries that differ between two tables, or are in only one of them."""
+    return [name for name in {**recorded, **current} if recorded.get(name) != current.get(name)]
+
+
 def write(digests: dict[str, str]) -> None:
     header = [
         "# SHA-256 of (argv, exit code, stdout, stderr) per entry, written by tests/output_digests.py",
@@ -105,5 +111,8 @@ def write(digests: dict[str, str]) -> None:
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         digests = compute(Path(tmp))
+    names = changed(read()[1] if DIGEST_FILE.exists() else {}, digests)
     write(digests)
-    print(f"wrote {len(digests)} digests to {DIGEST_FILE}", file=sys.stderr)
+    print(f"wrote {len(digests)} digests to {DIGEST_FILE}; {len(names)} entries changed:", file=sys.stderr)
+    for name in names:
+        print(name)

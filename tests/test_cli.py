@@ -623,7 +623,21 @@ def test_nbody_eval_names_the_coincident_row(capsys, delta_file, tmp_path):
     )
     assert code == 1
     assert out == ""
-    assert err == f"nbody-eval: row 3: coordinates 1 and 3 coincide within {many_body.COINCIDENCE_TOL}\n"
+    assert err == f"nbody-eval: {str(pts)!r} line 4: coordinates 1 and 3 coincide within {many_body.COINCIDENCE_TOL}\n"
+
+
+@pytest.mark.parametrize("block_rows", [1024, 2])
+def test_nbody_eval_names_the_coincident_point_by_file_line(capsys, monkeypatch, delta_file, tmp_path, block_rows):
+    # Header, comment and blank lines hold no point, so the point's row (2) is not its line (5);
+    # read two lines at a time, the point sits in the third block.
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x1,x2,x3\n# note\n\n1,2,3\n4,4,6  # here\n7,8,9\n")
+    code, out, err = run_cli(
+        capsys, "nbody-eval", "--params", delta_file, "--n", "3", "--state-index", "0", "--points", str(pts),
+    )
+    assert (code, out) == (1, "")
+    assert err == f"nbody-eval: {str(pts)!r} line 5: coordinates 1 and 2 coincide within {many_body.COINCIDENCE_TOL}\n"
 
 
 @pytest.mark.parametrize("command", ["nbody", "nbody-eval"])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pointfam import diffraction
 from pointfam.core import canonical_interaction, validate_params
 from pointfam.diffraction import (
     NO_DIFFRACTION_TOL,
@@ -163,6 +164,29 @@ def test_scan_points_are_the_halton_sequence():
     pts = scan_points(3)
     assert pts.shape == (3, 2)
     np.testing.assert_allclose(pts, expected, rtol=1e-15, atol=0.0)
+
+
+def _digit_loop_radical_inverse(index, base):
+    """Radical inverse of each index a digit at a time, lowest digit first: the reference for scan_points."""
+    result = np.zeros(index.shape)
+    scale = 1.0
+    while np.any(index):
+        scale /= base
+        index, digit = np.divmod(index, base)
+        result += digit * scale
+    return result
+
+
+@pytest.mark.parametrize("samples", [
+    1, 2, 3, 8, 9, 26, 27, 28, 2**12 - 1, 2**12, 2**12 + 1, 3**8 - 1, 3**8, 3**8 + 1, 6000, 59049, 10**5,
+])
+def test_scan_points_equal_the_digit_loop(samples):
+    index = np.arange(1, samples + 1)
+    unit = np.column_stack((_digit_loop_radical_inverse(index, 2), _digit_loop_radical_inverse(index, 3)))
+    expected = diffraction._SCAN_LO + (diffraction._SCAN_HI - diffraction._SCAN_LO) * unit
+    points = scan_points(samples)
+    assert points.shape == (samples, 2)
+    assert points.tobytes() == expected.tobytes()
 
 
 def test_array_kinematics_and_amplitudes_match_scalar_calls():

@@ -10,7 +10,7 @@ import output_digests
 def test_output_matches_the_recorded_digests(tmp_path):
     recorded_versions, recorded = output_digests.read()
     current = output_digests.compute(tmp_path)
-    changed = [name for name in {**recorded, **current} if recorded.get(name) != current.get(name)]
+    changed = output_digests.changed(recorded, current)
     assert not changed, (
         f"{len(changed)} of {len(recorded)} entries differ: {changed}; recorded on "
         f"{recorded_versions}, run on {output_digests.versions()}"

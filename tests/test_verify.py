@@ -1,5 +1,7 @@
+import json
 import math
 import re
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -11,7 +13,7 @@ from hypothesis import assume, given, settings, strategies
 from conftest import stack_params
 from pointfam import suites, verify
 from pointfam.core import PARAM_FIELDS, InteractionParams, canonical_interaction, validate_params
-from pointfam.errors import InputError, SingularDenominator, SingularSystem
+from pointfam.errors import InputError, NonFiniteResult, SingularDenominator, SingularSystem
 from pointfam.many_body import nbody_bound_states
 from pointfam.one_body import bound_spectrum, phase_diagram_count
 from pointfam.scattering import amplitudes, unitarity_defect
@@ -261,6 +263,47 @@ def _scalar_oracle(p):
     return [r for r in roots if r > 1e-12]
 
 
+def _nearest_below(x):
+    return math.nextafter(x, 0.0)
+
+
+# (d, c1, m, c0, lo, hi) of _decay_poly brackets with one sign change each.
+BISECT_CASES = [
+    (1.0, 0.0, 1.0, -1.0, 0.0, 2.0),  # an exact zero at the first midpoint
+    (-1.0, 0.0, 1.0, 1.0, 0.0, 16.0),  # poly(lo) > 0, an exact zero at the fourth midpoint
+    (2.0, -3.0, 0.5, 0.25, 0.0, 0.4),  # roots 0.25 and 0.5: the zero 0.25 is the third midpoint
+    (1.0, 0.0, 1.0, -2.0, 1e-12, 1e6),  # sqrt(2) from a wide bracket
+    (1.0, 0.0, 1.0, -2.0, 1.4, 1.5),  # and from a narrow one, done many steps sooner
+    (-1.0, 0.0, 1.0, 2.0, _nearest_below(math.sqrt(2.0)), math.sqrt(2.0)),  # adjacent ends from the start
+    (1.0, 0.0, 1.0, -2.0, 1.0, _nearest_below(2.0)),
+    (0.3, 1.7, 0.9, -5.0, 1e-12, 30.0),
+    (-2.5, 0.4, 1.3, 7.0, 1.0, 3.0),
+    (1e-308, 0.0, 1.0, -1e308, 0.5e308, 1.5e308),  # the first midpoint is past the float range, poly NaN there
+]
+
+
+def test_bisect_equals_one_bracket_at_a_time():
+    d, c1, m, c0, lo, hi = (np.array(column) for column in zip(*BISECT_CASES))
+    expected, calls = [], []
+    for case in BISECT_CASES:
+        evaluations = []
+
+        def poly(k, case=case):
+            evaluations.append(k)
+            cd, cc1, cm, cc0 = case[:4]
+            return cd * k * k + cc1 * k * cm + cc0
+
+        expected.append(_scalar_bisect(poly, *case[4:]))
+        calls.append(len(evaluations))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = verify._bisect((d, c1, m, c0), lo, hi)
+    assert got.tolist() == expected
+    assert expected[:3] == [1.0, 1.0, 0.25]
+    # The brackets finish on many different steps, most of them not on a step that looks for finished ones.
+    assert len(set(calls)) >= 8
+    assert lo.tolist() == [case[4] for case in BISECT_CASES]  # the input arrays are left as they are
+
+
 def test_batched_oracle_equals_one_set_at_a_time():
     rng = np.random.default_rng(BOUND_SUITE_SEED)
     sets = [_scalar_random_params(rng) for _ in range(1000)]
@@ -478,6 +521,29 @@ def test_boundary_residual_detects_corruption_beyond_three_bodies(n):
         assert rep.max_residual == pytest.approx(1.0 / 11.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("n, v", [(9, 7.6875), (21, 0.8125), (22, 0.5)])
+def test_boundary_residual_refuses_an_underflowed_wavefunction(n, v):
+    # The spectators sit at -sqrt(1.5)*v*(1..N-2), so psi falls with |v| and N:
+    # below 1e-300 at the largest |v| from N = 9 on and at every v at N = 22.
+    # The first such sample is named.
+    state = nbody_bound_states(DELTA, n)[0]
+    corrupted = replace(state, c_odd=state.c_odd * 1.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteResult, match=(
+            rf"^boundary-condition x1,?2: the column magnitude is 0\.0 at v = {v!r}, below 1e-300: "
+            "psi has underflowed there$"
+        )):
+            boundary_residual_nbody(DELTA, corrupted, 1, 2, 50)
+
+
+def test_boundary_residual_checks_every_sample_up_to_eight_bodies():
+    state = nbody_bound_states(DELTA, 8)[0]
+    rep = boundary_residual_nbody(DELTA, replace(state, c_odd=state.c_odd * 1.1), 1, 2, 50)
+    assert not rep.passed
+    assert rep.max_residual == pytest.approx(1.0 / 11.0, rel=1e-12)
+
+
 @pytest.mark.parametrize("i, j, samples", [
     (1, 1, 10), (0, 2, 10), (2, 4, 10), (1.5, 2, 10), (1, 2.0, 10), (1, 2, 0), (1, 2, -3),
 ])
@@ -647,6 +713,28 @@ def test_interior_worst_at_reproduces_max(params, n):
         assert coords.shape == (n,)
         h = 1e-4 / state.kappa
         assert _reference_interior_residual(params, state, coords, h) == rep.max_residual
+
+
+def test_interior_residual_at_fifteen_bodies():
+    # psi stays above 1e-300 at every stencil point (the smallest is about 5.8e-285).
+    rep = interior_residual(DELTA, nbody_bound_states(DELTA, 15)[0], 100)
+    assert rep.max_residual == 5.737980537729981e-07 and rep.passed
+
+
+def test_interior_residual_refuses_an_underflowed_wavefunction():
+    # From N = 16 psi underflows to 0 at sample points far apart, where the
+    # relative residual would be 0/0.
+    state = nbody_bound_states(DELTA, 16)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteResult) as info:
+            interior_residual(DELTA, state, 100)
+    named = re.fullmatch(
+        r"interior-eigenvalue: \|E psi\| is 0\.0 at coordinates (\[.*\]), below 1e-300: psi has underflowed there",
+        str(info.value),
+    )
+    coords = np.array(json.loads(named[1]))
+    assert coords.shape == (16,) and _eval_state_local(state, coords[None, :]).tolist() == [0j]
 
 
 def test_interior_residual_delta_three_body():
