@@ -12,9 +12,10 @@ _write_table, which lays out the head, rows and tail and takes the text of
 the rows, a block at a time, from a producer: _float_blocks writes a float
 array _BLOCK_ROWS rows at a time with _float_text, in whole-array integer
 arithmetic; _grid_blocks writes a phase-diagram grid one alpha line at a
-time, each line one str.join, with axis labels from _float_text too.
-A result that is inf or NaN is never written: the command fails with
-NonFiniteResult instead. Ranges, phase-diagram grids and the coordinates
+time, each line one str.join. Every number outside a float table (records,
+the verify document, axis labels) goes through _json_scalar. A result that
+is inf or NaN is never written: the command fails with NonFiniteResult,
+naming its column or key. Ranges, phase-diagram grids and the coordinates
 of an nbody-eval points file are capped at core.SIZE_CAP values; the
 library caps --samples by the same rule (core.validate_count).
 Exit codes: 0 on success, 1 on usage or validation errors, a non-finite
@@ -208,21 +209,16 @@ def _float_text(block: np.ndarray, cell_sep: str, row_sep: str) -> str:
     return text.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _float_cells(values: np.ndarray) -> list[str]:
-    """The "%.17g" text of each value of a 1-D finite float array."""
-    return _float_text(values[:, None], "\n", "\n").split("\n")[:-1]
-
-
-def _json_scalar(value) -> str:
+def _json_scalar(value, name: str) -> str:
+    if isinstance(value, (float, np.floating)):  # first: axis labels call this for every value
+        value = float(value)  # a numpy float's repr would read np.float64(...)
+        if not math.isfinite(value):
+            raise NonFiniteResult(f"{name} is {value!r}, not a finite number; nothing written")
+        return "%.17g" % value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, (float, np.floating)):
-        value = float(value)  # a numpy float's repr would read np.float64(...)
-        if not math.isfinite(value):
-            raise NonFiniteResult(f"a result is {value!r}, not a finite number; nothing written")
-        return "%.17g" % value
     if isinstance(value, str):
         return json.dumps(value)
     if value is None:
@@ -230,40 +226,37 @@ def _json_scalar(value) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _json_dumps(obj, indent: int = 0) -> str:
+def _json_dumps(obj, indent: int = 0, name: str = "a result") -> str:
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        parts = [f"{inner}{json.dumps(k)}: {_json_dumps(v, indent + 1)}" for k, v in obj.items()]
+        parts = [f"{inner}{json.dumps(k)}: {_json_dumps(v, indent + 1, k)}" for k, v in obj.items()]
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        parts = [f"{inner}{_json_dumps(v, indent + 1)}" for v in obj]
+        parts = [f"{inner}{_json_dumps(v, indent + 1, name)}" for v in obj]
         return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    return _json_scalar(obj)
+    return _json_scalar(obj, name)
 
 
 def _write_records(columns: list[str], rows: list[tuple], output: str, key: str | None = None) -> None:
     """Write records as JSON, or as CSV lines.
 
-    A non-finite float raises NonFiniteResult, naming its column, before
-    anything is written. In JSON, with key None the one row goes out as an
-    object, and with a key as {key: [one object per row]}. In CSV, strings
-    are written as they are and every other value as in JSON.
+    In JSON, with key None the one row is an object, with a key {key: [one
+    object per row]}; in CSV, strings go as they are, other values as in
+    JSON. All text is made first: a non-finite float, refused naming its
+    column, leaves nothing written.
     """
-    for row in rows:
-        for column, value in zip(columns, row):
-            if isinstance(value, float) and not math.isfinite(value):
-                raise NonFiniteResult(f"{column} is {float(value)!r}, not a finite number; nothing written")
     if output == "json":
         objects = [dict(zip(columns, r)) for r in rows]
-        sys.stdout.write(_json_dumps(objects[0] if key is None else {key: objects}) + "\n")
+        text = _json_dumps(objects[0] if key is None else {key: objects})
     else:
-        lines = [",".join(v if isinstance(v, str) else _json_scalar(v) for v in r) for r in rows]
-        sys.stdout.write("\n".join([",".join(columns), *lines]) + "\n")
+        lines = [",".join(v if isinstance(v, str) else _json_scalar(v, c) for c, v in zip(columns, r)) for r in rows]
+        text = "\n".join([",".join(columns), *lines])
+    sys.stdout.write(text + "\n")
 
 
 def _write_table(columns: list[str], output: str, produce, *data) -> None:
@@ -351,17 +344,9 @@ def _parse_range(text: str) -> np.ndarray:
     return lo + np.arange(int(steps) + 1) * step
 
 
-def _read_text(path: str) -> str:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {path!r}: {exc}") from exc
-
-
 def _load_params(path: str):
     try:
-        data = json.loads(_read_text(path))
+        data = json.loads("".join(itertools.chain.from_iterable(_line_blocks(path))))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path!r} is not valid JSON: {exc}") from exc
     return params_from_dict(data)
@@ -379,12 +364,10 @@ def _load_points(path: str, n: int) -> np.ndarray:
     file is refused and the rest goes unread.
     """
     tables, size = [], 0
-    for k, block in enumerate(_line_blocks(path)):
-        if k == 0 and _read_numbers(block[:1]) is None:
-            block[0] = ""  # header row
+    for first, block in _point_blocks(path):
         table = _read_numbers(block)
         if table is None or table.size and (table.shape[1] != n or not np.isfinite(table).all()):
-            for line_no, line in enumerate(block, k * _BLOCK_ROWS + 1):
+            for line_no, line in enumerate(block, first):
                 row = _read_numbers([line])
                 if row is None:
                     raise InputError(f"{path!r} line {line_no}: bad number")
@@ -403,15 +386,21 @@ def _load_points(path: str, n: int) -> np.ndarray:
 
 def _point_line(path: str, row: int) -> int:
     """The line number of the 0-based point row of a points file as _load_points reads it."""
-    for k, block in enumerate(_line_blocks(path)):
-        if k == 0 and _read_numbers(block[:1]) is None:
-            block[0] = ""  # header row
-        for line_no, line in enumerate(block, k * _BLOCK_ROWS + 1):
+    for first, block in _point_blocks(path):
+        for line_no, line in enumerate(block, first):
             if line.split("#", 1)[0].strip():
                 if not row:
                     return line_no
                 row -= 1
     raise InputError(f"{path!r} changed while it was read")
+
+
+def _point_blocks(path: str):
+    """(number of its first line, lines) for each block of a points file, line 1 blanked if it is a header."""
+    for k, block in enumerate(_line_blocks(path)):
+        if k == 0 and _read_numbers(block[:1]) is None:
+            block[0] = ""  # header row
+        yield k * _BLOCK_ROWS + 1, block
 
 
 def _line_blocks(path: str):
@@ -515,26 +504,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_params_check(args) -> int:
-    record = _load_params(args.params).to_dict()
+    record = args.params.to_dict()
     _write_records(list(record), [tuple(record.values())], args.output)
     return 0
 
 
 def _cmd_bound(args) -> int:
-    params = _load_params(args.params)
     rows = [
         (st.kappa, st.energy, st.eta.real, st.eta.imag)
-        for st in one_body.bound_spectrum(params)
+        for st in one_body.bound_spectrum(args.params)
     ]
     _write_records(["kappa", "energy", "eta_re", "eta_im"], rows, args.output, "states")
     return 0
 
 
 def _cmd_scatter(args) -> int:
-    params = _load_params(args.params)
     columns = ["k", "|T|^2", "|R|^2", "re(T+)", "im(T+)", "re(R+)", "im(R+)", "re(R-)", "im(R-)"]
     ks = _parse_range(args.k_range)
-    amps = scattering.amplitudes(params, ks)
+    amps = scattering.amplitudes(args.params, ks)
     t, r, r_minus = amps.t_plus, amps.r_plus, amps.r_minus
     moduli = [np.hypot(z.real, z.imag) ** 2 for z in (t, r)]
     table = np.column_stack([ks, *moduli, t.real, t.imag, r.real, r.imag, r_minus.real, r_minus.imag])
@@ -550,17 +537,16 @@ def _cmd_phase_diagram(args) -> int:
     if len(alphas) * len(gammas) > SIZE_CAP:
         raise InputError(f"the grid has more than {SIZE_CAP} points")
     counts = one_body.phase_diagram_count(alphas[:, None], gammas[None, :], args.delta, args.beta)
-    labels = _float_cells(alphas), _float_cells(gammas)
+    labels = [[_json_scalar(v, name) for v in axis.tolist()] for name, axis in (("alpha", alphas), ("gamma", gammas))]
     _write_table(["alpha", "gamma", "count"], args.output, _grid_blocks, *labels, counts)
     return 0
 
 
 def _cmd_nbody(args) -> int:
-    params = _load_params(args.params)
     rows = [
         (st.kappa, st.energy, st.eta.real, st.eta.imag, st.c_even.real, st.c_even.imag,
          st.c_odd.real, st.c_odd.imag, many_body.symmetry_class(st))
-        for st in many_body.nbody_bound_states(params, args.n)
+        for st in many_body.nbody_bound_states(args.params, args.n)
     ]
     columns = [
         "kappa", "energy", "eta_re", "eta_im", "c_even_re", "c_even_im", "c_odd_re", "c_odd_im", "symmetry"
@@ -570,8 +556,7 @@ def _cmd_nbody(args) -> int:
 
 
 def _cmd_nbody_eval(args) -> int:
-    params = _load_params(args.params)
-    states = many_body.nbody_bound_states(params, args.n)
+    states = many_body.nbody_bound_states(args.params, args.n)
     if not 0 <= args.state_index < len(states):
         raise InputError(f"state index {args.state_index} out of range; {len(states)} state(s) available")
     points = _load_points(args.points, args.n)
@@ -585,9 +570,8 @@ def _cmd_nbody_eval(args) -> int:
 
 
 def _cmd_diffraction(args) -> int:
-    params = _load_params(args.params)
     kin = diffraction.ray_kinematics(args.k, args.phi)
-    report = diffraction.outgoing_amplitudes(params, kin, args.middle_reflection)
+    report = diffraction.outgoing_amplitudes(args.params, kin, args.middle_reflection)
     record = {
         "k": kin.k, "phi": kin.phi, "k1": kin.k1, "k2": kin.k2, "k3": kin.k3,
         "amp_two_path_re": report.amp_two_path.real, "amp_two_path_im": report.amp_two_path.imag,
@@ -600,8 +584,7 @@ def _cmd_diffraction(args) -> int:
 
 
 def _cmd_diffraction_scan(args) -> int:
-    params = _load_params(args.params)
-    max_residual, verdict = diffraction.no_diffraction_scan(params, args.samples, args.middle_reflection)
+    max_residual, verdict = diffraction.no_diffraction_scan(args.params, args.samples, args.middle_reflection)
     record = {
         "samples": args.samples,
         "max_residual": max_residual,
@@ -660,6 +643,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 1
     try:
+        if "params" in args:  # add(params=True) declares it; read here, before the handler runs
+            args.params = _load_params(args.params)
         code = args.run(args)
         sys.stdout.flush()  # a closed pipe shows up here, not at interpreter exit
         return code

@@ -114,7 +114,7 @@ def eval_nbody_wavefunction(state: NBodyBoundState, coords):
     if points.ndim != 2 or points.shape[1] != n:
         raise InputError(f"expected {n} coordinates, got {points.shape[-1]}")
     require_finite(coordinates=points)
-    order = np.argsort(points, axis=1, kind="stable")
+    order = np.argsort(points, axis=1)
     with np.errstate(over="ignore"):  # a sum past the float range is inf; psi underflowed to 0 long before
         gaps = np.diff(np.take_along_axis(points, order, axis=1), axis=1)
         total = sum(k * (n - k) * gaps[:, k - 1] for k in range(1, n))

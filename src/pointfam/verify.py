@@ -33,6 +33,8 @@ from .errors import InputError, NonFiniteResult, SingularSystem
 
 _SQRT2 = math.sqrt(2.0)
 _KAPPA_MIN = 1e-12
+# No bracket ends above this, half the largest float, so lo + hi in _bisect stays finite.
+_KAPPA_MAX = np.finfo(float).max / 2
 # A wavefunction magnitude below this is taken to have underflowed: a residual relative to it checks nothing.
 _PSI_FLOOR = 1e-300
 
@@ -138,7 +140,7 @@ def _bisect(coeffs: tuple[np.ndarray, ...], lo: np.ndarray, hi: np.ndarray) -> n
         step += 1
         ends = (mid == lo) | (mid == hi) if step % _CHECK_EVERY == 0 else None
         np.copyto(lo, mid, where=f_mid <= 0.0)
-        np.copyto(hi, mid, where=~(f_mid < 0.0))  # NaN too: a midpoint past the float range moves hi
+        np.copyto(hi, mid, where=~(f_mid < 0.0))
         if ends is not None and ends.any():
             end_lo, end_hi, *done = (x[ends] for x in (lo, hi, d, c1, m, c0))
             nearer = np.abs(_decay_poly(end_lo, *done)) <= np.abs(_decay_poly(end_hi, *done))
@@ -152,7 +154,8 @@ def oracle_bound_kappas(params: InteractionParams) -> np.ndarray:
     """Positive decay constants found numerically: an array of shape fields.shape + (2,).
 
     The decay-rate polynomial has no root above k_max, which combines a
-    coefficient-based bound with the Cauchy root bound. Its derivative
+    coefficient-based bound with the Cauchy root bound, capped at half the
+    largest float so that a midpoint never overflows. Its derivative
     vanishes at the vertex -c1*m/(2*delta), which by Rolle's theorem lies
     between the two roots: clipped into [KAPPA_MIN, k_max] it splits that
     interval into two brackets with at most one root each, so two roots
@@ -168,11 +171,12 @@ def oracle_bound_kappas(params: InteractionParams) -> np.ndarray:
     c1 = 2.0 * (a + g)
     c0 = 4.0 * b * m * m
     coeffs = (d, c1, m, c0)
-    with np.errstate(divide="ignore", invalid="ignore"):  # delta = 0 members take the linear solve below
+    # delta = 0 members take the linear solve below; past the float range poly is inf or NaN
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         k_max = 2.0 * (1.0 + np.abs(a + g) * 2.0 * m + np.sqrt(4.0 * np.abs(b)) * 2.0 * m)
         k_max /= np.maximum(np.abs(d), 1e-30)
         cauchy = 1.0 + np.maximum(np.abs(c1 * m), np.abs(c0)) / np.abs(d)
-        k_max = np.maximum(k_max, cauchy)
+        k_max = np.minimum(np.maximum(k_max, cauchy), _KAPPA_MAX)
         vertex = np.clip(-c1 * m / (2.0 * d), _KAPPA_MIN, k_max)
         lo = np.stack([np.full_like(d, _KAPPA_MIN), vertex], 1)
         hi = np.stack([vertex, k_max], 1)
@@ -185,7 +189,8 @@ def oracle_bound_kappas(params: InteractionParams) -> np.ndarray:
     found[double, 0] = vertex[double]
     cross = quad[:, None] & (np.sign(f_lo) * np.sign(f_hi) < 0.0)
     owner = np.nonzero(cross)[0]
-    found[cross] = _bisect(tuple(c[owner] for c in coeffs), lo[cross], hi[cross])
+    with np.errstate(over="ignore"):
+        found[cross] = _bisect(tuple(c[owner] for c in coeffs), lo[cross], hi[cross])
     found[~(found > _KAPPA_MIN)] = np.nan  # NaN marks no root
     return np.sort(found, axis=-1).reshape(fields[0].shape + (2,))
 

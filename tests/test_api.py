@@ -1,10 +1,11 @@
 """Static guards on the package source.
 
-No unused module-level import or private helper, no public function or
-class without a caller in the package, no dataclass field that the
-package never reads, a clean __all__, no raise of a bare ValueError,
-oracles that import no closed form, and a CLI import that loads neither
-fractions nor decimal.
+No unused module-level import or private helper, no one-return private
+function called from one line only, no public function or class without
+a caller in the package, no dataclass field that the package never
+reads, a clean __all__, no raise of a bare ValueError, oracles that
+import no closed form, and a CLI import that loads neither fractions nor
+decimal.
 
 No linter runs on this tree, so a deletion that leaves an import, a
 private helper or an __all__ entry behind is caught here instead.
@@ -95,6 +96,26 @@ def _unused_in_src(keep) -> list[str]:
 def test_private_helpers_are_used_in_src():
     unused = _unused_in_src(lambda name, is_def: name.startswith("_") and not name.startswith("__"))
     assert not unused, f"private helpers no src code uses: {', '.join(unused)}"
+
+
+def test_no_one_line_private_function_with_one_call_site():
+    # A private function that only returns an expression, called from one line, reads better written out there.
+    trees = _src_trees()
+    sites = {}
+    for file, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                sites.setdefault(name, set()).add((file, node.lineno))
+    flagged = [
+        f"{file}: {node.name} (line {node.lineno})"
+        for file, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__")
+        and len(body := node.body[1:] if ast.get_docstring(node) is not None else node.body) == 1
+        and isinstance(body[0], ast.Return) and len(sites.get(node.name, ())) == 1
+    ]
+    assert not flagged, f"one-return private functions with one call site: {', '.join(flagged)}"
 
 
 # Called by acceptance criterion 3 (the two levels of one interaction are orthogonal), not by a command.

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pointfam import cli, many_body, one_body, scattering
+from pointfam import cli, many_body, one_body, scattering, verify
 from pointfam.cli import _parse_range, main
 from pointfam.core import params_from_dict
 from pointfam.errors import InputError, NonFiniteResult
@@ -640,6 +640,20 @@ def test_nbody_eval_names_the_coincident_point_by_file_line(capsys, monkeypatch,
     assert err == f"nbody-eval: {str(pts)!r} line 5: coordinates 1 and 2 coincide within {many_body.COINCIDENCE_TOL}\n"
 
 
+def test_nbody_eval_names_a_coincident_point_past_the_first_block(capsys, delta_file, tmp_path):
+    # The loader and the line lookup share one numbering: header, comments and
+    # blank lines count as lines, and the point sits in the second block.
+    pts = tmp_path / "pts.csv"
+    points = "".join(f"{i},{i + 0.5},{-i - 1}\n" for i in range(cli._BLOCK_ROWS))
+    pts.write_text("x1,x2,x3\n# first\n\n# second\n" + points + "\n# near the end\n3,7,3\n1,2,3\n")
+    line = 4 + cli._BLOCK_ROWS + 3
+    code, out, err = run_cli(
+        capsys, "nbody-eval", "--params", delta_file, "--n", "3", "--state-index", "0", "--points", str(pts),
+    )
+    assert (code, out) == (1, "")
+    assert err == f"nbody-eval: {str(pts)!r} line {line}: coordinates 1 and 3 coincide within {many_body.COINCIDENCE_TOL}\n"
+
+
 @pytest.mark.parametrize("command", ["nbody", "nbody-eval"])
 def test_nbody_refuses_an_n_whose_energy_overflows(capsys, delta_file, tmp_path, command):
     extra = ["--state-index", "0", "--points", str(tmp_path / "unread.csv")] if command == "nbody-eval" else []
@@ -773,6 +787,24 @@ def test_float_table_with_a_nan_cell_writes_nothing(capsys, monkeypatch, delta_f
     assert (code, out, err) == (1, "", f"nbody-eval: x{column + 1} is nan, not a finite number; nothing written\n")
 
 
+def test_verify_document_names_a_nested_nan_and_writes_nothing(capsys, monkeypatch):
+    report = verify.ResidualReport("bound: oracle vs closed form", math.nan, 3, False, 1e-9, {"params": [1.0, 2.0]})
+    monkeypatch.setattr(cli.suites, "run_suite", lambda name: ([report], ["a note"]))
+    code, out, err = run_cli(capsys, "verify", "--suite", "bound")
+    assert (code, out) == (1, "")
+    assert err.endswith("\nverify: max_residual is nan, not a finite number; nothing written\n")
+
+
+@pytest.mark.parametrize("output", ["csv", "json"])
+def test_record_refusal_names_its_column_and_writes_nothing(capsys, output):
+    # The NaN sits in the second row, so writing row by row would already have written the first.
+    rows = [(1.0, 2.0, "symmetric"), (3.0, -math.inf, "none")]
+    with pytest.raises(NonFiniteResult) as info:
+        cli._write_records(["kappa", "energy", "symmetry"], rows, output, "states")
+    assert str(info.value) == "energy is -inf, not a finite number; nothing written"
+    assert capsys.readouterr().out == ""
+
+
 _AMP_REFUSAL = "diffraction: amp_two_path_re is nan, not a finite number; nothing written\n"
 
 
@@ -840,9 +872,9 @@ def test_phase_diagram_subnormal_delta_is_quiet(capsys):
 
 def test_json_refusal_names_numpy_floats_plainly():
     for value in (np.float64("nan"), np.float32("inf")):
-        with pytest.raises(NonFiniteResult, match=r"a result is (nan|inf), not"):
-            cli._json_scalar(value)
-    assert cli._json_scalar(np.float32(0.5)) == "0.5"
+        with pytest.raises(NonFiniteResult, match=r"^energy is (nan|inf), not"):
+            cli._json_scalar(value, "energy")
+    assert cli._json_scalar(np.float32(0.5), "energy") == "0.5"
 
 
 # ---------------------------------------------------------------- size cap

@@ -103,11 +103,6 @@ def test_separators_follow_each_cell_and_row(cell_sep, row_sep):
     assert cli._float_text(block, cell_sep, row_sep) == _reference(block, cell_sep, row_sep)
 
 
-def test_float_cells_are_the_labels_percent_writes():
-    values = np.array([-4.5, -4.5 + 0.04, 0.0, 1e-5, 2.0**60])
-    assert cli._float_cells(values) == ["%.17g" % v for v in values.tolist()]
-
-
 def test_powers_of_ten_tables_are_exact():
     hi, lo, high, low = cli._POW10
     for k, h, l, hh, hl in zip(range(cli._K_MIN, cli._K_MAX + 1), hi.tolist(), lo.tolist(), high.tolist(), low.tolist()):

@@ -259,6 +259,23 @@ def test_eval_names_a_pair_that_is_close(coords):
         assert i < j and abs(coords[i - 1] - coords[j - 1]) < COINCIDENCE_TOL
 
 
+@pytest.mark.parametrize("n", [3, 8, 40])
+def test_eval_names_a_coinciding_pair_of_an_exact_three_way_tie(n):
+    # The sort is not stable, so which two of three equal coordinates are named is open; both must coincide.
+    st = nbody_bound_states(DELTA, n)[0]
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        coords = rng.permutation(n) * 2.0
+        tie = rng.choice(n, 3, replace=False)
+        coords[tie] = coords[tie[0]]
+        for points, where in ((coords, ""), (np.stack([np.arange(n, dtype=float), coords]), "row 2: ")):
+            with pytest.raises(OnBoundary) as info:
+                eval_nbody_wavefunction(st, points)
+            named = re.fullmatch(rf"{where}coordinates (\d+) and (\d+) coincide within {COINCIDENCE_TOL}", str(info.value))
+            i, j = int(named[1]), int(named[2])
+            assert i < j and coords[i - 1] == coords[j - 1]
+
+
 def test_probability_density_is_theta_free(rng):
     base = dict(alpha=-2.0, beta=3.0, gamma=-2.0, delta=1.0, mass=0.5)
     ref_states = nbody_bound_states(validate_params(theta=0.0, **base), 3)

@@ -124,6 +124,20 @@ def test_oracle_roots_against_mpmath():
     assert worst_ulps <= 4.0
 
 
+@pytest.mark.parametrize("delta", [1e-160, 1e-290, 1e-300])
+def test_oracle_finds_a_root_past_an_overflowing_bound(delta):
+    # beta = -1/delta: the Cauchy bound |4*beta*m^2/delta| overflows to inf, where
+    # poly is NaN; capped at half the largest float, the bracket ends where poly is +inf.
+    p = validate_params(0.0, -1.0 / delta, 0.0, delta, 0.0, 0.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots = _found(oracle_bound_kappas(p))
+    exact = [float(e) for e in _exact_positive_roots(p)]
+    assert len(roots) == len(exact) == 1
+    assert abs(roots[0] - exact[0]) <= np.spacing(exact[0])
+    assert roots[0] == pytest.approx(0.5 / delta, rel=1e-15)
+
+
 def _root_condition(p, kappa):
     """sum |a_i| kappa^i / (|p'(kappa)| kappa) for the decay-rate polynomial with coefficients a_i, at least 1."""
     a2, a1, a0 = p.delta, 2.0 * (p.alpha + p.gamma) * p.mass, 4.0 * p.beta * p.mass * p.mass
