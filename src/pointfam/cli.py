@@ -407,9 +407,15 @@ def _line_blocks(path: str):
     """The lines of a UTF-8 text file, _BLOCK_ROWS at a time."""
     try:
         with open(path, encoding="utf-8") as fh:
-            while block := list(itertools.islice(fh, _BLOCK_ROWS)):
-                yield block
-    except (OSError, UnicodeDecodeError) as exc:
+            try:
+                while block := list(itertools.islice(fh, _BLOCK_ROWS)):
+                    yield block
+            except UnicodeDecodeError as exc:
+                where = "a byte"  # a pipe cannot tell how far it was read
+                if fh.seekable():  # exc.object holds the decoder's last input, which ends where the file was read to
+                    where = f"the byte at offset {fh.buffer.tell() - len(exc.object) + exc.start}"
+                raise InputError(f"cannot read {path!r}: {where} is not UTF-8 ({exc.reason})") from exc
+    except OSError as exc:
         raise InputError(f"cannot read {path!r}: {exc}") from exc
 
 

@@ -26,6 +26,7 @@ from .errors import InputError, InvalidSlice, InvariantViolation, NonFiniteResul
 
 # Roots at or below this are treated as non-normalizable and dropped.
 KAPPA_MIN = 1e-12
+_EPS = 2.0 ** -52  # the spacing of floats at 1
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ class BoundState:
     branch: str  # "plus" or "minus" for a two-root family, else "single"
 
 
-def _kappa_roots(params: InteractionParams) -> tuple[np.ndarray, np.ndarray]:
+def kappa_roots(params: InteractionParams) -> tuple[np.ndarray, np.ndarray]:
     """The candidate roots (plus, minus) of the decay-rate equation, arrays of the fields' shape.
 
     For delta != 0 the two roots are evaluated with the usual cancellation
@@ -83,7 +84,7 @@ def bound_spectrum(params: InteractionParams) -> list[BoundState]:
         raise InputError("bound_spectrum takes one parameter set with float fields, not a batch")
     m, ph = params.mass, params.phase
     states = []
-    for kappa, branch in zip(_kappa_roots(params), ("plus", "minus") if params.delta else ("single",)):
+    for kappa, branch in zip(kappa_roots(params), ("plus", "minus") if params.delta else ("single",)):
         kappa = kappa.item()
         if kappa <= KAPPA_MIN:  # NaN is kept, and refused below
             continue
@@ -105,11 +106,17 @@ def phase_diagram_count(alpha, gamma, delta: float, beta: float | None = None):
     alpha[:, None] and gamma[None, :] count a whole grid in one call.
 
     For delta != 0, beta is pinned by the determinant constraint and roots
-    above KAPPA_MIN are counted at mass 1. For delta = 0 the slice is only
-    meaningful when alpha*gamma = 1 at every point, and the sign of the
-    single candidate root depends on beta, which the caller must supply.
-    A NaN or infinite alpha, gamma, delta or beta raises InputError naming
-    the field.
+    above KAPPA_MIN are counted at mass 1: they are those of the upward
+    parabola h(k) = (delta*k)^2 + 2*(alpha+gamma)*delta*k + 4*(alpha*gamma - 1),
+    whose vertex is -(alpha+gamma)/delta. With K = KAPPA_MIN, h(K) < 0 puts
+    one root above K; h(K) > 0 puts both on the vertex's side of K, so two
+    when the vertex is above K and none otherwise. Both signs are read from
+    floats where the rounding cannot change them, and a cell where it could,
+    or where a term overflows, is counted in exact rationals. For delta = 0
+    the slice is only meaningful when alpha*gamma = 1 at every point, and
+    the sign of the single candidate root depends on beta, which the caller
+    must supply. A NaN or infinite alpha, gamma, delta or beta raises
+    InputError naming the field.
     """
     alpha, gamma = np.asarray(alpha, dtype=float), np.asarray(gamma, dtype=float)
     require_finite(alpha=alpha, gamma=gamma, delta=delta, beta=beta or 0.0)
@@ -122,17 +129,27 @@ def phase_diagram_count(alpha, gamma, delta: float, beta: float | None = None):
             raise InvalidSlice("delta = 0 needs an explicit beta to fix the root sign")
         count = (-2.0 * beta / (alpha + gamma) > KAPPA_MIN).astype(int)
     else:
-        # A subnormal delta or a huge alpha or gamma overflows to a signed inf, which counts by sign.
-        with np.errstate(over="ignore", invalid="ignore"):
-            # q/delta is the root whose formula does not cancel; the other is the product of the roots,
-            # 4*(alpha*gamma - 1)/delta^2, over it, with alpha*gamma - 1 rounded once (Dekker's product).
-            trace, p = alpha + gamma, alpha * gamma
-            q = -(trace + np.copysign(np.hypot(alpha - gamma, 2.0), trace))
-            a_hi, g_hi = (134217729.0 * x - (134217729.0 * x - x) for x in (alpha, gamma))  # Veltkamp's split
-            a_lo, g_lo = alpha - a_hi, gamma - g_hi
-            err = ((a_hi * g_hi - p) + a_hi * g_lo + a_lo * g_hi) + a_lo * g_lo  # NaN above |x| ~ 1e300
-            c = 4.0 * ((p - 1.0) + np.where(np.isfinite(err), err, 0.0))
-            count = (q / delta > KAPPA_MIN).astype(int) + (c / q / delta > KAPPA_MIN)
+        alpha, gamma = np.broadcast_arrays(alpha, gamma)
+        with np.errstate(over="ignore", invalid="ignore"):  # a cell that overflows is counted in rationals below
+            trace, square = alpha + gamma, (delta * KAPPA_MIN) * (delta * KAPPA_MIN)
+            linear, constant = trace * (2.0 * delta * KAPPA_MIN), 4.0 * (alpha * gamma - 1.0)
+            h = square + linear + constant
+            # To first order h errs by at most 2.5*eps*(square + |linear| + |constant| + 2), an underflow
+            # included (in linear by at most |trace|*2^-1075 <= 2^-51); the bound is wider to cover its own
+            # rounding. As h(K) <= (delta*(K - vertex))^2, an h(K) > 0 past it puts the vertex more than
+            # 3e-8*K from K, far beyond the rounding of trace/-delta.
+            sure = np.abs(h) > 8.0 * _EPS * (square + 4.0 + np.abs(linear) + np.abs(constant))
+            count = np.where(h < 0.0, 1, 2 * (trace / -delta > KAPPA_MIN))
+        if not sure.all():
+            from fractions import Fraction  # imported here, as the CLI starts without it
+
+            d, k = Fraction(delta), Fraction(KAPPA_MIN)
+            dk = d * k
+            for cell in map(tuple, np.argwhere(~sure)):
+                a, g = Fraction(alpha[cell]), Fraction(gamma[cell])
+                h_k = dk * dk + 2 * (a + g) * dk + 4 * (a * g - 1)
+                # At h(K) = 0, K is one root and 2*vertex - K the other, above K when the vertex is.
+                count[cell] = 1 if h_k < 0 else (2 if h_k > 0 else 1) * (-(a + g) / d > k)
     return int(count) if count.ndim == 0 else count
 
 

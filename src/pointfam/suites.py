@@ -34,19 +34,14 @@ def _drawn(params: InteractionParams, i: int, **at: float) -> dict:
 
 def run_bound_suite() -> tuple[list[ResidualReport], list[str]]:
     """Closed-form spectra against bracketing root finding on random draws."""
-    draws = 1000
-    params = verify.random_params(np.random.default_rng(_SEED), draws)
+    params = verify.random_params(np.random.default_rng(_SEED), 1000)
     oracle = verify.oracle_bound_kappas(params)
-    closed = np.stack(one_body._kappa_roots(params), 1)  # padded with NaN as the oracle pads its pairs
+    closed = np.stack(one_body.kappa_roots(params), 1)  # padded with NaN as the oracle pads its pairs
     closed = np.sort(np.where(closed > one_body.KAPPA_MIN, closed, np.nan), axis=1)
     rel = np.abs(oracle - closed) / np.maximum(1.0, np.abs(closed))
     gaps = np.where(np.isnan(rel), 0.0, rel).max(axis=1)
     gaps[(np.isnan(oracle) != np.isnan(closed)).any(axis=1)] = 1.0  # the root counts differ
-    i = int(np.argmax(gaps))
-    report = ResidualReport.build(
-        "bound-spectrum vs bracketing oracle", gaps[i], draws, 1e-10, worst_at=_drawn(params, i)
-    )
-    return [report], []
+    return [ResidualReport.worst("bound-spectrum vs bracketing oracle", gaps, 1e-10, lambda i: _drawn(params, i))], []
 
 
 def run_scatter_suite() -> tuple[list[ResidualReport], list[str]]:
@@ -63,14 +58,12 @@ def run_scatter_suite() -> tuple[list[ResidualReport], list[str]]:
     match = np.max([np.hypot(z.real, z.imag) for z in gaps], axis=0)
     unitarity = scattering.unitarity_defect(amps)
 
-    def report(name: str, residuals: np.ndarray, tolerance: float) -> ResidualReport:
-        i = int(np.argmax(residuals))
-        where = _drawn(params, i, k=float(ks[i]))
-        return ResidualReport.build(name, residuals[i], draws, tolerance, worst_at=where)
+    def worst_at(i: int) -> dict:
+        return _drawn(params, i, k=float(ks[i]))
 
     reports = [
-        report("amplitudes vs matching oracle", match, 1e-12),
-        report("flux conservation", unitarity, 1e-12),
+        ResidualReport.worst("amplitudes vs matching oracle", match, 1e-12, worst_at),
+        ResidualReport.worst("flux conservation", unitarity, 1e-12, worst_at),
     ]
     # Negative control: breaking the determinant constraint must break
     # unitarity (beta only enters the constraint when delta != 0).

@@ -3,21 +3,23 @@
 Every function here recomputes physics directly from the boundary
 condition: decay constants by bisecting the decay-rate polynomial to
 adjacent floats on either side of its vertex (every bracket of a batch
-stepped together, in place), scattering amplitudes by
-solving the plane-wave matching system, and bound-state quality by
-residuals of the boundary condition and of the kinetic eigenvalue
-problem. None of them call the closed-form code paths they are meant to
-validate; the only package dependency is the parameter/boundary-matrix
-layer. N-body states are consumed as read-only data (kappa, energy,
-coefficient pair) and re-evaluated locally.
+stepped together, in place, until all have finished), scattering
+amplitudes by solving the plane-wave matching system, and bound-state
+quality by residuals of the boundary condition and of the kinetic
+eigenvalue problem. None of them call the closed-form code paths they
+are meant to validate; the only package dependency is the
+parameter/boundary-matrix layer. N-body states are consumed as read-only
+data (kappa, energy, coefficient pair) and re-evaluated locally.
 
 Each residual check draws its random inputs with whole-array generator
-calls and evaluates all its samples in one array pass. Where numpy's
-complex arithmetic rounds differently from Python's, the oracles round as
-Python does, so every value equals that of the same formula applied one
-sample at a time. A residual relative to a wavefunction that has
-underflowed below 1e-300 checks nothing: a sample where that happens
-raises NonFiniteResult naming it, in place of a 0/0 or a vacuous pass.
+calls, evaluates all its samples in one array pass and reports the
+largest residual with the input that gave it (ResidualReport.worst).
+Where numpy's complex arithmetic rounds differently from Python's, the
+oracles round as Python does, so every value equals that of the same
+formula applied one sample at a time. A residual relative to a
+wavefunction that has underflowed below 1e-300 checks nothing: a sample
+where that happens raises NonFiniteResult naming it, in place of a 0/0
+or a vacuous pass.
 """
 
 from __future__ import annotations
@@ -62,6 +64,15 @@ class ResidualReport:
     ) -> "ResidualReport":
         max_residual = float(max_residual)
         return cls(check_name, max_residual, samples, max_residual <= tolerance, tolerance, worst_at)
+
+    @classmethod
+    def worst(cls, check_name: str, residuals: np.ndarray, tolerance: float, worst_at) -> "ResidualReport":
+        """The report of one residual per sample, named by worst_at(index of the largest).
+
+        The largest is the first of ties, or the first NaN, as np.argmax takes it.
+        """
+        i = int(np.argmax(residuals))
+        return cls.build(check_name, residuals[i], len(residuals), tolerance, worst_at(i))
 
 
 # Per column of random_params' uniform block: alpha, gamma, delta, theta,
@@ -114,40 +125,33 @@ _CHECK_EVERY = 4
 def _bisect(coeffs: tuple[np.ndarray, ...], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Root of _decay_poly(k, *coeffs) in each sign-change bracket [lo, hi], one per entry.
 
-    Every bracket is halved until its ends are adjacent floats; of those
-    the one with the smaller |poly| is returned, and an exact zero met on
-    the way is returned as it is. Negating a bracket's coefficients where
-    poly(lo) > 0 negates poly exactly, so poly < 0 at every lo and > 0 at
-    every hi, and no end value is carried: a midpoint replaces lo where
-    poly <= 0 and hi where it is not < 0 (both at a zero, which closes the
-    bracket on it). Once a midpoint equals an end the bracket has finished,
-    and every further step leaves it as it is. So the brackets step
-    together in place, finished ones are looked for only on every
-    _CHECK_EVERY-th step, and the arrays shrink only on a step that finds
-    some; a finished bracket computes poly at its two ends again to
-    choose. Every root equals that of bisecting its bracket alone.
+    Every bracket is halved until its ends are adjacent floats, and the end
+    with the smaller |poly| is returned. Negating a bracket's coefficients
+    where poly(lo) > 0 negates poly exactly, so poly < 0 at every lo and
+    > 0 at every hi, and no end value is carried: a midpoint replaces lo
+    where poly <= 0 and hi where it is not < 0 (both at a zero, which
+    closes the bracket on it). Once a midpoint equals an end the bracket
+    has finished, and every further step leaves it as it is. So all
+    brackets step together in place until each has finished, which is
+    looked for on every _CHECK_EVERY-th step only, and every root equals
+    that of bisecting its bracket alone.
     """
     flip = _decay_poly(lo, *coeffs) > 0.0
     d, c1, m, c0 = coeffs
     d, c1, c0 = (np.where(flip, -c, c) for c in (d, c1, c0))
-    root, rows = np.empty_like(lo), np.arange(len(lo))
     lo, hi = lo.copy(), hi.copy()
     step = 0
-    while len(rows):
+    while True:
         mid = lo + hi
         mid *= 0.5
-        f_mid = _decay_poly(mid, d, c1, m, c0)
         step += 1
-        ends = (mid == lo) | (mid == hi) if step % _CHECK_EVERY == 0 else None
+        if step % _CHECK_EVERY == 0 and ((mid == lo) | (mid == hi)).all():
+            break
+        f_mid = _decay_poly(mid, d, c1, m, c0)
         np.copyto(lo, mid, where=f_mid <= 0.0)
         np.copyto(hi, mid, where=~(f_mid < 0.0))
-        if ends is not None and ends.any():
-            end_lo, end_hi, *done = (x[ends] for x in (lo, hi, d, c1, m, c0))
-            nearer = np.abs(_decay_poly(end_lo, *done)) <= np.abs(_decay_poly(end_hi, *done))
-            root[rows[ends]] = np.where(nearer, end_lo, end_hi)
-            keep = ~ends
-            rows, lo, hi, d, c1, m, c0 = (x[keep] for x in (rows, lo, hi, d, c1, m, c0))
-    return root
+    nearer = np.abs(_decay_poly(lo, d, c1, m, c0)) <= np.abs(_decay_poly(hi, d, c1, m, c0))
+    return np.where(nearer, lo, hi)
 
 
 def oracle_bound_kappas(params: InteractionParams) -> np.ndarray:
@@ -265,6 +269,19 @@ def _local_parity_and_decay(kappa: float, coords: np.ndarray) -> tuple[np.ndarra
     return ~odd, decay
 
 
+def _refuse_underflow(name: str, what: str, scale: np.ndarray, where) -> None:
+    """Raise NonFiniteResult if a scale is below _PSI_FLOOR or NaN.
+
+    The message names the smallest scale (or the first NaN) and the
+    sample it belongs to by where(its index).
+    """
+    if not (scale >= _PSI_FLOOR).all():
+        at = int(np.argmin(scale))
+        raise NonFiniteResult(
+            f"{name}: {what} is {float(scale[at])!r} at {where(at)}, below {_PSI_FLOOR}: psi has underflowed there"
+        )
+
+
 def _eval_state_local(state, coords: np.ndarray) -> np.ndarray:
     """Wavefunction of an N-body state at each row of a (P, N) array, rebuilt from its raw data fields."""
     even, decay = _local_parity_and_decay(state.kappa, coords)
@@ -320,21 +337,9 @@ def boundary_residual_nbody(
     rhs = (boundary_matrix(params) @ below[:, :, None])[:, :, 0]
     name = f"boundary-condition x{i}{',' if n >= 10 else ''}{j}"
     scale = np.maximum(np.abs(lhs).max(axis=1), np.abs(rhs).max(axis=1))
-    if not (scale >= _PSI_FLOOR).all():
-        at = int(np.argmin(scale))
-        raise NonFiniteResult(
-            f"{name}: the column magnitude is {float(scale[at])!r} at v = {float(transverse[at])!r}, "
-            f"below {_PSI_FLOOR}: psi has underflowed there"
-        )
+    _refuse_underflow(name, "the column magnitude", scale, lambda i: f"v = {float(transverse[i])!r}")
     residuals = np.abs(lhs - rhs).max(axis=1) / scale
-    worst = int(np.argmax(residuals))
-    return ResidualReport.build(
-        name,
-        residuals[worst],
-        samples,
-        1e-10,
-        worst_at={"v": float(transverse[worst])},
-    )
+    return ResidualReport.worst(name, residuals, 1e-10, lambda i: {"v": float(transverse[i])})
 
 
 def interior_residual(
@@ -390,19 +395,7 @@ def interior_residual(
         lap += terms[:, axis]
     expected = state.energy * psi0
     scale = np.hypot(expected.real, expected.imag)
-    if not (scale >= _PSI_FLOOR).all():
-        at = int(np.argmin(scale))
-        raise NonFiniteResult(
-            f"interior-eigenvalue: |E psi| is {float(scale[at])!r} at coordinates {coords[at].tolist()!r}, "
-            f"below {_PSI_FLOOR}: psi has underflowed there"
-        )
+    _refuse_underflow("interior-eigenvalue", "|E psi|", scale, lambda i: f"coordinates {coords[i].tolist()!r}")
     miss = -lap / (2.0 * params.mass) - expected.view(float).reshape(points, 2)
     residuals = np.hypot(miss[:, 0], miss[:, 1]) / scale
-    worst = int(np.argmax(residuals))
-    return ResidualReport.build(
-        "interior-eigenvalue",
-        residuals[worst],
-        points,
-        1e-6,
-        worst_at={"coords": coords[worst].tolist()},
-    )
+    return ResidualReport.worst("interior-eigenvalue", residuals, 1e-6, lambda i: {"coords": coords[i].tolist()})

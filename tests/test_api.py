@@ -3,9 +3,9 @@
 No unused module-level import or private helper, no one-return private
 function called from one line only, no public function or class without
 a caller in the package, no dataclass field that the package never
-reads, a clean __all__, no raise of a bare ValueError, oracles that
-import no closed form, and a CLI import that loads neither fractions nor
-decimal.
+reads, a clean __all__, no raise of a bare ValueError, no module that
+uses another module's private names, oracles that import no closed form,
+and a CLI import that loads neither fractions nor decimal.
 
 No linter runs on this tree, so a deletion that leaves an import, a
 private helper or an __all__ entry behind is caught here instead.
@@ -170,6 +170,26 @@ def test_no_untyped_value_errors(path):
               for node in ast.walk(tree) if isinstance(node, ast.Raise) and node.exc is not None]
     lines = [node.lineno for node in raised if isinstance(node, ast.Name) and node.id == "ValueError"]
     assert not lines, f"{path.name} raises ValueError at lines {lines}; raise a PointFamError subclass"
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_module_uses_another_modules_private_names():
+    # A module's _private names are its own to change; a name another module needs is made public.
+    uses = []
+    for file, tree in _src_trees().items():
+        imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                   and (node.level or (node.module or "").split(".")[0] == "pointfam")]
+        modules = {alias.asname or alias.name for node in imports if not node.module or node.module == "pointfam"
+                   for alias in node.names}  # from . import one_body
+        uses += [f"{file}: {node.module}.{alias.name} (line {node.lineno})"
+                 for node in imports for alias in node.names if _is_private(alias.name)]
+        uses += [f"{file}: {node.value.id}.{node.attr} (line {node.lineno})" for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id in modules and _is_private(node.attr)]
+    assert not uses, f"private names used from another module: {', '.join(uses)}"
 
 
 def test_oracles_import_no_closed_form():

@@ -445,11 +445,36 @@ def test_missing_params_file(capsys):
 
 
 def test_params_file_not_utf8_is_refused(capsys, tmp_path):
+    # The bad byte sits past the text decoder's first 8 KiB chunk; the message names its offset in the file.
+    head = b'{"alpha": -1, "beta": 2, "gamma": -1, "delta": 0, "theta": 0, "mass": 1, "note": "'
     path = tmp_path / "p.json"
-    path.write_bytes(b'{"alpha": -1, "beta": 2, "gamma": -1, "delta": 0, "theta": 0, "mass": 1, "note": "\xff"}')
+    path.write_bytes(head + b"x" * (10082 - len(head)) + b'\xff"}')
     code, out, err = run_cli(capsys, "bound", "--params", str(path))
     assert (code, out) == (1, "")
-    assert err.startswith(f"bound: cannot read {str(path)!r}: ") and err.count("\n") == 1
+    assert err == f"bound: cannot read {str(path)!r}: the byte at offset 10082 is not UTF-8 (invalid start byte)\n"
+
+
+def test_params_from_a_pipe_not_utf8_is_refused_in_one_line(capsys):
+    read_end, write_end = os.pipe()
+    os.write(write_end, b'{"alpha": \xff}')
+    os.close(write_end)
+    try:
+        code, out, err = run_cli(capsys, "bound", "--params", f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+    assert (code, out) == (1, "")
+    assert err == f"bound: cannot read '/dev/fd/{read_end}': a byte is not UTF-8 (invalid start byte)\n"
+
+
+def test_points_file_not_utf8_names_the_offset_in_the_file(tmp_path):
+    # CRLF endings, notes with multi-byte characters, and a truncated sequence two chunks in.
+    head = ("x1,x2,x3\r\n" + "1,2,3 # é\r\n" * 1500).encode()
+    path = tmp_path / "points.csv"
+    path.write_bytes(head + b"4,5,\xe2\x82\n")
+    with pytest.raises(InputError) as info:
+        cli._load_points(str(path), 3)
+    at = len(head) + 4
+    assert str(info.value) == f"cannot read {str(path)!r}: the byte at offset {at} is not UTF-8 (invalid continuation byte)"
 
 
 def test_scan_determinism_across_runs(capsys, two_state_file):
@@ -860,6 +885,12 @@ def test_phase_diagram_counts_the_cancelling_root(capsys):
     single = ("--alpha=64.08464466908028:64.08464466908028:1", "--gamma=0.015604362092725817:0.015604362092725817:1")
     code, out, err = run_cli(capsys, "phase-diagram", "--delta=-0.01196575703236477", *single)
     assert (code, out, err) == (0, "alpha,gamma,count\n64.084644669080276,0.015604362092725817,1\n", "")
+
+
+def test_phase_diagram_counts_a_cell_past_the_float_range(capsys):
+    # 4*(alpha*gamma - 1) overflows here, so the cell is counted in rationals.
+    code, out, err = run_cli(capsys, "phase-diagram", "--delta=-1", "--alpha=1e308:1e308:1", "--gamma=1:1:1")
+    assert (code, out, err) == (0, "alpha,gamma,count\n1e+308,1,2\n", "")
 
 
 def test_phase_diagram_subnormal_delta_is_quiet(capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -227,6 +228,26 @@ def test_phase_diagram_count_near_contact_is_exact():
     cases = zip(alpha.tolist(), gamma.tolist(), delta.tolist())
     wrong = [c for c in cases if phase_diagram_count(*c) != _exact_root_count(*c)]
     assert not wrong, f"{len(wrong)} of {n} miscounted, first {wrong[0]}"
+
+
+def test_phase_diagram_count_is_exact_at_the_float_extremes():
+    # Terms overflow or underflow across this grid; counting from the two root formulas got 147 of its cells wrong.
+    values = [0.0] + [sign * x for x in (1e-300, 1e-150, 1.0, 1e150, 1e200, 1e300, 1e308) for sign in (1.0, -1.0)]
+    wrong = []
+    for delta in (-1e308, -1e-300, -1.0, 1e-320, 1.0, 1e150, 1e300):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = phase_diagram_count(np.array(values)[:, None], np.array(values)[None, :], delta)
+        wrong += [(alpha, gamma, delta) for i, alpha in enumerate(values) for j, gamma in enumerate(values)
+                  if grid[i, j] != _exact_root_count(alpha, gamma, delta)]
+    assert not wrong, f"{len(wrong)} of {7 * len(values) ** 2} miscounted, first {wrong[0]}"
+
+
+def test_phase_diagram_count_where_the_vertex_rounds_onto_kappa_min():
+    # -(alpha+gamma)/delta rounds to KAPPA_MIN but lies above it, so both roots count.
+    alpha, delta = -3.85e21, 7.7e33
+    assert (alpha + alpha) / -delta == 1e-12
+    assert phase_diagram_count(alpha, alpha, delta) == _exact_root_count(alpha, alpha, delta) == 2
 
 
 def _count_per_cell(alpha, gamma, delta, beta=None):

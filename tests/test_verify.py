@@ -41,6 +41,20 @@ def test_report_build_consistency():
     assert not bad.passed
 
 
+@pytest.mark.parametrize("residuals, index", [
+    ([1.0, 3.0, 3.0, 0.5], 1),  # the first of tied maxima
+    ([1.0, math.nan, 3.0, math.nan], 1),  # the first NaN, as np.argmax takes it
+    ([2e-11], 0),
+])
+def test_report_worst_names_the_first_maximum(residuals, index):
+    residuals = np.array(residuals)
+    assert np.argmax(residuals) == index
+    report = ResidualReport.worst("x", residuals, 1e-10, lambda i: {"at": i})
+    assert report.worst_at == {"at": index} and report.samples == len(residuals)
+    assert report.max_residual == residuals[index] or math.isnan(report.max_residual)
+    assert report.passed == (residuals[index] <= 1e-10)
+
+
 # ------------------------------------------------------------- bound oracle
 
 
@@ -293,6 +307,10 @@ BISECT_CASES = [
     (0.3, 1.7, 0.9, -5.0, 1e-12, 30.0),
     (-2.5, 0.4, 1.3, 7.0, 1.0, 3.0),
     (1e-308, 0.0, 1.0, -1e308, 0.5e308, 1.5e308),  # the first midpoint is past the float range, poly NaN there
+    # adjacent ends with an exact zero at one of them
+    (1.0, 0.0, 1.0, -1.0, 1.0, math.nextafter(1.0, 2.0)),
+    (1.0, 0.0, 1.0, -1.0, _nearest_below(1.0), 1.0),
+    (-1.0, 0.0, 1.0, 1.0, 1.0, math.nextafter(1.0, 2.0)),  # poly(lo) = 0 and poly(hi) < 0
 ]
 
 
@@ -316,6 +334,11 @@ def test_bisect_equals_one_bracket_at_a_time():
     # The brackets finish on many different steps, most of them not on a step that looks for finished ones.
     assert len(set(calls)) >= 8
     assert lo.tolist() == [case[4] for case in BISECT_CASES]  # the input arrays are left as they are
+
+
+def test_bisect_takes_an_empty_batch():
+    empty = np.empty(0)
+    assert verify._bisect((empty,) * 4, empty, empty).shape == (0,)
 
 
 def test_batched_oracle_equals_one_set_at_a_time():
