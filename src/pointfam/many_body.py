@@ -81,13 +81,18 @@ def nbody_bound_states(params: InteractionParams, n: int) -> list[NBodyBoundStat
 
 
 def _odd_permutations(order: np.ndarray) -> np.ndarray:
-    """Parity of each row's permutation, counting the swaps that put each entry in place."""
-    perm, where = order.copy(), np.argsort(order, axis=1)
-    rows, odd = np.arange(len(perm)), np.zeros(len(perm), dtype=bool)
-    for k in range(perm.shape[1] - 1):
-        j, v = where[:, k], perm[:, k]  # where entry k sits, and what sits at k
-        perm[rows, j] = v
-        where[rows, v] = j
+    """Parity of each row's permutation, counting the swaps that put each entry in place.
+
+    The swaps run on (N, P) copies, one column per row, addressed by flat index.
+    """
+    count = len(order)
+    perm, where = order.T.copy(), np.argsort(order, axis=1).T.copy()
+    flat_perm, flat_where = perm.reshape(-1), where.reshape(-1)
+    columns, odd = np.arange(count), np.zeros(count, dtype=bool)
+    for k in range(len(perm) - 1):
+        j, v = where[k], perm[k]  # where entry k sits, and what sits at k
+        flat_perm[j * count + columns] = v
+        flat_where[v * count + columns] = j
         odd ^= j != k
     return odd
 

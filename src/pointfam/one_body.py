@@ -130,24 +130,28 @@ def phase_diagram_count(alpha, gamma, delta: float, beta: float | None = None):
         count = (-2.0 * beta / (alpha + gamma) > KAPPA_MIN).astype(int)
     else:
         alpha, gamma = np.broadcast_arrays(alpha, gamma)
+        # h is formed as s*h(K), s = 1 while |delta*K| < 1 and else the power of two that puts
+        # delta*K*s in [0.5, 1), so (delta*K)^2 cannot overflow; the scaling is exact and keeps the sign.
+        dk = delta * KAPPA_MIN
+        s = math.ldexp(1.0, -max(math.frexp(dk)[1], 0))
         with np.errstate(over="ignore", invalid="ignore"):  # a cell that overflows is counted in rationals below
-            trace, square = alpha + gamma, (delta * KAPPA_MIN) * (delta * KAPPA_MIN)
-            linear, constant = trace * (2.0 * delta * KAPPA_MIN), 4.0 * (alpha * gamma - 1.0)
+            trace, square = alpha + gamma, dk * (dk * s)
+            linear, constant = trace * (2.0 * (dk * s)), 4.0 * (alpha * gamma - 1.0) * s
             h = square + linear + constant
-            # To first order h errs by at most 2.5*eps*(square + |linear| + |constant| + 2), an underflow
-            # included (in linear by at most |trace|*2^-1075 <= 2^-51); the bound is wider to cover its own
-            # rounding. As h(K) <= (delta*(K - vertex))^2, an h(K) > 0 past it puts the vertex more than
-            # 3e-8*K from K, far beyond the rounding of trace/-delta.
-            sure = np.abs(h) > 8.0 * _EPS * (square + 4.0 + np.abs(linear) + np.abs(constant))
+            # To first order h errs by at most 2.5*eps*(square + |linear| + |constant| + 2s), plus its
+            # underflows: in linear |trace|*2^-1074 <= 2^-50 (only where s = 1, as dk*s >= 0.5 otherwise)
+            # and at most 2^-1072 elsewhere, while s >= 2^-985. The bound is wider to cover all of these
+            # and its own rounding. As h(K) <= (delta*(K - vertex))^2, an h(K) > 0 past it puts the vertex
+            # more than 3e-8*K from K, far beyond the rounding of trace/-delta.
+            sure = np.abs(h) > 8.0 * _EPS * (square + 4.0 * s + np.abs(linear) + np.abs(constant))
             count = np.where(h < 0.0, 1, 2 * (trace / -delta > KAPPA_MIN))
         if not sure.all():
             from fractions import Fraction  # imported here, as the CLI starts without it
 
             d, k = Fraction(delta), Fraction(KAPPA_MIN)
-            dk = d * k
             for cell in map(tuple, np.argwhere(~sure)):
                 a, g = Fraction(alpha[cell]), Fraction(gamma[cell])
-                h_k = dk * dk + 2 * (a + g) * dk + 4 * (a * g - 1)
+                h_k = (d * k) ** 2 + 2 * (a + g) * d * k + 4 * (a * g - 1)
                 # At h(K) = 0, K is one root and 2*vertex - K the other, above K when the vertex is.
                 count[cell] = 1 if h_k < 0 else (2 if h_k > 0 else 1) * (-(a + g) / d > k)
     return int(count) if count.ndim == 0 else count

@@ -5,7 +5,7 @@ counts and seeds are constants of each suite, so repeated runs produce
 identical reports.
 Checks whose purpose is to reject corrupted input ("negative controls")
 report an indicator residual: 0 when the corruption was detected, 1 when
-it slipped through.
+it slipped through; worst_at holds what each of them measured.
 """
 
 from __future__ import annotations
@@ -28,8 +28,11 @@ def _two_state_params(theta: float = 0.0) -> InteractionParams:
 
 
 def _drawn(params: InteractionParams, i: int, **at: float) -> dict:
-    """worst_at for draw i of a batch: its index, any further input, then its parameter set."""
-    return {"draw": i, **at, "params": {field: float(value[i]) for field, value in params.to_dict().items()}}
+    """worst_at for draw i of a batch with fields of shape (P,) or (P, 1).
+
+    Its index, any further input, then its parameter set.
+    """
+    return {"draw": i, **at, "params": {field: float(value.flat[i]) for field, value in params.to_dict().items()}}
 
 
 def run_bound_suite() -> tuple[list[ResidualReport], list[str]]:
@@ -68,17 +71,16 @@ def run_scatter_suite() -> tuple[list[ResidualReport], list[str]]:
     # Negative control: breaking the determinant constraint must break
     # unitarity (beta only enters the constraint when delta != 0).
     broken = replace(_two_state_params(), beta=3.1)
-    defect = scattering.unitarity_defect(scattering.amplitudes(broken, 1.0))
+    defect = float(scattering.unitarity_defect(scattering.amplitudes(broken, 1.0)))
     indicator = 0.0 if defect > 1e-3 else 1.0
     reports.append(
-        ResidualReport.build("negative control: constraint break detected", indicator, 1, 0.5)
+        ResidualReport.build("negative control: constraint break detected", indicator, 1, 0.5, {"residual": defect})
     )
     return reports, []
 
 
 def run_nbody_boundary_suite() -> tuple[list[ResidualReport], list[str]]:
     """Boundary-condition residuals for three-body states on the cyclic pairs (1,2), (2,3), (3,1)."""
-    samples = 50
     reports = []
     cases = [
         ("delta", canonical_interaction("delta", -2.0, 0.5)),
@@ -87,18 +89,18 @@ def run_nbody_boundary_suite() -> tuple[list[ResidualReport], list[str]]:
     for label, params in cases:
         for state in many_body.nbody_bound_states(params, 3):
             for i, j in ((1, 2), (2, 3), (3, 1)):
-                rep = verify.boundary_residual_nbody(params, state, i, j, samples)
+                rep = verify.boundary_residual_nbody(params, state, i, j)
                 reports.append(
                     replace(rep, check_name=f"{label} {state.branch} {rep.check_name}")
                 )
     params = cases[1][1]
     state = many_body.nbody_bound_states(params, 3)[0]
     corrupted = replace(state, c_odd=state.c_odd * 1.1)
-    rep = verify.boundary_residual_nbody(params, corrupted, 1, 2, samples)
+    rep = verify.boundary_residual_nbody(params, corrupted, 1, 2)
     indicator = 0.0 if rep.max_residual > 1e-2 else 1.0
-    reports.append(
-        ResidualReport.build("negative control: corrupted coefficients detected", indicator, 1, 0.5)
-    )
+    reports.append(ResidualReport.build(
+        "negative control: corrupted coefficients detected", indicator, 1, 0.5, {"residual": rep.max_residual}
+    ))
     return reports, []
 
 
@@ -147,11 +149,13 @@ def run_diffraction_suite() -> tuple[list[ResidualReport], list[str]]:
     violators = _violators(np.random.default_rng(_SEED + 2), 20)
     points = diffraction.scan_points(64)
     kin = diffraction.ray_kinematics(points[:, 0], points[:, 1])
-    residuals = diffraction.outgoing_amplitudes(violators, kin).residual_norm
-    missed = int(np.sum(~np.any(residuals > 1e-6, axis=1)))
+    peaks = diffraction.outgoing_amplitudes(violators, kin).residual_norm.max(axis=1)
+    missed = int(np.sum(~(peaks > 1e-6)))
+    weakest = int(np.argmin(peaks))
     reports.append(
         ResidualReport.build(
-            "violating parameter sets show diffraction", float(missed), len(residuals), 0.5
+            "violating parameter sets show diffraction", float(missed), len(peaks), 0.5,
+            _drawn(violators, weakest, residual=float(peaks[weakest])),
         )
     )
     rng_phi = np.random.default_rng(_SEED + 3)

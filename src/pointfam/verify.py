@@ -9,17 +9,16 @@ quality by residuals of the boundary condition and of the kinetic
 eigenvalue problem. None of them call the closed-form code paths they
 are meant to validate; the only package dependency is the
 parameter/boundary-matrix layer. N-body states are consumed as read-only
-data (kappa, energy, coefficient pair) and re-evaluated locally.
+data (kappa, energy, coefficient pair); both N-body checks work with
+what is left once the decay factor cancels, so no value underflows at
+any N.
 
 Each residual check draws its random inputs with whole-array generator
 calls, evaluates all its samples in one array pass and reports the
 largest residual with the input that gave it (ResidualReport.worst).
 Where numpy's complex arithmetic rounds differently from Python's, the
 oracles round as Python does, so every value equals that of the same
-formula applied one sample at a time. A residual relative to a
-wavefunction that has underflowed below 1e-300 checks nothing: a sample
-where that happens raises NonFiniteResult naming it, in place of a 0/0
-or a vacuous pass.
+formula applied one sample at a time.
 """
 
 from __future__ import annotations
@@ -31,14 +30,12 @@ from itertools import combinations
 import numpy as np
 
 from .core import InteractionParams, boundary_matrix, validate_count, validate_params, validate_wavenumber
-from .errors import InputError, NonFiniteResult, SingularSystem
+from .errors import InputError, SingularSystem
 
 _SQRT2 = math.sqrt(2.0)
 _KAPPA_MIN = 1e-12
 # No bracket ends above this, half the largest float, so lo + hi in _bisect stays finite.
 _KAPPA_MAX = np.finfo(float).max / 2
-# A wavefunction magnitude below this is taken to have underflowed: a residual relative to it checks nothing.
-_PSI_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -46,8 +43,8 @@ class ResidualReport:
     """Outcome of one residual check over a batch of sample points.
 
     worst_at names the input that gave max_residual (coordinates, draw,
-    wavenumber, parameters or transverse offset), or is None where the
-    check has no single such input.
+    wavenumber, parameters or particle ordering), holds what a negative
+    control measured, or is None where the check has no single such input.
     """
 
     check_name: str
@@ -250,96 +247,60 @@ def scattering_matching_oracle(
     return t.reshape(shape)[()], r.reshape(shape)[()]
 
 
-def _local_parity_and_decay(kappa: float, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(even, decay) per row of a (P, N) array of coordinates.
-
-    even says whether the particles' descending order is an even
-    permutation: a pair i < j with x_i < x_j is an inversion of it, and a
-    tie keeps index order, as a stable sort does. decay is
-    exp(-kappa * sum over i<j of |x_i - x_j| / sqrt(2)), the distances
-    added pair by pair and exp taken with math.exp per value.
-    """
-    odd = np.zeros(len(coords), dtype=bool)
+def _pair_sum(coords: np.ndarray) -> np.ndarray:
+    """sum over i<j of |x_i - x_j| per row of a (P, N) array, the distances added pair by pair."""
     total = np.zeros(len(coords))
     for i, j in combinations(range(coords.shape[1]), 2):
-        gap = coords[:, i] - coords[:, j]
-        odd ^= gap < 0.0
-        total += np.abs(gap)
-    decay = np.fromiter(map(math.exp, (-kappa * total / _SQRT2).tolist()), float, len(total))
-    return ~odd, decay
+        total += np.abs(coords[:, i] - coords[:, j])
+    return total
 
 
-def _refuse_underflow(name: str, what: str, scale: np.ndarray, where) -> None:
-    """Raise NonFiniteResult if a scale is below _PSI_FLOOR or NaN.
-
-    The message names the smallest scale (or the first NaN) and the
-    sample it belongs to by where(its index).
-    """
-    if not (scale >= _PSI_FLOOR).all():
-        at = int(np.argmin(scale))
-        raise NonFiniteResult(
-            f"{name}: {what} is {float(scale[at])!r} at {where(at)}, below {_PSI_FLOOR}: psi has underflowed there"
-        )
-
-
-def _eval_state_local(state, coords: np.ndarray) -> np.ndarray:
-    """Wavefunction of an N-body state at each row of a (P, N) array, rebuilt from its raw data fields."""
-    even, decay = _local_parity_and_decay(state.kappa, coords)
-    return np.where(even, state.c_even, state.c_odd) * decay
-
-
-def boundary_residual_nbody(
-    params: InteractionParams, state, i: int, j: int, samples: int
-) -> ResidualReport:
+def boundary_residual_nbody(params: InteractionParams, state, i: int, j: int) -> ResidualReport:
     """Residual of the boundary condition on the coincidence hyperplane x_i = x_j.
 
-    Particles are numbered 1..N and u = (x_i - x_j)/sqrt(2). A stable sort
-    puts the lower-numbered of i and j ahead in the tie x_i = x_j: the
-    ordering just above the hyperplane (u -> +0) when i < j, just below it
-    when i > j. Crossing the hyperplane swaps i and j, which are adjacent in
-    that ordering, so the parity flips and the other coefficient holds on
-    the other side. Only |x_i - x_j| = sqrt(2)|u| varies with u on the
-    hyperplane, since each other particle's two distances change by
-    opposite amounts, so psi'(u -> +-0) = -+kappa psi(+-0). The boundary
-    matrix is applied to the column (psi', 2m psi) below; the residual is
-    the worst component mismatch with the column above, relative to the
-    local column magnitude. At transverse value v, i and j sit at 0 and the
-    others, in index order, at -sqrt(1.5)*v*(1, ..., N-2), with
-    |v| >= 0.5/kappa. An i or j that is not an integer of 1..N, i = j, or
-    samples that is not an integer of 1..SIZE_CAP raises InputError. A
-    sample whose column magnitude falls below 1e-300, as psi underflows
-    once N or |v| grows (with 50 samples, from N = 9 on), raises
-    NonFiniteResult naming v. The check is named x{i}{j} below N = 10 and
-    x{i},{j} from there on.
+    Particles are numbered 1..N and u = (x_i - x_j)/sqrt(2). Just above
+    the hyperplane (u -> +0) i sits directly above j in the ordering of
+    the particles; crossing it swaps the two, so the parity flips and the
+    other coefficient holds below. The decay factor
+    exp(-kappa * sum over pairs of |x_a - x_b| / sqrt(2)) is the same on
+    both sides, since only |x_i - x_j| = sqrt(2)|u| varies with u there
+    (each other particle's two distances change by opposite amounts), so
+    it cancels: psi'(u -> +-0) = -+kappa c with c the coefficient of that
+    side, and the residual depends only on the parity of the ordering
+    above. The boundary matrix is applied to the column (kappa c_below,
+    2m c_below); the residual is the worst component mismatch with
+    (-kappa c_above, 2m c_above), relative to the column magnitude.
+
+    One ordering per parity that occurs is checked: i and j on top, then
+    the other particles in index order, and from N = 4 on the same with
+    its first two spectators swapped, which flips the parity and keeps i
+    and j adjacent (at N = 2 and 3 every ordering with i directly above j
+    has the same parity). Each parity comes from the ordering's inversion
+    count: a pair listed against index order is an inversion. samples
+    counts the orderings checked and worst_at names the worst as
+    {"ordering": [labels from the top down]}. An i or j that is not an
+    integer of 1..N, or i = j, raises InputError. The check is named
+    x{i}{j} below N = 10 and x{i},{j} from there on.
     """
     n = state.n
     i, j = validate_count("i", i, 1, n), validate_count("j", j, 1, n)
-    samples = validate_count("samples", samples, 1)
     if i == j:
         raise InputError(f"pair must be two different particles of 1..{n}, got ({i}, {j})")
-    kappa = state.kappa
-    m2 = 2.0 * params.mass
+    others = [p for p in range(1, n + 1) if p not in (i, j)]
+    orderings = [[i, j, *others]]
+    if n >= 4:
+        orderings.append([i, j, others[1], others[0], *others[2:]])
+    odd = np.array([sum(a > b for a, b in combinations(order, 2)) % 2 == 1 for order in orderings])
+    above = np.where(odd, state.c_odd, state.c_even)
+    below = np.where(odd, state.c_even, state.c_odd)
 
-    magnitudes = np.linspace(0.5 / kappa, 8.0 / kappa, (samples + 1) // 2)
-    transverse = np.stack([magnitudes, -magnitudes], axis=1).reshape(-1)[:samples]
-    coords = np.zeros((samples, n))
-    others = [p for p in range(n) if p not in (i - 1, j - 1)]
-    coords[:, others] = -math.sqrt(1.5) * np.outer(transverse, np.arange(1, n - 1))
-
-    even, decay = _local_parity_and_decay(kappa, coords)
-    # The tie order is the one above the hyperplane for i < j and the one below it for i > j.
-    even_above = even ^ (i > j)
-    psi_above = np.where(even_above, state.c_even, state.c_odd) * decay
-    psi_below = np.where(even_above, state.c_odd, state.c_even) * decay
-
-    lhs = np.stack([-kappa * psi_above, m2 * psi_above], axis=1)  # (psi', 2m psi) at u -> +0
-    below = np.stack([kappa * psi_below, m2 * psi_below], axis=1)  # at u -> -0
-    rhs = (boundary_matrix(params) @ below[:, :, None])[:, :, 0]
-    name = f"boundary-condition x{i}{',' if n >= 10 else ''}{j}"
+    kappa, m2 = state.kappa, 2.0 * params.mass
+    lhs = np.stack([-kappa * above, m2 * above], axis=1)  # (psi', 2m psi) / decay at u -> +0
+    rhs = (boundary_matrix(params) @ np.stack([kappa * below, m2 * below], axis=1)[:, :, None])[:, :, 0]
     scale = np.maximum(np.abs(lhs).max(axis=1), np.abs(rhs).max(axis=1))
-    _refuse_underflow(name, "the column magnitude", scale, lambda i: f"v = {float(transverse[i])!r}")
     residuals = np.abs(lhs - rhs).max(axis=1) / scale
-    return ResidualReport.worst(name, residuals, 1e-10, lambda i: {"v": float(transverse[i])})
+    name = f"boundary-condition x{i}{',' if n >= 10 else ''}{j}"
+    return ResidualReport.worst(name, residuals, 1e-10, lambda k: {"ordering": orderings[k]})
 
 
 def interior_residual(
@@ -347,21 +308,23 @@ def interior_residual(
 ) -> ResidualReport:
     """Finite-difference check of the kinetic eigenvalue away from boundaries.
 
-    A central second difference over every particle coordinate is applied
-    to the locally re-evaluated wavefunction, with step h = 1e-4/kappa;
-    the sum must reproduce the state's energy times the wavefunction.
-    Sample configurations keep all pairwise separations at least 10*h so
-    stencils never cross a coincidence hyperplane: from default_rng(seed),
-    each point's particles sit in a random order (the argsort of a row of
-    a (points, n) block of uniforms), with gaps 10*h + E for E a row of a
-    (points, n - 1) block of exponentials of mean 1/kappa. The mass enters
-    through the kinetic prefactor and must come from the interaction, not
-    from the state under test. The stencils of all points go through one
-    evaluator call. points that is not an integer of 1..SIZE_CAP, or a
-    seed that is not an integer of at least 0, raises InputError. A point
-    where |E psi| falls below 1e-300, as psi underflows once the summed
-    pair distance grows (on the contact state, from N = 16 on), raises
-    NonFiniteResult naming its coordinates.
+    A central second difference over every particle coordinate, with step
+    h = 1e-4/kappa, must give Laplacian(psi)/psi = 2m E. Sample
+    configurations keep all pairwise separations at least 10*h, so a
+    stencil never crosses a coincidence hyperplane and the coefficient of
+    its ordering cancels: each stencil value is taken as its ratio to the
+    centre value, exp(-kappa * (S(x +- h e_a) - S(x)) / sqrt(2)) with S
+    the sum of all pair distances (added pair by pair, exp taken with
+    math.exp per value), so no value underflows at any N. The residual is
+    |-(Laplacian(psi)/psi)/(2m) - E| / |E|. The points come from
+    default_rng(seed): each point's particles sit in a random order (the
+    argsort of a row of a (points, n) block of uniforms), with gaps
+    10*h + E for E a row of a (points, n - 1) block of exponentials of
+    mean 1/kappa. The mass enters through the kinetic prefactor and must
+    come from the interaction, not from the state under test. The pair
+    sums of all stencils are taken in one call. points that is not an
+    integer of 1..SIZE_CAP, or a seed that is not an integer of at least
+    0, raises InputError.
     """
     points, seed = validate_count("points", points, 1), validate_count("seed", seed, 0, None)
     n = state.n
@@ -382,20 +345,12 @@ def interior_residual(
     axes, up = np.arange(n), coords + h
     stencil[:, 2 * axes + 1, axes] = up
     stencil[:, 2 * axes + 2, axes] = up - 2.0 * h
-    psi = _eval_state_local(state, stencil.reshape(-1, n)).reshape(points, 2 * n + 1)
+    total = _pair_sum(stencil.reshape(-1, n)).reshape(points, 2 * n + 1)
+    exponents = -kappa * (total[:, 1:] - total[:, :1]) / _SQRT2
+    ratio = np.fromiter(map(math.exp, exponents.ravel().tolist()), float, exponents.size).reshape(points, n, 2)
 
-    psi0 = psi[:, 0]
-    diff = psi[:, 1::2] - (2.0 * psi0)[:, None] + psi[:, 2::2]
-    # (points, axis, re/im): divided part by part, as Python divides a
-    # complex by a float (numpy's complex division rounds differently),
-    # then summed an axis at a time.
-    terms = diff.view(float).reshape(points, n, 2) / (h * h)
-    lap = np.zeros((points, 2))
-    for axis in range(n):
-        lap += terms[:, axis]
-    expected = state.energy * psi0
-    scale = np.hypot(expected.real, expected.imag)
-    _refuse_underflow("interior-eigenvalue", "|E psi|", scale, lambda i: f"coordinates {coords[i].tolist()!r}")
-    miss = -lap / (2.0 * params.mass) - expected.view(float).reshape(points, 2)
-    residuals = np.hypot(miss[:, 0], miss[:, 1]) / scale
+    lap = np.zeros(points)
+    for axis in range(n):  # summed an axis at a time
+        lap += (ratio[:, axis, 0] - 2.0 + ratio[:, axis, 1]) / (h * h)
+    residuals = np.abs(-lap / (2.0 * params.mass) - state.energy) / abs(state.energy)
     return ResidualReport.worst("interior-eigenvalue", residuals, 1e-6, lambda i: {"coords": coords[i].tolist()})

@@ -139,11 +139,11 @@ def test_c07_three_body_boundary_conditions(record_criterion):
     worst = 0.0
     for state in many_body.nbody_bound_states(TWO_STATE, 3):
         for i, j in ((1, 2), (2, 3), (3, 1)):
-            rep = verify.boundary_residual_nbody(TWO_STATE, state, i, j, 50)
+            rep = verify.boundary_residual_nbody(TWO_STATE, state, i, j)
             worst = max(worst, rep.max_residual)
     ground = many_body.nbody_bound_states(TWO_STATE, 3)[0]
     corrupted = replace(ground, c_odd=ground.c_odd * 1.1)
-    control = verify.boundary_residual_nbody(TWO_STATE, corrupted, 1, 2, 50)
+    control = verify.boundary_residual_nbody(TWO_STATE, corrupted, 1, 2)
     ok = worst <= 1e-10 and control.max_residual > 1e-2
     record_criterion(7, "three-body boundary conditions with negative control", ok)
     assert ok, (worst, control.max_residual)

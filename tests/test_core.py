@@ -69,11 +69,8 @@ _COUNTS = {
     "mcguire_reference-n": ("n", lambda c: mcguire_reference(-1.0, 1.0, c), 2, None),
     "scan_points-samples": ("samples", scan_points, 1, SIZE_CAP),
     "no_diffraction_scan-samples": ("samples", lambda c: no_diffraction_scan(_P, c), 1, SIZE_CAP),
-    "boundary_residual_nbody-i": ("i", lambda c: boundary_residual_nbody(_P, _TRIMER, c, 2, 4), 1, 3),
-    "boundary_residual_nbody-j": ("j", lambda c: boundary_residual_nbody(_P, _TRIMER, 1, c, 4), 1, 3),
-    "boundary_residual_nbody-samples": (
-        "samples", lambda c: boundary_residual_nbody(_P, _TRIMER, 1, 2, c), 1, SIZE_CAP
-    ),
+    "boundary_residual_nbody-i": ("i", lambda c: boundary_residual_nbody(_P, _TRIMER, c, 2), 1, 3),
+    "boundary_residual_nbody-j": ("j", lambda c: boundary_residual_nbody(_P, _TRIMER, 1, c), 1, 3),
     "interior_residual-points": ("points", lambda c: interior_residual(_P, _TRIMER, points=c), 1, SIZE_CAP),
     "interior_residual-seed": ("seed", lambda c: interior_residual(_P, _TRIMER, 5, seed=c), 0, None),
     "random_params-draws": ("draws", lambda c: random_params(np.random.default_rng(5), c), 1, SIZE_CAP),

@@ -11,6 +11,7 @@ from pointfam.core import canonical_interaction, validate_params
 from pointfam.errors import InputError, NonBinding, NonFiniteResult, OnBoundary
 from pointfam.many_body import (
     COINCIDENCE_TOL,
+    _odd_permutations,
     coupling_from_pair_strength,
     eval_nbody_wavefunction,
     mcguire_reference,
@@ -236,6 +237,13 @@ def test_eval_large_n_against_exact_pair_sum(rng, n, count):
     assert max(exact_modulus_ratio(st, pt, m) for pt, m in zip(points.tolist(), moduli.tolist())) <= 1.0
 
 
+@pytest.mark.parametrize("n", [2, 3, 8, 64])
+def test_odd_permutations_equal_an_inversion_count(rng, n):
+    orders = np.argsort(rng.random((300, n)), axis=1)
+    inversions = [sum(a > b for a, b in combinations(row, 2)) for row in orders.tolist()]
+    assert _odd_permutations(orders).tolist() == [count % 2 == 1 for count in inversions]
+
+
 def test_eval_array_names_the_coincident_row():
     st = nbody_bound_states(DELTA, 3)[0]
     points = np.array([[1.0, 0.0, -1.0], [2.0, 0.5, -0.5], [3.0, 0.0, 3.0 + 1e-15], [1.0, 1.0, 0.0]])
@@ -415,6 +423,18 @@ def test_mcguire_matches_nbody_construction():
         assert len(states) == 1
         assert abs(states[0].kappa - kappa_ref) <= 1e-12 * kappa_ref
         assert abs(states[0].energy - energy_ref) <= 1e-12 * abs(energy_ref)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 16, 30, 64])
+def test_mcguire_law_at_large_n(n):
+    # E_N = -kappa^2 N(N^2-1)/(12 m) = -g0^2 m N(N^2-1)/24, within 4 ulps of the reference and of mpmath.
+    g0, m = -2.0, 0.7
+    (state,) = nbody_bound_states(canonical_interaction("delta", coupling_from_pair_strength(g0), m), n)
+    _, energy_ref = mcguire_reference(g0, m, n)
+    with mpmath.workdps(50):
+        exact = -mpmath.mpf(g0) ** 2 * mpmath.mpf(m) * n * (n * n - 1) / 24
+        assert abs(state.energy - exact) <= 4 * math.ulp(state.energy)
+    assert abs(state.energy - energy_ref) <= 4 * math.ulp(energy_ref)
 
 
 def test_mcguire_rejects_repulsive():

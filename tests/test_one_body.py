@@ -1,3 +1,4 @@
+import fractions
 import math
 import warnings
 from fractions import Fraction
@@ -241,6 +242,23 @@ def test_phase_diagram_count_is_exact_at_the_float_extremes():
         wrong += [(alpha, gamma, delta) for i, alpha in enumerate(values) for j, gamma in enumerate(values)
                   if grid[i, j] != _exact_root_count(alpha, gamma, delta)]
     assert not wrong, f"{len(wrong)} of {7 * len(values) ** 2} miscounted, first {wrong[0]}"
+
+
+@pytest.mark.parametrize("delta", [1.4e166, -1.4e166, 1e300, -1e300, 1.7e308, -1.7e308])
+def test_phase_diagram_count_stays_in_floats_at_a_huge_delta(monkeypatch, delta):
+    # (delta*KAPPA_MIN)^2 overflows from |delta| of about 1.3e166; scaled by a power of two first,
+    # no cell of an ordinary grid needs rationals, and every count is still the exact one.
+    grid = np.linspace(-4.5, 3.8, 41)
+    expected = [[_exact_root_count(alpha, gamma, delta) for gamma in grid.tolist()] for alpha in grid.tolist()]
+
+    def refuse(*args):
+        raise AssertionError(f"a cell was counted in rationals at delta = {delta!r}")
+
+    monkeypatch.setattr(fractions, "Fraction", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts = phase_diagram_count(grid[:, None], grid[None, :], delta)
+    assert counts.tolist() == expected
 
 
 def test_phase_diagram_count_where_the_vertex_rounds_onto_kappa_min():
