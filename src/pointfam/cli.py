@@ -8,16 +8,18 @@ Floats are always rendered as "%.17g" renders them and field order is
 fixed, so repeated runs are byte-identical. Objects and state lists go
 through _write_records, as JSON by _json_dumps or as CSV lines of its own.
 Every other table (CSV, or JSON {"columns", "rows"}) goes through
-_write_table, which lays out the head, rows and tail and takes the text of
-the rows, a block at a time, from a producer: _float_blocks writes a float
-array _BLOCK_ROWS rows at a time with _float_text, in whole-array integer
-arithmetic; _grid_blocks writes a phase-diagram grid one alpha line at a
-time, each line one str.join. Every number outside a float table (records,
-the verify document, axis labels) goes through _json_scalar. A result that
-is inf or NaN is never written: the command fails with NonFiniteResult,
-naming its column or key. Ranges, phase-diagram grids and the coordinates
-of an nbody-eval points file are capped at core.SIZE_CAP values; the
-library caps --samples by the same rule (core.validate_count).
+_write_table, which takes the CSV text of whole rows, a block at a time,
+from a generator and writes it as it is or lays it out as JSON:
+_float_blocks writes a float array _BLOCK_ROWS rows at a time with
+_float_text, in whole-array integer arithmetic; _grid_blocks writes a
+phase-diagram grid one alpha line at a time, each line one str.join.
+Only _write_table knows the JSON layout. Every number outside a float
+table (records, the verify document, axis labels) goes through
+_json_scalar. A result that is inf or NaN is never written: the command
+fails with NonFiniteResult, naming its column or key. Ranges,
+phase-diagram grids and the coordinates of an nbody-eval points file are
+capped at core.SIZE_CAP values; the library caps --samples by the same
+rule (core.validate_count).
 Exit codes: 0 on success, 1 on usage or validation errors, a non-finite
 result or a closed standard output, 2 when a verification suite fails.
 """
@@ -99,7 +101,7 @@ def _word_tables():
 
     lead[d]: bytes 0-7 for first digit d; quad[g]: "d.d.d.d." for the four
     digits of g; expo[e - _E_MIN]: bytes 40-47 for exponent e, separator
-    zero; last[j, g]: the place among digits 1-17 of the last nonzero digit
+    ","; last[j, g]: the place among digits 1-17 of the last nonzero digit
     of g as group j = 0..3 (digits 2-5, ..., 14-17), 0 if g is 0, but 1 for
     group 0, since digit 1 is kept; notation[e - _E_MIN]: e's notation * 17 - 1.
     """
@@ -118,6 +120,7 @@ def _word_tables():
     expo[:, 0] = ord("e")
     expo[:, 1] = np.where(e < 0, ord("-"), ord("+"))
     expo[:, 2:5] = np.abs(e)[:, None] // np.array([100, 10, 1]) % 10 + ord("0")
+    expo[:, 5] = ord(",")
     notation = np.where((e >= -4) & (e <= 16), e + 4, np.where(np.abs(e) >= 100, 22, 21)) * 17 - 1
     return lead.view(np.uint64), quad.view(np.uint64).ravel(), expo.view(np.uint64).ravel(), last, notation
 
@@ -153,16 +156,14 @@ _LEAD, _QUAD, _EXPO, _LAST, _NOTATION = _word_tables()
 _KEEP = _keep_table()
 
 
-def _separator_word(char: str) -> np.uint64:
-    """The word of bytes 40-47 with char at byte 45 and zeros elsewhere."""
-    return np.frombuffer(b"\0" * 5 + char.encode("ascii") + b"\0\0", np.uint64)[0]
+# XOR-ed into the last cell of a row, it turns that cell's "," into a newline.
+_ROW_END = np.frombuffer(bytes(5) + bytes([ord(",") ^ ord("\n")]) + bytes(2), np.uint64)[0]
 
 
-def _float_text(block: np.ndarray, cell_sep: str, row_sep: str) -> str:
-    """The text of a 2-D finite float64 array, each cell as "%.17g" writes it.
+def _float_text(block: np.ndarray) -> str:
+    """The CSV text of a 2-D finite float64 array, each cell as "%.17g" writes it.
 
-    A cell is followed by cell_sep, the last cell of a row by row_sep; both
-    are one ASCII character other than NUL.
+    Every cell is followed by ",", the last cell of a row by a newline instead.
     """
     rows, cols = block.shape
     v = block.ravel()
@@ -203,8 +204,7 @@ def _float_text(block: np.ndarray, cell_sep: str, row_sep: str) -> str:
     for j, group in enumerate(groups, 1):
         text[:, j] &= np.take(_QUAD, group)
     ends = np.take(_EXPO, e)
-    ends |= _separator_word(cell_sep)
-    ends.reshape(rows, cols)[:, -1] ^= _separator_word(cell_sep) ^ _separator_word(row_sep)
+    ends.reshape(rows, cols)[:, -1] ^= _ROW_END
     text[:, 5] &= ends
     return text.tobytes().translate(None, b"\0").decode("ascii")
 
@@ -259,30 +259,33 @@ def _write_records(columns: list[str], rows: list[tuple], output: str, key: str 
     sys.stdout.write(text + "\n")
 
 
-def _write_table(columns: list[str], output: str, produce, *data) -> None:
+def _write_table(columns: list[str], output: str, blocks) -> None:
     """Write a table as CSV, or as JSON {"columns": [...], "rows": [[...], ...]}.
 
-    A row is its opening, its cells joined by a cell separator, and its
-    closing; rows are joined by a row separator. produce(*data, opening,
-    cell, closing, sep) yields the text of the rows, at least one block of
-    them, each laid out so; the head goes out with the first block, so a
-    producer that refuses its data before its first yield leaves nothing
-    written.
+    blocks yields the CSV text of whole rows, at least one block of them,
+    each row its cells with "," between them and a newline after the last.
+    CSV writes the blocks as they are; JSON lays each row out as an
+    indented array, which is safe because no cell's text holds ",", ";" or
+    a newline. The head goes out with the first block, so a producer that
+    refuses its data before its first yield leaves nothing written.
     """
     if output == "csv":
-        head, opening, cell, closing, sep, tail = ",".join(columns) + "\n", "", ",", "\n", "", ""
+        head, sep, tail = ",".join(columns) + "\n", "", ""
     else:
         head = '{\n  "columns": ' + _json_dumps(columns, 1) + ',\n  "rows": [\n'
-        opening, cell, closing, sep, tail = "    [\n      ", ",\n      ", "\n    ]", ",\n", "\n  ]\n}\n"
+        sep, tail = ",\n", "\n  ]\n}\n"
     lead = head
-    for text in produce(*data, opening, cell, closing, sep):
+    for text in blocks:
+        if output == "json":  # ";" ends a row until the cells are laid out
+            text = text[:-1].replace("\n", ";").replace(",", ",\n      ").replace(";", "\n    ],\n    [\n      ")
+            text = "    [\n      " + text + "\n    ]"
         sys.stdout.write(lead + text)
         lead = sep
     sys.stdout.write(tail)
 
 
-def _float_blocks(table: np.ndarray, columns: list[str], opening, cell, closing, sep):
-    """The text of each _BLOCK_ROWS rows of a 2-D float array, every cell as "%.17g" writes it.
+def _float_blocks(table: np.ndarray, columns: list[str]):
+    """The CSV text of each _BLOCK_ROWS rows of a 2-D float array, every cell as "%.17g" writes it.
 
     A non-finite cell raises NonFiniteResult, naming its column, before the first block.
     """
@@ -291,30 +294,24 @@ def _float_blocks(table: np.ndarray, columns: list[str], opening, cell, closing,
         row, col = np.argwhere(~finite)[0]
         raise NonFiniteResult(f"{columns[col]} is {float(table[row, col])!r}, not a finite number; nothing written")
     for start in range(0, len(table), _BLOCK_ROWS):
-        block = table[start:start + _BLOCK_ROWS]
-        if opening:  # ";" ends a row until it is replaced: no number's text holds "," or ";"
-            text = _float_text(block, ",", ";")[:-1].replace(",", cell)
-            yield opening + text.replace(";", closing + sep + opening) + closing
-        else:  # a CSV row has no opening and one-character separators
-            yield _float_text(block, cell, closing)
+        yield _float_text(table[start:start + _BLOCK_ROWS])
 
 
-def _grid_blocks(outer: list[str], inner: list[str], table: np.ndarray, opening, cell, closing, sep):
-    """The rows (outer[i], inner[j], table[i, j]) of a grid of small non-negative ints.
+def _grid_blocks(outer: list[str], inner: list[str], table: np.ndarray):
+    """The CSV rows outer[i],inner[j],table[i, j] of a grid of small non-negative ints.
 
     The text of a row after its outer cell is made once per (j, int) pair
     that occurs. Each line of fixed i, or each _BLOCK_ROWS rows of a longer
-    line, is one str.join with the outer cell in the separator.
+    line, is one str.join with the outer cell as the separator.
     """
     width = len(inner)
     rests = np.empty((int(table.max()) + 1, width), dtype=object)
     for count, rest in enumerate(rests):
         for j in np.flatnonzero((table == count).any(axis=0)).tolist():
-            rest[j] = cell + inner[j] + cell + str(count) + closing
+            rest[j] = f",{inner[j]},{count}\n"
     for label, line in zip(outer, rests[table, np.arange(width)].tolist()):
-        prefix = opening + label
         for start in range(0, width, _BLOCK_ROWS):
-            yield prefix + (sep + prefix).join(line[start:start + _BLOCK_ROWS])
+            yield label + label.join(line[start:start + _BLOCK_ROWS])
 
 
 def _parse_range(text: str) -> np.ndarray:
@@ -531,20 +528,18 @@ def _cmd_scatter(args) -> int:
     t, r, r_minus = amps.t_plus, amps.r_plus, amps.r_minus
     moduli = [np.hypot(z.real, z.imag) ** 2 for z in (t, r)]
     table = np.column_stack([ks, *moduli, t.real, t.imag, r.real, r.imag, r_minus.real, r_minus.imag])
-    _write_table(columns, args.output, _float_blocks, table, columns)
+    _write_table(columns, args.output, _float_blocks(table, columns))
     return 0
 
 
 def _cmd_phase_diagram(args) -> int:
-    if args.delta != 0.0 and args.beta is not None:
-        raise InputError("--beta applies only to delta = 0; for delta != 0 alpha*gamma - beta*delta = 1 fixes it")
     alphas = _parse_range(args.alpha)
     gammas = _parse_range(args.gamma)
     if len(alphas) * len(gammas) > SIZE_CAP:
         raise InputError(f"the grid has more than {SIZE_CAP} points")
     counts = one_body.phase_diagram_count(alphas[:, None], gammas[None, :], args.delta, args.beta)
     labels = [[_json_scalar(v, name) for v in axis.tolist()] for name, axis in (("alpha", alphas), ("gamma", gammas))]
-    _write_table(["alpha", "gamma", "count"], args.output, _grid_blocks, *labels, counts)
+    _write_table(["alpha", "gamma", "count"], args.output, _grid_blocks(*labels, counts))
     return 0
 
 
@@ -571,7 +566,7 @@ def _cmd_nbody_eval(args) -> int:
     except OnBoundary as exc:
         raise OnBoundary(f"{args.points!r} line {_point_line(args.points, exc.row)}: {exc.detail}") from exc
     columns = [f"x{i}" for i in range(1, args.n + 1)] + ["re(psi)", "im(psi)"]
-    _write_table(columns, args.output, _float_blocks, np.column_stack((points, psi.real, psi.imag)), columns)
+    _write_table(columns, args.output, _float_blocks(np.column_stack((points, psi.real, psi.imag)), columns))
     return 0
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PARAM_FIELDS, InteractionParams, require_finite
+from .core import CONSTRAINT_TOL, PARAM_FIELDS, InteractionParams, require_finite
 from .errors import InputError, InvalidSlice, InvariantViolation, NonFiniteResult
 
 # Roots at or below this are treated as non-normalizable and dropped.
@@ -115,13 +115,16 @@ def phase_diagram_count(alpha, gamma, delta: float, beta: float | None = None):
     or where a term overflows, is counted in exact rationals. For delta = 0
     the slice is only meaningful when alpha*gamma = 1 at every point, and
     the sign of the single candidate root depends on beta, which the caller
-    must supply. A NaN or infinite alpha, gamma, delta or beta raises
+    must supply; a beta given with delta != 0 would go unused and raises
+    InvalidSlice. A NaN or infinite alpha, gamma, delta or beta raises
     InputError naming the field.
     """
     alpha, gamma = np.asarray(alpha, dtype=float), np.asarray(gamma, dtype=float)
     require_finite(alpha=alpha, gamma=gamma, delta=delta, beta=beta or 0.0)
+    if delta != 0.0 and beta is not None:
+        raise InvalidSlice("beta applies only to delta = 0; for delta != 0 alpha*gamma - beta*delta = 1 fixes it")
     if delta == 0.0:
-        if (np.abs(alpha * gamma - 1.0) > 1e-12).any():
+        if (np.abs(alpha * gamma - 1.0) > CONSTRAINT_TOL).any():
             raise InvalidSlice(
                 "delta = 0 requires alpha*gamma = 1 for a valid interaction"
             )

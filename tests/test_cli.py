@@ -407,6 +407,12 @@ def test_subcommands_and_their_handlers():
         assert parser.get_default("run") is getattr(cli, "_cmd_" + name.replace("-", "_"))
 
 
+def test_verify_refuses_an_output_format(capsys):
+    # verify always writes JSON and takes no --output; the refusal is one line and nothing else.
+    code, out, err = run_cli(capsys, "verify", "--suite", "bound", "--output", "json")
+    assert (code, out, err) == (1, "", "pointfam: usage error: unrecognized arguments: --output json\n")
+
+
 def test_usage_errors_exit_one(capsys, delta_file):
     code, _, err = run_cli(capsys, "bound", "--params", delta_file, "--bogus")
     assert code == 1
@@ -621,9 +627,9 @@ def test_float_tables_match_the_template_writer(capsys, monkeypatch, two_state_f
     tables = []
     float_blocks = cli._float_blocks
 
-    def spy(table, columns, *layout):
+    def spy(table, columns):
         tables.append((columns, table))
-        return float_blocks(table, columns, *layout)
+        return float_blocks(table, columns)
 
     monkeypatch.setattr(cli, "_float_blocks", spy)
     if command == "scatter":
@@ -832,13 +838,15 @@ def test_record_refusal_names_its_column_and_writes_nothing(capsys, output):
 
 
 _AMP_REFUSAL = "diffraction: amp_two_path_re is nan, not a finite number; nothing written\n"
+_SCATTER_REFUSAL = "scatter: |R|^2 is nan, not a finite number; nothing written\n"
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["scatter", "--k-range", "1e300:1e300:1"], "scatter: |R|^2 is nan, not a finite number; nothing written\n"),
+    (["scatter", "--k-range", "1e300:1e300:1"], _SCATTER_REFUSAL),
+    (["scatter", "--k-range", "1e300:1e300:1", "--output", "json"], _SCATTER_REFUSAL),
     (["diffraction", "--k", "1e308", "--phi", "0.5"], _AMP_REFUSAL),
     (["diffraction", "--k", "1e308", "--phi", "0.5", "--output", "csv"], _AMP_REFUSAL),
-], ids=["scatter", "diffraction", "diffraction-csv"])
+], ids=["scatter", "scatter-json", "diffraction", "diffraction-csv"])
 def test_amplitude_overflow_is_refused_in_one_line(capsys, two_state_file, argv, message):
     # d*k*k overflows for |k| above about 1e154; a numpy warning would raise here.
     with warnings.catch_warnings():
@@ -878,7 +886,7 @@ def test_phase_diagram_refuses_beta_off_the_delta_zero_slice(capsys, output):
     code, out, err = run_cli(capsys, "phase-diagram", "--delta", "1", "--beta", "5", "--alpha=-3:3:1",
                              "--gamma=-3:3:1", "--output", output)
     assert (code, out) == (1, "")
-    assert err == ("phase-diagram: --beta applies only to delta = 0; "
+    assert err == ("phase-diagram: beta applies only to delta = 0; "
                    "for delta != 0 alpha*gamma - beta*delta = 1 fixes it\n")
 
 

@@ -171,6 +171,13 @@ def test_phase_diagram_delta_zero_slice():
         phase_diagram_count(-1.0, -1.0, 0.0)
 
 
+@pytest.mark.parametrize("beta", [5.0, 0.0])
+def test_phase_diagram_refuses_beta_off_the_delta_zero_slice(beta):
+    # For delta != 0 the constraint alpha*gamma - beta*delta = 1 fixes beta, so a given one would go unused.
+    with pytest.raises(InvalidSlice, match=r"^beta applies only to delta = 0; "):
+        phase_diagram_count(1.0, 2.0, 1.0, beta=beta)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("field", ["alpha", "gamma", "delta", "beta"])
 def test_phase_diagram_refuses_a_non_finite_field(field, bad):
@@ -305,7 +312,7 @@ def test_phase_diagram_array_delta_zero():
 def test_phase_diagram_count_matches_spectrum(rng):
     for _ in range(200):
         p = random_params(rng)
-        count = phase_diagram_count(p.alpha, p.gamma, p.delta, p.beta)
+        count = phase_diagram_count(p.alpha, p.gamma, p.delta, None if p.delta else p.beta)
         assert count == len(bound_spectrum(p))
 
 
