@@ -401,9 +401,9 @@ def _point_blocks(path: str):
 
 
 def _line_blocks(path: str):
-    """The lines of a UTF-8 text file, _BLOCK_ROWS at a time."""
+    """The lines of a UTF-8 text file, _BLOCK_ROWS at a time, without a leading byte-order mark."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             try:
                 while block := list(itertools.islice(fh, _BLOCK_ROWS)):
                     yield block

@@ -117,7 +117,8 @@ def eval_nbody_wavefunction(state: NBodyBoundState, coords):
     points = np.atleast_2d(points)
     n = state.n
     if points.ndim != 2 or points.shape[1] != n:
-        raise InputError(f"expected {n} coordinates, got {points.shape[-1]}")
+        got = points.shape[1] if points.ndim == 2 else f"shape {points.shape}"
+        raise InputError(f"expected {n} coordinates, got {got}")
     require_finite(coordinates=points)
     order = np.argsort(points, axis=1)
     with np.errstate(over="ignore"):  # a sum past the float range is inf; psi underflowed to 0 long before

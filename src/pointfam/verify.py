@@ -2,7 +2,8 @@
 
 Every function here recomputes physics directly from the boundary
 condition: decay constants by bisecting the decay-rate polynomial to
-adjacent floats on either side of its vertex (every bracket of a batch
+adjacent floats on either side of its vertex, below Fujiwara's root
+bound, the delta = 0 members as every other (every bracket of a batch
 stepped together, in place, until all have finished), scattering
 amplitudes by solving the plane-wave matching system, and bound-state
 quality by residuals of the boundary condition and of the kinetic
@@ -154,16 +155,19 @@ def _bisect(coeffs: tuple[np.ndarray, ...], lo: np.ndarray, hi: np.ndarray) -> n
 def oracle_bound_kappas(params: InteractionParams) -> np.ndarray:
     """Positive decay constants found numerically: an array of shape fields.shape + (2,).
 
-    The decay-rate polynomial has no root above k_max, which combines a
-    coefficient-based bound with the Cauchy root bound, capped at half the
-    largest float so that a midpoint never overflows. Its derivative
-    vanishes at the vertex -c1*m/(2*delta), which by Rolle's theorem lies
-    between the two roots: clipped into [KAPPA_MIN, k_max] it splits that
-    interval into two brackets with at most one root each, so two roots
-    are told apart however close they are. Each bracket whose ends have
-    opposite signs is bisected down to adjacent floats, and an exact zero
-    at the vertex is one double root. The delta = 0 case reduces to a
-    direct linear solve. Each member's pair holds its roots above
+    The decay-rate polynomial has no root above k_max: Fujiwara's root
+    bound 2*max(|c1*m/delta|, sqrt(|c0|)/sqrt(|delta|)), or twice the one
+    root's size where delta = 0, capped at half the largest float so that
+    a midpoint never overflows. Its derivative vanishes at the vertex
+    -c1*m/(2*delta), which by Rolle's theorem lies between the two roots:
+    clipped into [KAPPA_MIN, k_max] it splits that interval into two
+    brackets with at most one root each, so two roots are told apart
+    however close they are. Where delta = 0 the vertex is infinite and
+    clips to an end, so the whole interval is one bracket. Each bracket
+    whose ends have opposite signs is bisected down to adjacent floats.
+    The discriminant 4m^2((alpha-gamma)^2 + 4) is positive, so there is no
+    double root: an exact zero at the vertex comes from rounding and is
+    reported as one root. Each member's pair holds its roots above
     KAPPA_MIN in ascending order, NaN-padded at the end; the brackets of
     all members are bisected together.
     """
@@ -172,23 +176,19 @@ def oracle_bound_kappas(params: InteractionParams) -> np.ndarray:
     c1 = 2.0 * (a + g)
     c0 = 4.0 * b * m * m
     coeffs = (d, c1, m, c0)
-    # delta = 0 members take the linear solve below; past the float range poly is inf or NaN
+    # the vertex is infinite where delta = 0; past the float range poly is inf or NaN
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        k_max = 2.0 * (1.0 + np.abs(a + g) * 2.0 * m + np.sqrt(4.0 * np.abs(b)) * 2.0 * m)
-        k_max /= np.maximum(np.abs(d), 1e-30)
-        cauchy = 1.0 + np.maximum(np.abs(c1 * m), np.abs(c0)) / np.abs(d)
-        k_max = np.minimum(np.maximum(k_max, cauchy), _KAPPA_MAX)
+        fujiwara = 2.0 * np.maximum(np.abs(c1 * m / d), np.sqrt(np.abs(c0)) / np.sqrt(np.abs(d)))
+        k_max = np.minimum(np.where(d == 0.0, 2.0 * np.abs(c0 / (c1 * m)), fujiwara), _KAPPA_MAX)
         vertex = np.clip(-c1 * m / (2.0 * d), _KAPPA_MIN, k_max)
         lo = np.stack([np.full_like(d, _KAPPA_MIN), vertex], 1)
         hi = np.stack([vertex, k_max], 1)
         f_lo, f_hi = (_decay_poly(k, *(c[:, None] for c in coeffs)) for k in (lo, hi))
 
-    linear, quad = d == 0.0, d != 0.0
     found = np.full(lo.shape, np.nan)  # (members, 2): at most one root per bracket
-    found[linear, 0] = -2.0 * b[linear] * m[linear] / (a + g)[linear]
-    double = quad & (f_hi[:, 0] == 0.0)
-    found[double, 0] = vertex[double]
-    cross = quad[:, None] & (np.sign(f_lo) * np.sign(f_hi) < 0.0)
+    zero = f_hi[:, 0] == 0.0
+    found[zero, 0] = vertex[zero]
+    cross = np.sign(f_lo) * np.sign(f_hi) < 0.0
     owner = np.nonzero(cross)[0]
     with np.errstate(over="ignore"):
         found[cross] = _bisect(tuple(c[owner] for c in coeffs), lo[cross], hi[cross])

@@ -461,6 +461,12 @@ def test_params_file_not_utf8_is_refused(capsys, tmp_path):
     assert err == f"bound: cannot read {str(path)!r}: the byte at offset 10082 is not UTF-8 (invalid start byte)\n"
 
 
+def test_params_file_with_a_byte_order_mark_is_read(capsys, two_state_file, tmp_path):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + Path(two_state_file).read_bytes())
+    assert run_cli(capsys, "bound", "--params", str(path)) == run_cli(capsys, "bound", "--params", two_state_file)
+
+
 def test_params_from_a_pipe_not_utf8_is_refused_in_one_line(capsys):
     read_end, write_end = os.pipe()
     os.write(write_end, b'{"alpha": \xff}')
@@ -743,6 +749,7 @@ def test_points_file_over_the_cap_is_refused_after_one_block(monkeypatch, tmp_pa
     ("1,2,3\n" * 1500 + "1,2\n", "line 1501: expected 3 coordinates, got 2"),
     ("1,2,3\n" * 2100 + "4,5,6e\n", "line 2101: bad number"),
     (b"\xff1,2,3\n", "cannot read"),
+    (b"\xef\xbb\xbf1,2,3\n4,5,7\n", [[1, 2, 3], [4, 5, 7]]),
     ("1,2,3\n4,nan,6\n", "line 2: nan is not finite"),
     ("x1,x2,x3\ninf,5,6\n", "line 2: inf is not finite"),
     ("4,5,-inf\n", "line 1: -inf is not finite"),
@@ -751,7 +758,7 @@ def test_points_file_over_the_cap_is_refused_after_one_block(monkeypatch, tmp_pa
     "header", "header-on-line-1-only", "blank-and-comment-lines", "crlf-and-spaces",
     "too-few-cells", "too-many-cells", "bad-number", "empty-cell", "trailing-comment",
     "underscore-digits", "empty-file", "header-only", "comment-block", "count-past-blocks",
-    "number-past-blocks", "not-utf8", "nan", "inf", "minus-inf", "non-finite-past-blocks",
+    "number-past-blocks", "not-utf8", "byte-order-mark", "nan", "inf", "minus-inf", "non-finite-past-blocks",
 ])
 def test_points_file_rules(tmp_path, text, expected):
     path = tmp_path / "points.csv"

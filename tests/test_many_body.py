@@ -178,8 +178,10 @@ def test_eval_refuses_a_non_finite_coordinate(bad):
 
 def test_eval_wrong_arity():
     st = nbody_bound_states(DELTA, 3)[0]
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^expected 3 coordinates, got 2$"):
         eval_nbody_wavefunction(st, [1.0, 0.0])
+    with pytest.raises(InputError, match=r"^expected 3 coordinates, got shape \(1, 1, 3\)$"):
+        eval_nbody_wavefunction(st, np.zeros((1, 1, 3)))
 
 
 def exact_modulus_ratio(state, coords, modulus):

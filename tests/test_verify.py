@@ -10,8 +10,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies
 
 from conftest import stack_params
-from pointfam import diffraction, suites, verify
-from pointfam.core import PARAM_FIELDS, InteractionParams, boundary_matrix, canonical_interaction, validate_params
+from pointfam import diffraction, one_body, suites, verify
+from pointfam.core import (
+    CONSTRAINT_TOL,
+    PARAM_FIELDS,
+    InteractionParams,
+    boundary_matrix,
+    canonical_interaction,
+    validate_params,
+)
 from pointfam.errors import InputError, SingularDenominator, SingularSystem
 from pointfam.many_body import nbody_bound_states
 from pointfam.one_body import bound_spectrum, phase_diagram_count
@@ -80,8 +87,8 @@ def test_oracle_kappas_empty():
 
 
 def test_oracle_handles_wide_quadratic():
-    # zero-trace member whose root escapes the coefficient-based bound;
-    # the Cauchy bound keeps it inside the bracketing interval
+    # zero-trace member: with c1 = 0 the one positive root is sqrt(|c0/delta|),
+    # and the root bound 2*sqrt(|c0|)/sqrt(|delta|) is twice that
     p = validate_params(10.0, -1.0, -10.0, 101.0, 0.0, 1.0)
     roots = _found(oracle_bound_kappas(p))
     assert len(roots) == 1
@@ -104,10 +111,17 @@ def test_oracle_agrees_with_closed_form(rng):
 
 
 def _exact_positive_roots(params):
-    """Positive roots of the decay-rate polynomial at 50 digits, ascending."""
+    """Positive roots of the decay-rate polynomial at 4000 bits, ascending.
+
+    4000 bits hold the discriminant of these tests' fields exactly. It is
+    4m^2((alpha-gamma)^2 + 4*det) with det = alpha*gamma - beta*delta
+    within CONSTRAINT_TOL of 1, so positive. The roots come from the form
+    that does not cancel: q = -(c1 + sign(c1)*sqrt(disc))/2, then
+    q/delta and c0/q.
+    """
     import mpmath
 
-    with mpmath.workdps(50):
+    with mpmath.workprec(4000):
         a, b, g, d, m = (
             mpmath.mpf(v) for v in (params.alpha, params.beta, params.gamma, params.delta, params.mass)
         )
@@ -115,8 +129,8 @@ def _exact_positive_roots(params):
         if d == 0:
             roots = [-c0 / c1]
         else:
-            disc = c1 * c1 - 4 * d * c0
-            roots = [] if disc < 0 else [(-c1 + s * mpmath.sqrt(disc)) / (2 * d) for s in (1, -1)]
+            q = -(c1 + mpmath.sqrt(c1 * c1 - 4 * d * c0) * (1 if c1 >= 0 else -1)) / 2
+            roots = [q / d, c0 / q]
         return sorted(r for r in roots if r > 1e-12)
 
 
@@ -138,8 +152,8 @@ def test_oracle_roots_against_mpmath():
 
 @pytest.mark.parametrize("delta", [1e-160, 1e-290, 1e-300])
 def test_oracle_finds_a_root_past_an_overflowing_bound(delta):
-    # beta = -1/delta: the Cauchy bound |4*beta*m^2/delta| overflows to inf, where
-    # poly is NaN; capped at half the largest float, the bracket ends where poly is +inf.
+    # beta = -1/delta: |c0/delta| = 0.25/delta^2 overflows to inf, where poly is NaN;
+    # the root bound takes sqrt(|c0|)/sqrt(|delta|), so k_max = 1/delta and poly there stay finite.
     p = validate_params(0.0, -1.0 / delta, 0.0, delta, 0.0, 0.25)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -148,6 +162,52 @@ def test_oracle_finds_a_root_past_an_overflowing_bound(delta):
     assert len(roots) == len(exact) == 1
     assert abs(roots[0] - exact[0]) <= np.spacing(exact[0])
     assert roots[0] == pytest.approx(0.5 / delta, rel=1e-15)
+
+
+def _wide_range_sets(seed, draws):
+    """Valid sets with |alpha|, |gamma|, |delta| log-uniform in 1e-160..1e160, mass in 1e-3..1e3.
+
+    beta solves the constraint; one set in ten is put on the delta = 0
+    family with gamma = 1/alpha and a log-uniform beta. Sets that miss the
+    constraint by more than CONSTRAINT_TOL, as most with |alpha*gamma|
+    above about 1e4 do, are dropped.
+    """
+    rng = np.random.default_rng(seed)
+    a, g, d, b0 = rng.choice([-1.0, 1.0], (4, draws)) * 10.0 ** rng.uniform(-160.0, 160.0, (4, draws))
+    m = 10.0 ** rng.uniform(-3.0, 3.0, draws)
+    zero = rng.uniform(size=draws) < 0.1
+    g[zero], d[zero] = 1.0 / a[zero], 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        b = np.where(zero, b0, (a * g - 1.0) / d)
+        valid = np.abs(a * g - b * d - 1.0) <= CONSTRAINT_TOL
+    return [validate_params(*row, 0.0, mass) for *row, mass in zip(*(x[valid].tolist() for x in (a, b, g, d, m)))]
+
+
+def _terms_finite(p, kappa):
+    """Whether each of delta*k, delta*k^2, c1*k, c1*k*m and c0 stays below the largest float at the mpf kappa."""
+    c1 = 2.0 * abs(p.alpha + p.gamma)  # times an mpf, a product cannot overflow
+    terms = (abs(p.delta) * kappa, abs(p.delta) * kappa * kappa, c1 * kappa, c1 * kappa * p.mass)
+    return max(terms) < np.finfo(float).max and abs(4.0 * p.beta * p.mass * p.mass) < math.inf
+
+
+def test_oracle_roots_across_the_float_range():
+    # The set whose upper root 7e300 a bound with inf - inf at its end missed, and
+    # wide-range sets where no term of the polynomial leaves the float range at a root.
+    found = validate_params(-2.5, 5.25e300, -2.5, 1e-300, 0.0, 1.0)
+    sets = [found] + _wide_range_sets(7, 2000)
+    exact = [_exact_positive_roots(p) for p in sets]
+    kept = [i for i, roots in enumerate(exact) if all(_terms_finite(sets[i], r) for r in roots)]
+    assert kept[0] == 0 and len(kept) > 1000
+    assert {len(exact[i]) for i in kept} == {0, 1, 2} and sum(sets[i].delta == 0.0 for i in kept) > 100
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = oracle_bound_kappas(stack_params([sets[i] for i in kept]))
+    for i, pair in zip(kept, batch):
+        roots = _found(pair)
+        assert len(roots) == len(exact[i]), sets[i]
+        for r, e in zip(roots, exact[i]):
+            assert abs(r - e) <= 4.0 * np.spacing(float(e)), sets[i]
+    assert all(abs(r - e) <= np.spacing(float(e)) for r, e in zip(_found(batch[0]), exact[0]))
 
 
 def _root_condition(p, kappa):
@@ -270,18 +330,18 @@ def _scalar_bisect(f, lo, hi):
 def _scalar_oracle(p):
     """The bracketing oracle one set at a time: brackets split at the vertex, scalar bisection."""
     a, b, g, d, m = p.alpha, p.beta, p.gamma, p.delta, p.mass
-    c1 = 2.0 * (a + g)
+    c1, c0 = 2.0 * (a + g), 4.0 * b * m * m
 
     def poly(k):
-        return d * k * k + c1 * k * m + 4.0 * b * m * m
+        return d * k * k + c1 * k * m + c0
 
     if d == 0.0:
-        root = -2.0 * b * m / (a + g)
-        return [root] if root > 1e-12 else []
-    k_max = 2.0 * (1.0 + abs(a + g) * 2.0 * m + math.sqrt(4.0 * abs(b)) * 2.0 * m)
-    k_max /= max(abs(d), 1e-30)
-    k_max = max(k_max, 1.0 + max(abs(c1 * m), abs(4.0 * b * m * m)) / abs(d))
-    vertex = min(max(-c1 * m / (2.0 * d), 1e-12), k_max)
+        k_max = 2.0 * abs(c0 / (c1 * m))
+        vertex = math.inf if -c1 * m > 0.0 else -math.inf  # -c1*m/(2*d) as numpy divides by zero
+    else:
+        k_max = 2.0 * max(abs(c1 * m / d), math.sqrt(abs(c0)) / math.sqrt(abs(d)))
+        vertex = -c1 * m / (2.0 * d)
+    vertex = min(max(vertex, 1e-12), k_max)
     roots = [vertex] if poly(vertex) == 0.0 else []
     for lo, hi in ((1e-12, vertex), (vertex, k_max)):
         if min(poly(lo), poly(hi)) < 0.0 < max(poly(lo), poly(hi)):
@@ -349,6 +409,20 @@ def test_batched_oracle_equals_one_set_at_a_time():
     assert [_found(oracle_bound_kappas(p)) for p in sets[:20]] == expected[:20]
     # NaN pads the end of a pair only.
     assert not (np.isnan(batch[:, 0]) & ~np.isnan(batch[:, 1])).any()
+
+
+def test_bound_suite_catches_a_wrong_delta_zero_root(monkeypatch):
+    # About 1 in 30 of the suite's draws is projected onto delta = 0; the oracle
+    # brackets those roots as it does every other, so a closed form off by 1e-9 there fails.
+    kappa_roots = one_body.kappa_roots
+
+    def skewed(params):
+        plus, minus = kappa_roots(params)
+        return np.where(params.delta == 0.0, plus * (1.0 + 1e-9), plus), minus
+
+    monkeypatch.setattr(one_body, "kappa_roots", skewed)
+    (bound,), _ = run_suite("bound")
+    assert not bound.passed and bound.worst_at["params"]["delta"] == 0.0
 
 
 def test_bound_and_scatter_reports_pinned():
