@@ -64,6 +64,15 @@ def require_finite(**values) -> None:
             raise InputError(f"{name} must be finite, got {float(bad[0])!r}")
 
 
+def broadcast_shape(**values) -> tuple[int, ...]:
+    """The shape the keyword values broadcast to, or InputError naming the shape of each."""
+    try:
+        return np.broadcast(*values.values()).shape
+    except ValueError:
+        shapes = ", ".join(f"{name} {np.shape(value)}" for name, value in values.items())
+        raise InputError(f"shapes do not broadcast together: {shapes}") from None
+
+
 def validate_count(name: str, value, low: int, high: int | None = SIZE_CAP) -> int:
     """value as an int if it is an int or numpy integer, not a bool, of low..high, else InputError naming it.
 
@@ -80,12 +89,14 @@ def validate_params(alpha, beta, gamma, delta, theta, mass) -> InteractionParams
     """Check the inputs and return them packaged, or raise.
 
     Floats give float fields; arrays broadcast together into array fields.
-    Raises InputError when any value is NaN or infinite,
-    ConstraintViolation when alpha*gamma - beta*delta strays from 1 by
-    more than CONSTRAINT_TOL, and NonPositiveMass when mass <= 0, each
-    naming the first offending entry. The values are never adjusted.
+    Raises InputError when the shapes do not broadcast or any value is NaN
+    or infinite, ConstraintViolation when alpha*gamma - beta*delta strays
+    from 1 by more than CONSTRAINT_TOL, and NonPositiveMass when mass <= 0,
+    each naming the first offending entry. The values are never adjusted.
     """
-    table = np.array(np.broadcast_arrays(alpha, beta, gamma, delta, theta, mass), dtype=float)
+    fields = (alpha, beta, gamma, delta, theta, mass)
+    broadcast_shape(**dict(zip(PARAM_FIELDS, fields)))
+    table = np.array(np.broadcast_arrays(*fields), dtype=float)
     if not np.isfinite(table).all():  # one check, then field by field only to name the failure
         require_finite(**dict(zip(PARAM_FIELDS, table)))
     a, b, g, d, _, m = table

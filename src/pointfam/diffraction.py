@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InteractionParams, validate_count, validate_wavenumber
+from .core import InteractionParams, broadcast_shape, validate_count, validate_wavenumber
 from .errors import GrazingAngle, InputError, InvariantViolation
 from .scattering import amplitudes
 
@@ -64,13 +64,15 @@ class DiffractionReport:
 def ray_kinematics(k: float | np.ndarray, phi: float | np.ndarray) -> RayKinematics:
     """Normal wavenumbers k_i = k sin(phi_i), phi_1 = phi, phi_2 = phi + pi/3, phi_3 = pi/3 - phi.
 
-    k and phi are floats or broadcastable arrays. Every k must be finite
-    and positive, and every phi must lie strictly inside (0, pi/3) so that
-    every k_i is positive. The construction forces k1 + k3 = k2
-    identically; a violation raises InvariantViolation.
+    k and phi are floats or arrays that broadcast together, else
+    InputError. Every k must be finite and positive, and every phi must lie
+    strictly inside (0, pi/3) so that every k_i is positive. The
+    construction forces k1 + k3 = k2 identically; a violation raises
+    InvariantViolation.
     """
     k = validate_wavenumber(k)
     phi = np.asarray(phi, dtype=float)[()]
+    broadcast_shape(k=k, phi=phi)
     ok = (0.0 < phi) & (phi < PHI_MAX)
     if not ok.all():
         bad = float(np.extract(~ok, phi)[0])

@@ -44,30 +44,26 @@ class BoundState:
 def kappa_roots(params: InteractionParams) -> tuple[np.ndarray, np.ndarray]:
     """The candidate roots (plus, minus) of the decay-rate equation, arrays of the fields' shape.
 
-    For delta != 0 the two roots are evaluated with the usual cancellation
-    guard (the non-cancelling root directly, the other via the product of
-    roots). For delta = 0 the equation is linear: its root is the plus
-    entry and the minus entry is NaN.
+    Every member goes through one stable quadratic formula (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., 2002, section 1.8). With
+    s = sqrt((alpha-gamma)^2 + 4) and q = -(alpha+gamma) - sign(alpha+gamma)*s,
+    which cannot cancel, one root is q*m/delta and the other 4*beta*m/q, with
+    no division by delta. A root past the float range is +-inf while the
+    other stays finite. For delta = 0 the equation is linear: the second
+    formula gives its root, the plus entry, and the minus entry is NaN.
     """
     a, b, g, d, m = (
         np.asarray(v) for v in (params.alpha, params.beta, params.gamma, params.delta, params.mass)
     )
-    with np.errstate(all="ignore"):  # delta = 0 entries are replaced below
-        # sqrt((alpha-gamma)^2 + 4), always >= 2. math.hypot rounds correctly;
-        # np.hypot (the C library's) is one ulp off for about 0.6% of these inputs.
-        s = np.asarray(np.frompyfunc(math.hypot, 2, 1)(a - g, 2.0), dtype=float)
-        trace = a + g
-        product = 4.0 * b * m * m / d  # kappa_plus * kappa_minus
-        plus = m * (-trace + s) / d
-        minus = m * (-trace - s) / d
-        vieta = b != 0.0
-        k_plus = np.where((trace > 0.0) & vieta, product / minus, plus)
-        k_minus = np.where((trace <= 0.0) & vieta, product / plus, minus)
-        # Valid params with delta = 0 force alpha*gamma = 1, so alpha+gamma != 0.
-        linear = d == 0.0
-        k_plus = np.where(linear, -2.0 * b * m / trace, k_plus)
-        k_minus = np.where(linear, np.nan, k_minus)
-    return k_plus, k_minus
+    # sqrt((alpha-gamma)^2 + 4), always >= 2. math.hypot rounds correctly;
+    # np.hypot (the C library's) is one ulp off for about 0.6% of these inputs.
+    s = np.asarray(np.frompyfunc(math.hypot, 2, 1)(a - g, 2.0), dtype=float)
+    q = -(a + g) - np.copysign(s, a + g)  # |q| >= s >= 2: no cancellation
+    with np.errstate(divide="ignore", over="ignore"):
+        direct = np.where(d == 0.0, np.nan, q * (m / d))  # delta = 0 has no second root
+        vieta = (b / q) * m * 4.0  # scaling by 4 last: it overflows only where the root does
+    swap = (q < 0.0) | (d == 0.0)  # the plus root is the Vieta one
+    return np.where(swap, vieta, direct), np.where(swap, direct, vieta)
 
 
 def bound_spectrum(params: InteractionParams) -> list[BoundState]:
@@ -86,7 +82,7 @@ def bound_spectrum(params: InteractionParams) -> list[BoundState]:
     states = []
     for kappa, branch in zip(kappa_roots(params), ("plus", "minus") if params.delta else ("single",)):
         kappa = kappa.item()
-        if kappa <= KAPPA_MIN:  # NaN is kept, and refused below
+        if kappa <= KAPPA_MIN:  # NaN, delta = 0's missing root, never reaches here: the zip drops it
             continue
         energy = -kappa * kappa / (2.0 * m)
         eta = ph * (params.gamma + params.delta * kappa / (2.0 * m))

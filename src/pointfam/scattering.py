@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InteractionParams, validate_wavenumber
+from .core import InteractionParams, broadcast_shape, validate_wavenumber
 from .errors import SingularDenominator
 
 DENOMINATOR_MIN = 1e-300
@@ -33,12 +33,14 @@ def amplitudes(params: InteractionParams, k: float | np.ndarray) -> ScatteringAm
     """Closed-form amplitudes at a wavenumber k > 0, or at each entry of an array k.
 
     The parameter fields may be arrays that broadcast with k. Raises
-    InputError if any k is not finite and positive, and
-    SingularDenominator if the common denominator vanishes anywhere, which
-    cannot happen for a valid parameter set and real positive k. Where
+    InputError if any k is not finite and positive or the shapes do not
+    broadcast, and SingularDenominator if the common denominator vanishes
+    anywhere, which cannot happen for a valid parameter set and real
+    positive k. Where
     d*k*k overflows the amplitudes are NaN, with no warning.
     """
     k = validate_wavenumber(k)
+    broadcast_shape(**vars(params), k=k)
     a, b, g, d, m = params.alpha, params.beta, params.gamma, params.delta, params.mass
     with np.errstate(all="ignore"):
         den = d * k * k + 2j * k * m * (a + g) - 4.0 * b * m * m

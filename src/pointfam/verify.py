@@ -30,7 +30,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import InteractionParams, boundary_matrix, validate_count, validate_params, validate_wavenumber
+from .core import (
+    InteractionParams,
+    boundary_matrix,
+    broadcast_shape,
+    validate_count,
+    validate_params,
+    validate_wavenumber,
+)
 from .errors import InputError, SingularSystem
 
 _SQRT2 = math.sqrt(2.0)
@@ -221,13 +228,14 @@ def scattering_matching_oracle(
     parameter fields and k are floats or arrays that broadcast together:
     floats give complex scalars t and r, arrays give arrays of the
     broadcast shape from one stacked solve. A k that is not finite and
-    positive anywhere, or another incidence, raises InputError.
+    positive anywhere, shapes that do not broadcast, or another incidence
+    raise InputError.
     """
     k = validate_wavenumber(k)
     if incidence not in ("minus", "plus"):
         raise InputError(f"incidence must be 'minus' or 'plus', got {incidence!r}")
     fields = (params.alpha, params.beta, params.gamma, params.delta, params.mass, params.phase, k)
-    shape = np.broadcast_shapes(*map(np.shape, fields))
+    shape = broadcast_shape(**vars(params), k=k)
     a, b, g, d, m, ph, k = (np.broadcast_to(x, shape).ravel() for x in fields)
     ik, two_m = 1j * k, 2.0 * m
     ph_a, ph_d = _py_cmul(ph, ik * a - two_m * b), _py_cmul(ph, ik * d - two_m * g)

@@ -54,6 +54,31 @@ def brute_force_root_count(alpha, gamma, delta, mass=1.0, nk=2048):
     return changes + interior_zeros
 
 
+def exact_positive_roots(params):
+    """Positive roots above 1e-12 of the decay-rate polynomial at 4000 bits, ascending, as mpmath numbers.
+
+    The discriminant is 4m^2((alpha-gamma)^2 + 4*det) with det = alpha*gamma
+    - beta*delta within CONSTRAINT_TOL of 1, so positive and at least 16m^2.
+    Its terms exceed that by at most about 1e300 for fields of magnitude up
+    to 1e150 (1e300 for beta, delta and the mass), so 4000 bits leave it
+    some 3000 correct bits. The roots come from the form that does not
+    cancel: q = -(c1 + sign(c1)*sqrt(disc))/2, then q/delta and c0/q.
+    """
+    import mpmath
+
+    with mpmath.workprec(4000):
+        a, b, g, d, m = (
+            mpmath.mpf(v) for v in (params.alpha, params.beta, params.gamma, params.delta, params.mass)
+        )
+        c1, c0 = 2 * (a + g) * m, 4 * b * m * m
+        if d == 0:
+            roots = [-c0 / c1]
+        else:
+            q = -(c1 + mpmath.sqrt(c1 * c1 - 4 * d * c0) * (1 if c1 >= 0 else -1)) / 2
+            roots = [q / d, c0 / q]
+        return sorted(r for r in roots if r > 1e-12)
+
+
 def stack_params(sets):
     """One InteractionParams whose fields are arrays, entry i from sets[i]."""
     return InteractionParams(*(np.array([getattr(p, f) for p in sets]) for f in PARAM_FIELDS))

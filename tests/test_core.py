@@ -14,7 +14,7 @@ from pointfam.core import (
     validate_count,
     validate_params,
 )
-from pointfam.diffraction import no_diffraction_scan, ray_kinematics, scan_points
+from pointfam.diffraction import no_diffraction_scan, outgoing_amplitudes, ray_kinematics, scan_points
 from pointfam.errors import ConstraintViolation, InputError, NonFiniteResult, NonPositiveMass
 from pointfam.many_body import mcguire_reference, nbody_bound_states
 from pointfam.scattering import amplitudes
@@ -48,6 +48,21 @@ def test_one_wavenumber_rule(use, k):
         use(p, k)
     with pytest.raises(InputError, match=f"got {k!r}$"):  # the first bad entry of an array is named
         use(p, np.array([1.0, k, -2.0]))
+
+
+_PAIR = random_params(np.random.default_rng(3), 2)
+
+
+@pytest.mark.parametrize("call, shapes", [
+    (lambda: validate_params(np.ones(2), 0.0, np.ones(3), 0.0, 0.0, 1.0), "alpha (2,), beta (), gamma (3,)"),
+    (lambda: amplitudes(_PAIR, np.ones(3)), "mass (2,), k (3,)"),
+    (lambda: scattering_matching_oracle(_PAIR, np.ones(3), "minus"), "mass (2,), k (3,)"),
+    (lambda: outgoing_amplitudes(_PAIR, ray_kinematics(np.ones(3), 0.5)), "mass (2,), k (3,)"),
+    (lambda: ray_kinematics(np.ones(2), np.full(3, 0.5)), "k (2,), phi (3,)"),
+], ids=["validate-params", "amplitudes", "matching-oracle", "outgoing-amplitudes", "ray-kinematics"])
+def test_shapes_that_do_not_broadcast_are_refused(call, shapes):
+    with pytest.raises(InputError, match=re.escape("shapes do not broadcast together: ") + ".*" + re.escape(shapes)):
+        call()
 
 
 def test_count_rule():

@@ -6,10 +6,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import brute_force_root_count
-from pointfam.core import PARAM_FIELDS, InteractionParams, boundary_matrix, canonical_interaction, validate_params
+from conftest import brute_force_root_count, exact_positive_roots, stack_params
+from pointfam.core import (
+    CONSTRAINT_TOL,
+    PARAM_FIELDS,
+    InteractionParams,
+    boundary_matrix,
+    canonical_interaction,
+    validate_params,
+)
 from pointfam.errors import InputError, InvalidSlice, NonFiniteResult
-from pointfam.one_body import bound_spectrum, orthogonality_sum, phase_diagram_count
+from pointfam.one_body import KAPPA_MIN, bound_spectrum, kappa_roots, orthogonality_sum, phase_diagram_count
 from pointfam.verify import random_params
 
 TWO_STATE = validate_params(-2.0, 3.0, -2.0, 1.0, 0.0, 0.5)
@@ -95,6 +102,64 @@ def test_overflowing_spectrum_is_refused():
     p = validate_params(-1.0, -2.0, -1.0, 1e-300, math.pi, 1.0)
     with pytest.raises(NonFiniteResult, match="energy is -inf, not a finite number"):
         bound_spectrum(p)
+
+
+def _extreme_sets(seed, draws):
+    """Valid sets with |alpha|, |gamma| log-uniform in 1e-150..1e150 and |delta|, |beta|, mass in 1e-300..1e300.
+
+    One set in five is put on the delta = 0 family with gamma = 1/alpha and
+    the drawn beta; the others take beta from the constraint and are kept
+    when it holds within CONSTRAINT_TOL with |beta| at most 1e300.
+    """
+    rng = np.random.default_rng(seed)
+    sign = rng.choice([-1.0, 1.0], (4, draws))
+    a, g = sign[:2] * 10.0 ** rng.uniform(-150.0, 150.0, (2, draws))
+    d, b0, m = 10.0 ** rng.uniform(-300.0, 300.0, (3, draws))
+    d, b0 = sign[2] * d, sign[3] * b0
+    zero = rng.uniform(size=draws) < 0.2
+    g[zero], d[zero] = 1.0 / a[zero], 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        b = np.where(zero, b0, (a * g - 1.0) / d)
+        valid = (np.abs(a * g - b * d - 1.0) <= CONSTRAINT_TOL) & (np.abs(b) <= 1e300)
+    return [validate_params(*row, 0.0, mass) for *row, mass in zip(*(x[valid].tolist() for x in (a, b, g, d, m)))]
+
+
+def test_kappa_roots_across_the_float_range():
+    # Named sets first: a lower root 1.04e5 beside an upper one past the float range,
+    # the roots 5e307 of a delta = 0 set and of a set where 4*beta/q overflows,
+    # a beta = 0 set whose cancelling root is 0, and delta = 0 sets with alpha + gamma
+    # of either sign.
+    named = [
+        validate_params(
+            -7.354233193540967e-146, 9.624116741751103e163, -2.4264951175299004e159,
+            1.8541972646579197e-150, 0.0, 1.3114032036155718,
+        ),
+        validate_params(-1.0, 1e308, -1.0, 0.0, 0.0, 0.5),
+        validate_params(0.0, -1e308, 0.0, 1e-308, 0.0, 0.25),
+        validate_params(-2.0, 0.0, -0.5, 1.0, 0.0, 1.0),
+        validate_params(1.0, -2.0, 1.0, 0.0, 0.0, 0.5),
+        validate_params(-1.0, 2.0, -1.0, 0.0, 0.0, 0.5),
+    ]
+    sets = named + _extreme_sets(11, 6000)
+    exact = [[e for e in exact_positive_roots(p) if abs(float(e)) < math.inf] for p in sets]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plus, minus = kappa_roots(stack_params(sets))
+    zero = np.array([p.delta == 0.0 for p in sets])
+    assert zero.sum() > 1000 and {len(roots) for roots in exact} == {0, 1, 2}
+    assert (np.isinf(plus) | np.isinf(minus))[~zero].sum() > 100  # a root past the float range is +-inf
+    # delta = 0 puts its root in the plus entry and NaN in the minus entry; delta != 0 has no NaN.
+    assert np.isnan(minus[zero]).all() and not np.isnan(plus).any() and not np.isnan(minus[~zero]).any()
+    assert plus[0] == math.inf and minus[0] == pytest.approx(104027.38860609, rel=1e-13)
+    assert plus[1] == plus[2] == 5e307 and (plus[3], minus[3]) == (5.0, 0.0) and plus[4] == plus[5] == 1.0
+    # q carries at most 3 units of roundoff (a+g, or a-g and the hypot, then the sum)
+    # and each root two more, so 5 ulps to first order; batches like this reach 2.5.
+    for i, p in enumerate(sets):
+        roots = sorted(r for r in (plus[i], minus[i]) if KAPPA_MIN < r < math.inf)
+        assert len(roots) == len(exact[i]), p
+        bound = 1.0 if i < 3 else 3.0
+        for r, e in zip(roots, exact[i]):
+            assert float(abs(r - e)) <= bound * np.spacing(float(e)), p
 
 
 def test_energy_kappa_relation(rng):

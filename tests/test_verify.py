@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies
 
-from conftest import stack_params
+from conftest import exact_positive_roots, stack_params
 from pointfam import diffraction, one_body, suites, verify
 from pointfam.core import (
     CONSTRAINT_TOL,
@@ -110,30 +110,6 @@ def test_oracle_agrees_with_closed_form(rng):
             assert abs(a - b) <= 1e-10 * max(1.0, b)
 
 
-def _exact_positive_roots(params):
-    """Positive roots of the decay-rate polynomial at 4000 bits, ascending.
-
-    4000 bits hold the discriminant of these tests' fields exactly. It is
-    4m^2((alpha-gamma)^2 + 4*det) with det = alpha*gamma - beta*delta
-    within CONSTRAINT_TOL of 1, so positive. The roots come from the form
-    that does not cancel: q = -(c1 + sign(c1)*sqrt(disc))/2, then
-    q/delta and c0/q.
-    """
-    import mpmath
-
-    with mpmath.workprec(4000):
-        a, b, g, d, m = (
-            mpmath.mpf(v) for v in (params.alpha, params.beta, params.gamma, params.delta, params.mass)
-        )
-        c1, c0 = 2 * (a + g) * m, 4 * b * m * m
-        if d == 0:
-            roots = [-c0 / c1]
-        else:
-            q = -(c1 + mpmath.sqrt(c1 * c1 - 4 * d * c0) * (1 if c1 >= 0 else -1)) / 2
-            roots = [q / d, c0 / q]
-        return sorted(r for r in roots if r > 1e-12)
-
-
 def test_oracle_roots_against_mpmath():
     # One-at-a-time draws from the bound suite's seed; the 4-ulp bound is fitted to
     # these inputs, test_oracle_roots_within_condition_bound holds for any draws.
@@ -143,7 +119,7 @@ def test_oracle_roots_against_mpmath():
     for i, pair in enumerate(oracle_bound_kappas(batch)):
         roots = _found(pair)
         p = InteractionParams(*(float(getattr(batch, f)[i]) for f in PARAM_FIELDS))
-        exact = _exact_positive_roots(p)
+        exact = exact_positive_roots(p)
         assert len(roots) == len(exact), p
         for r, e in zip(roots, exact):
             worst_ulps = max(worst_ulps, float(abs(r - e)) / np.spacing(float(e)))
@@ -158,7 +134,7 @@ def test_oracle_finds_a_root_past_an_overflowing_bound(delta):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         roots = _found(oracle_bound_kappas(p))
-    exact = [float(e) for e in _exact_positive_roots(p)]
+    exact = [float(e) for e in exact_positive_roots(p)]
     assert len(roots) == len(exact) == 1
     assert abs(roots[0] - exact[0]) <= np.spacing(exact[0])
     assert roots[0] == pytest.approx(0.5 / delta, rel=1e-15)
@@ -195,7 +171,7 @@ def test_oracle_roots_across_the_float_range():
     # wide-range sets where no term of the polynomial leaves the float range at a root.
     found = validate_params(-2.5, 5.25e300, -2.5, 1e-300, 0.0, 1.0)
     sets = [found] + _wide_range_sets(7, 2000)
-    exact = [_exact_positive_roots(p) for p in sets]
+    exact = [exact_positive_roots(p) for p in sets]
     kept = [i for i, roots in enumerate(exact) if all(_terms_finite(sets[i], r) for r in roots)]
     assert kept[0] == 0 and len(kept) > 1000
     assert {len(exact[i]) for i in kept} == {0, 1, 2} and sum(sets[i].delta == 0.0 for i in kept) > 100
@@ -227,7 +203,7 @@ def test_oracle_roots_within_condition_bound(seed):
     for i, pair in enumerate(oracle_bound_kappas(batch)):
         roots = _found(pair)
         p = InteractionParams(*(float(getattr(batch, f)[i]) for f in PARAM_FIELDS))
-        exact = _exact_positive_roots(p)
+        exact = exact_positive_roots(p)
         assert len(roots) == len(exact), p
         for r, e in zip(roots, exact):
             e = float(e)
@@ -239,7 +215,7 @@ def test_oracle_separates_close_roots(alpha):
     # alpha = gamma, delta = 1, m = 1: the roots -2*alpha -+ 2 lie 4 apart near
     # 1e4 and 2e6, so a sign-change scan with cells wider than 4 sees neither.
     p = validate_params(alpha, alpha * alpha - 1.0, alpha, 1.0, 0.0, 1.0)
-    exact = _exact_positive_roots(p)
+    exact = exact_positive_roots(p)
     assert exact == [-2.0 * alpha - 2.0, -2.0 * alpha + 2.0]
     roots = _found(oracle_bound_kappas(p))
     assert len(roots) == 2
@@ -411,32 +387,43 @@ def test_batched_oracle_equals_one_set_at_a_time():
     assert not (np.isnan(batch[:, 0]) & ~np.isnan(batch[:, 1])).any()
 
 
-def test_bound_suite_catches_a_wrong_delta_zero_root(monkeypatch):
+def _skew_delta_zero_root(params, plus, minus):
+    return np.where(params.delta == 0.0, plus * (1.0 + 1e-9), plus), minus
+
+
+def _skew_vieta_root(params, plus, minus):
+    # The root of smaller magnitude of a delta != 0 pair is the one from 4*beta*m/q.
+    smaller = np.abs(plus) < np.abs(minus)  # False at delta = 0, where minus is NaN
+    larger = np.abs(minus) < np.abs(plus)
+    return np.where(smaller, plus * (1.0 + 1e-9), plus), np.where(larger, minus * (1.0 + 1e-9), minus)
+
+
+@pytest.mark.parametrize(
+    "skew, on_delta_zero", [(_skew_delta_zero_root, True), (_skew_vieta_root, False)], ids=["delta-zero", "vieta"]
+)
+def test_bound_suite_catches_a_wrong_root(monkeypatch, skew, on_delta_zero):
     # About 1 in 30 of the suite's draws is projected onto delta = 0; the oracle
-    # brackets those roots as it does every other, so a closed form off by 1e-9 there fails.
+    # brackets every root the same way, so a closed form off by 1e-9 on either
+    # family fails.
     kappa_roots = one_body.kappa_roots
-
-    def skewed(params):
-        plus, minus = kappa_roots(params)
-        return np.where(params.delta == 0.0, plus * (1.0 + 1e-9), plus), minus
-
-    monkeypatch.setattr(one_body, "kappa_roots", skewed)
+    monkeypatch.setattr(one_body, "kappa_roots", lambda params: skew(params, *kappa_roots(params)))
     (bound,), _ = run_suite("bound")
-    assert not bound.passed and bound.worst_at["params"]["delta"] == 0.0
+    assert not bound.passed and bound.max_residual == pytest.approx(1e-9, rel=1e-5)
+    assert (bound.worst_at["params"]["delta"] == 0.0) == on_delta_zero
 
 
 def test_bound_and_scatter_reports_pinned():
     (bound,), _ = run_suite("bound")
-    assert bound.max_residual == 6.143345392245229e-16
+    assert bound.max_residual == 5.551115123125783e-16
     assert bound.worst_at == {
-        "draw": 517,
+        "draw": 194,
         "params": {
-            "alpha": 2.8442665438502948,
-            "beta": -60.501328810540706,
-            "gamma": 2.9946398961720417,
-            "delta": -0.12425436292651693,
-            "theta": 1.1339094434402188,
-            "mass": 1.1247337828565747,
+            "alpha": 1.9300850158504108,
+            "beta": -0.8052781777656577,
+            "gamma": 1.0941070613214876,
+            "delta": -1.3805411291255045,
+            "theta": 2.1521699917026327,
+            "mass": 1.6051783049988597,
         },
     }
     match, flux, _ = run_suite("scatter")[0]
@@ -513,7 +500,7 @@ def test_matching_oracle_input_checks():
         scattering_matching_oracle(DELTA, 1.0, "left")
     with pytest.raises(InputError, match="'left'"):
         scattering_matching_oracle(stack_params([DELTA, TWO_STATE]), np.array([1.0, 2.0]), "left")
-    with pytest.raises(ValueError, match="cannot be broadcast"):
+    with pytest.raises(InputError, match="do not broadcast"):
         scattering_matching_oracle(stack_params([DELTA, TWO_STATE]), np.array([1.0, 2.0, 3.0]), "minus")
 
 
