@@ -1,10 +1,10 @@
 """First-principles oracles for the closed forms in the rest of the package.
 
 Every function here recomputes physics directly from the boundary
-condition: decay constants by bisecting the decay-rate polynomial to
-adjacent floats on either side of its vertex, below Fujiwara's root
-bound, the delta = 0 members as every other (every bracket of a batch
-stepped together, in place, until all have finished), scattering
+condition: decay constants by bisecting the decay-rate polynomial,
+divided by m*k, to adjacent floats on either side of its vertex, up to
+the largest float, the delta = 0 members as every other (every bracket
+of a batch halved together on its bit patterns, 63 times), scattering
 amplitudes by solving the plane-wave matching system, and bound-state
 quality by residuals of the boundary condition and of the kinetic
 eigenvalue problem. None of them call the closed-form code paths they
@@ -42,8 +42,7 @@ from .errors import InputError, SingularSystem
 
 _SQRT2 = math.sqrt(2.0)
 _KAPPA_MIN = 1e-12
-# No bracket ends above this, half the largest float, so lo + hi in _bisect stays finite.
-_KAPPA_MAX = np.finfo(float).max / 2
+_KAPPA_MAX = np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -111,85 +110,71 @@ def random_params(rng: np.random.Generator, draws: int | None = None) -> Interac
     return validate_params(*rows[0].tolist() if draws is None else rows.T)
 
 
-def _decay_poly(k, d, c1, m, c0):
-    """delta*k^2 + 2*(alpha+gamma)*k*m + 4*beta*m^2, with c1 = 2*(alpha+gamma), c0 = 4*beta*m^2."""
+def _decay_poly(k, d, c1, c0):
+    """The decay-rate polynomial over m*k: d*k + c1 + c0/k, with d = delta/m, c1 = 2*(alpha+gamma), c0 = 4*beta*m.
+
+    For k > 0 it has the sign of delta*k^2 + 2*(alpha+gamma)*m*k + 4*beta*m^2,
+    and it is never NaN: d*k and c0/k cannot both leave the float range at
+    one k, since that needs |d*c0| = |4*beta*delta| above the largest float
+    squared.
+    """
     f = d * k
-    f *= k
-    t = c1 * k
-    t *= m
-    f += t
-    f += c0
+    f += c1
+    f += c0 / k
     return f
 
 
-# _bisect looks for finished brackets on every _CHECK_EVERY-th step only: a
-# finished bracket stays as it is, so looking less often costs only idle steps.
-_CHECK_EVERY = 4
-
-
 def _bisect(coeffs: tuple[np.ndarray, ...], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Root of _decay_poly(k, *coeffs) in each sign-change bracket [lo, hi], one per entry.
+    """Root of _decay_poly(k, *coeffs) in each positive sign-change bracket [lo, hi], one per entry.
 
-    Every bracket is halved until its ends are adjacent floats, and the end
-    with the smaller |poly| is returned. Negating a bracket's coefficients
-    where poly(lo) > 0 negates poly exactly, so poly < 0 at every lo and
-    > 0 at every hi, and no end value is carried: a midpoint replaces lo
-    where poly <= 0 and hi where it is not < 0 (both at a zero, which
-    closes the bracket on it). Once a midpoint equals an end the bracket
-    has finished, and every further step leaves it as it is. So all
-    brackets step together in place until each has finished, which is
-    looked for on every _CHECK_EVERY-th step only, and every root equals
-    that of bisecting its bracket alone.
+    Negating a bracket's coefficients where poly(lo) > 0 negates poly
+    exactly, so poly < 0 at every lo and > 0 at every hi. Positive floats
+    order as their int64 bit patterns, so each bracket is halved on those:
+    a midpoint replaces lo where poly <= 0 and hi where it is not < 0 (both
+    at a zero, which closes the bracket on it). A positive bracket spans
+    fewer than 2**63 patterns, so 63 halvings leave its ends adjacent
+    floats, and a finished bracket stays as it is; every root thus equals
+    that of bisecting its bracket alone. Each bracket returns the end with
+    the smaller |poly|.
     """
     flip = _decay_poly(lo, *coeffs) > 0.0
-    d, c1, m, c0 = coeffs
-    d, c1, c0 = (np.where(flip, -c, c) for c in (d, c1, c0))
-    lo, hi = lo.copy(), hi.copy()
-    step = 0
-    while True:
-        mid = lo + hi
-        mid *= 0.5
-        step += 1
-        if step % _CHECK_EVERY == 0 and ((mid == lo) | (mid == hi)).all():
-            break
-        f_mid = _decay_poly(mid, d, c1, m, c0)
+    coeffs = tuple(np.where(flip, -c, c) for c in coeffs)
+    lo, hi = lo.view(np.int64).copy(), hi.view(np.int64).copy()  # positive floats order as their bit patterns
+    for _ in range(63):  # hi - lo < 2**63
+        mid = hi - lo
+        mid >>= 1
+        mid += lo  # lo + hi overflows int64
+        f_mid = _decay_poly(mid.view(float), *coeffs)
         np.copyto(lo, mid, where=f_mid <= 0.0)
         np.copyto(hi, mid, where=~(f_mid < 0.0))
-    nearer = np.abs(_decay_poly(lo, d, c1, m, c0)) <= np.abs(_decay_poly(hi, d, c1, m, c0))
+    lo, hi = lo.view(float), hi.view(float)
+    nearer = np.abs(_decay_poly(lo, *coeffs)) <= np.abs(_decay_poly(hi, *coeffs))
     return np.where(nearer, lo, hi)
 
 
 def oracle_bound_kappas(params: InteractionParams) -> np.ndarray:
     """Positive decay constants found numerically: an array of shape fields.shape + (2,).
 
-    The decay-rate polynomial has no root above k_max: Fujiwara's root
-    bound 2*max(|c1*m/delta|, sqrt(|c0|)/sqrt(|delta|)), or twice the one
-    root's size where delta = 0, capped at half the largest float so that
-    a midpoint never overflows. Its derivative vanishes at the vertex
-    -c1*m/(2*delta), which by Rolle's theorem lies between the two roots:
-    clipped into [KAPPA_MIN, k_max] it splits that interval into two
-    brackets with at most one root each, so two roots are told apart
-    however close they are. Where delta = 0 the vertex is infinite and
-    clips to an end, so the whole interval is one bracket. Each bracket
-    whose ends have opposite signs is bisected down to adjacent floats.
-    The discriminant 4m^2((alpha-gamma)^2 + 4) is positive, so there is no
-    double root: an exact zero at the vertex comes from rounding and is
-    reported as one root. Each member's pair holds its roots above
-    KAPPA_MIN in ascending order, NaN-padded at the end; the brackets of
-    all members are bisected together.
+    The decay-rate polynomial's derivative vanishes at the vertex
+    -(alpha+gamma)*m/delta, which by Rolle's theorem lies between the two
+    roots: clipped into [KAPPA_MIN, largest float] it splits that interval
+    into two brackets with at most one root each, so two roots are told
+    apart however close they are. Where delta = 0 the vertex is infinite
+    and clips to an end, so the whole interval is one bracket. Each bracket
+    whose ends have opposite signs of _decay_poly is bisected down to
+    adjacent floats. The discriminant 4m^2((alpha-gamma)^2 + 4) is
+    positive, so there is no double root: an exact zero at the vertex comes
+    from rounding and is reported as one root. Each member's pair holds its
+    roots above KAPPA_MIN in ascending order, NaN-padded at the end; the
+    brackets of all members are bisected together.
     """
     fields = np.broadcast_arrays(params.alpha, params.beta, params.gamma, params.delta, params.mass)
     a, b, g, d, m = (np.ravel(x) for x in fields)
-    c1 = 2.0 * (a + g)
-    c0 = 4.0 * b * m * m
-    coeffs = (d, c1, m, c0)
-    # the vertex is infinite where delta = 0; past the float range poly is inf or NaN
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        fujiwara = 2.0 * np.maximum(np.abs(c1 * m / d), np.sqrt(np.abs(c0)) / np.sqrt(np.abs(d)))
-        k_max = np.minimum(np.where(d == 0.0, 2.0 * np.abs(c0 / (c1 * m)), fujiwara), _KAPPA_MAX)
-        vertex = np.clip(-c1 * m / (2.0 * d), _KAPPA_MIN, k_max)
+    with np.errstate(divide="ignore", over="ignore"):  # the vertex is infinite where delta = 0
+        coeffs = (d / m, 2.0 * (a + g), 4.0 * b * m)
+        vertex = np.clip(-coeffs[1] / (2.0 * coeffs[0]), _KAPPA_MIN, _KAPPA_MAX)
         lo = np.stack([np.full_like(d, _KAPPA_MIN), vertex], 1)
-        hi = np.stack([vertex, k_max], 1)
+        hi = np.stack([vertex, np.full_like(d, _KAPPA_MAX)], 1)
         f_lo, f_hi = (_decay_poly(k, *(c[:, None] for c in coeffs)) for k in (lo, hi))
 
     found = np.full(lo.shape, np.nan)  # (members, 2): at most one root per bracket

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pointfam.core import PARAM_FIELDS, InteractionParams
+from pointfam.core import CONSTRAINT_TOL, PARAM_FIELDS, InteractionParams, validate_params
 
 _ACCEPTANCE_LINES = []
 
@@ -82,3 +82,23 @@ def exact_positive_roots(params):
 def stack_params(sets):
     """One InteractionParams whose fields are arrays, entry i from sets[i]."""
     return InteractionParams(*(np.array([getattr(p, f) for p in sets]) for f in PARAM_FIELDS))
+
+
+def extreme_sets(seed, draws):
+    """Valid sets with |alpha|, |gamma| log-uniform in 1e-150..1e150 and |delta|, |beta|, mass in 1e-300..1e300.
+
+    One set in five is put on the delta = 0 family with gamma = 1/alpha and
+    the drawn beta; the others take beta from the constraint and are kept
+    when it holds within CONSTRAINT_TOL with |beta| at most 1e300.
+    """
+    rng = np.random.default_rng(seed)
+    sign = rng.choice([-1.0, 1.0], (4, draws))
+    a, g = sign[:2] * 10.0 ** rng.uniform(-150.0, 150.0, (2, draws))
+    d, b0, m = 10.0 ** rng.uniform(-300.0, 300.0, (3, draws))
+    d, b0 = sign[2] * d, sign[3] * b0
+    zero = rng.uniform(size=draws) < 0.2
+    g[zero], d[zero] = 1.0 / a[zero], 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        b = np.where(zero, b0, (a * g - 1.0) / d)
+        valid = (np.abs(a * g - b * d - 1.0) <= CONSTRAINT_TOL) & (np.abs(b) <= 1e300)
+    return [validate_params(*row, 0.0, mass) for *row, mass in zip(*(x[valid].tolist() for x in (a, b, g, d, m)))]

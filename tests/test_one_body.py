@@ -6,9 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import brute_force_root_count, exact_positive_roots, stack_params
+from conftest import brute_force_root_count, exact_positive_roots, extreme_sets, stack_params
 from pointfam.core import (
-    CONSTRAINT_TOL,
     PARAM_FIELDS,
     InteractionParams,
     boundary_matrix,
@@ -104,26 +103,6 @@ def test_overflowing_spectrum_is_refused():
         bound_spectrum(p)
 
 
-def _extreme_sets(seed, draws):
-    """Valid sets with |alpha|, |gamma| log-uniform in 1e-150..1e150 and |delta|, |beta|, mass in 1e-300..1e300.
-
-    One set in five is put on the delta = 0 family with gamma = 1/alpha and
-    the drawn beta; the others take beta from the constraint and are kept
-    when it holds within CONSTRAINT_TOL with |beta| at most 1e300.
-    """
-    rng = np.random.default_rng(seed)
-    sign = rng.choice([-1.0, 1.0], (4, draws))
-    a, g = sign[:2] * 10.0 ** rng.uniform(-150.0, 150.0, (2, draws))
-    d, b0, m = 10.0 ** rng.uniform(-300.0, 300.0, (3, draws))
-    d, b0 = sign[2] * d, sign[3] * b0
-    zero = rng.uniform(size=draws) < 0.2
-    g[zero], d[zero] = 1.0 / a[zero], 0.0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        b = np.where(zero, b0, (a * g - 1.0) / d)
-        valid = (np.abs(a * g - b * d - 1.0) <= CONSTRAINT_TOL) & (np.abs(b) <= 1e300)
-    return [validate_params(*row, 0.0, mass) for *row, mass in zip(*(x[valid].tolist() for x in (a, b, g, d, m)))]
-
-
 def test_kappa_roots_across_the_float_range():
     # Named sets first: a lower root 1.04e5 beside an upper one past the float range,
     # the roots 5e307 of a delta = 0 set and of a set where 4*beta/q overflows,
@@ -140,7 +119,7 @@ def test_kappa_roots_across_the_float_range():
         validate_params(1.0, -2.0, 1.0, 0.0, 0.0, 0.5),
         validate_params(-1.0, 2.0, -1.0, 0.0, 0.0, 0.5),
     ]
-    sets = named + _extreme_sets(11, 6000)
+    sets = named + extreme_sets(11, 6000)
     exact = [[e for e in exact_positive_roots(p) if abs(float(e)) < math.inf] for p in sets]
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -1,5 +1,7 @@
 import math
 import re
+import struct
+import sys
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies
 
-from conftest import exact_positive_roots, stack_params
+from conftest import exact_positive_roots, extreme_sets, stack_params
 from pointfam import diffraction, one_body, suites, verify
 from pointfam.core import (
     CONSTRAINT_TOL,
@@ -37,6 +39,7 @@ DELTA = canonical_interaction("delta", -2.0, 0.5)
 TWO_STATE = validate_params(-2.0, 3.0, -2.0, 1.0, 0.0, 0.5)
 TWO_STATE_TILTED = validate_params(-2.0, 3.0, -2.0, 1.0, 0.7, 0.5)
 BOUND_SUITE_SEED = 20240901
+_FLOAT_MAX = sys.float_info.max
 
 
 def test_report_build_consistency():
@@ -87,8 +90,8 @@ def test_oracle_kappas_empty():
 
 
 def test_oracle_handles_wide_quadratic():
-    # zero-trace member: with c1 = 0 the one positive root is sqrt(|c0/delta|),
-    # and the root bound 2*sqrt(|c0|)/sqrt(|delta|) is twice that
+    # zero-trace member: with alpha + gamma = 0 the vertex is 0 and clips to KAPPA_MIN,
+    # so one bracket up to the largest float holds the one positive root sqrt(|4*beta*m^2/delta|)
     p = validate_params(10.0, -1.0, -10.0, 101.0, 0.0, 1.0)
     roots = _found(oracle_bound_kappas(p))
     assert len(roots) == 1
@@ -128,8 +131,8 @@ def test_oracle_roots_against_mpmath():
 
 @pytest.mark.parametrize("delta", [1e-160, 1e-290, 1e-300])
 def test_oracle_finds_a_root_past_an_overflowing_bound(delta):
-    # beta = -1/delta: |c0/delta| = 0.25/delta^2 overflows to inf, where poly is NaN;
-    # the root bound takes sqrt(|c0|)/sqrt(|delta|), so k_max = 1/delta and poly there stay finite.
+    # beta = -1/delta: the one root is 0.5/delta, where |4*beta*m^2/delta| = 0.25/delta^2
+    # overflows; 4*beta*m/k is -inf at KAPPA_MIN for delta = 1e-300, which keeps its sign.
     p = validate_params(0.0, -1.0 / delta, 0.0, delta, 0.0, 0.25)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -159,31 +162,45 @@ def _wide_range_sets(seed, draws):
     return [validate_params(*row, 0.0, mass) for *row, mass in zip(*(x[valid].tolist() for x in (a, b, g, d, m)))]
 
 
-def _terms_finite(p, kappa):
-    """Whether each of delta*k, delta*k^2, c1*k, c1*k*m and c0 stays below the largest float at the mpf kappa."""
-    c1 = 2.0 * abs(p.alpha + p.gamma)  # times an mpf, a product cannot overflow
-    terms = (abs(p.delta) * kappa, abs(p.delta) * kappa * kappa, c1 * kappa, c1 * kappa * p.mass)
-    return max(terms) < np.finfo(float).max and abs(4.0 * p.beta * p.mass * p.mass) < math.inf
+def _normal_coefficients(p):
+    """Whether delta/m, 2*(alpha+gamma) and 4*beta*m, formed as the oracle forms them, are zero or normal floats."""
+    coefficients = (p.delta / p.mass, 2.0 * (p.alpha + p.gamma), 4.0 * p.beta * p.mass)
+    return all(c == 0.0 or np.finfo(float).tiny <= abs(c) <= _FLOAT_MAX for c in coefficients)
 
 
 def test_oracle_roots_across_the_float_range():
-    # The set whose upper root 7e300 a bound with inf - inf at its end missed, and
-    # wide-range sets where no term of the polynomial leaves the float range at a root.
-    found = validate_params(-2.5, 5.25e300, -2.5, 1e-300, 0.0, 1.0)
-    sets = [found] + _wide_range_sets(7, 2000)
-    exact = [exact_positive_roots(p) for p in sets]
-    kept = [i for i, roots in enumerate(exact) if all(_terms_finite(sets[i], r) for r in roots)]
-    assert kept[0] == 0 and len(kept) > 1000
-    assert {len(exact[i]) for i in kept} == {0, 1, 2} and sum(sets[i].delta == 0.0 for i in kept) > 100
+    # Named sets first: a root 2.6e260 where delta*k^2 is about 1e406, a lower root
+    # 1.04e5 beside an upper one near 3.4e309, and a set whose upper root 7e300 a
+    # bound with inf - inf at its end missed. Then wide-range sets, all of them, and
+    # the extreme sets whose three coefficients are zero or normal floats.
+    named = [
+        validate_params(
+            2.7014412219917344e144, 5.342359694155892e114, 6.190125671915536e-159,
+            -1.8718320316280878e-115, 0.0, 9.06816196801751,
+        ),
+        validate_params(
+            -7.354233193540967e-146, 9.624116741751103e163, -2.4264951175299004e159,
+            1.8541972646579197e-150, 0.0, 1.3114032036155718,
+        ),
+        validate_params(-2.5, 5.25e300, -2.5, 1e-300, 0.0, 1.0),
+    ]
+    wide, extreme = _wide_range_sets(7, 4000), extreme_sets(11, 6000)
+    sets = named + wide + [p for p in extreme if _normal_coefficients(p)]
+    assert len(wide) > 2000 and len(sets) - len(named) - len(wide) > 3000
+    # only the roots below the largest float: the second named set's upper root is not one
+    exact = [[e for e in exact_positive_roots(p) if e <= _FLOAT_MAX] for p in sets]
+    assert {len(roots) for roots in exact} == {0, 1, 2} and sum(p.delta == 0.0 for p in sets) > 500
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        batch = oracle_bound_kappas(stack_params([sets[i] for i in kept]))
-    for i, pair in zip(kept, batch):
-        roots = _found(pair)
-        assert len(roots) == len(exact[i]), sets[i]
-        for r, e in zip(roots, exact[i]):
-            assert abs(r - e) <= 4.0 * np.spacing(float(e)), sets[i]
-    assert all(abs(r - e) <= np.spacing(float(e)) for r, e in zip(_found(batch[0]), exact[0]))
+        batch = oracle_bound_kappas(stack_params(sets))
+        oracle_bound_kappas(stack_params(extreme))  # no warning on the sets left out either
+    for p, pair, roots in zip(sets, batch, exact):
+        found = _found(pair)
+        assert len(found) == len(roots), p
+        for r, e in zip(found, roots):
+            assert abs(r - e) <= 4.0 * np.spacing(float(e)), p
+    for pair, roots in zip(batch[:3], exact):
+        assert all(abs(r - e) <= np.spacing(float(e)) for r, e in zip(_found(pair), roots))
 
 
 def _root_condition(p, kappa):
@@ -194,11 +211,11 @@ def _root_condition(p, kappa):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_oracle_roots_within_condition_bound(seed):
-    # Evaluating delta*k*k + 2*(alpha+gamma)*k*m + 4*beta*m*m rounds at most 3 times
-    # in a term and twice in the sums, so the computed sign is right wherever
-    # |p(k)| > 5u * sum |a_i| k^i; a root that far from a sign change lies within
-    # 5*cond ulps, and returning an end of the final bracket adds at most one
-    # ulp, no more than cond >= 1. Hence 6*cond ulps for any draw.
+    # Evaluating (delta/m)*k + 2*(alpha+gamma) + 4*beta*m/k, which is p(k)/(m*k),
+    # rounds at most twice in a term and twice in the sums, so the computed sign
+    # is right wherever |p(k)| > 4u * sum |a_i| k^i; a root that far from a sign
+    # change lies within 4*cond ulps, and returning an end of the final bracket
+    # adds at most one ulp, no more than cond >= 1. Hence 6*cond ulps for any draw.
     batch = random_params(np.random.default_rng(seed), 1000)
     for i, pair in enumerate(oracle_bound_kappas(batch)):
         roots = _found(pair)
@@ -288,38 +305,41 @@ def test_random_params_draws(seed):
     assert all(type(getattr(one, f)) is float for f in PARAM_FIELDS)
 
 
+def _bits(x):
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _from_bits(n):
+    return struct.unpack("<d", struct.pack("<q", n))[0]
+
+
 def _scalar_bisect(f, lo, hi):
+    """Halve [lo, hi], 0 < lo <= hi, on the bit patterns of its ends until they are adjacent floats or hit a zero."""
     f_lo, f_hi = f(lo), f(hi)
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return lo if abs(f_lo) <= abs(f_hi) else hi
-        f_mid = f(mid)
+    lo, hi = _bits(lo), _bits(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        f_mid = f(_from_bits(mid))
         if f_mid == 0.0:
-            return mid
+            return _from_bits(mid)
         if (f_mid < 0.0) == (f_lo < 0.0):
             lo, f_lo = mid, f_mid
         else:
             hi, f_hi = mid, f_mid
+    return _from_bits(lo) if abs(f_lo) <= abs(f_hi) else _from_bits(hi)
 
 
 def _scalar_oracle(p):
     """The bracketing oracle one set at a time: brackets split at the vertex, scalar bisection."""
-    a, b, g, d, m = p.alpha, p.beta, p.gamma, p.delta, p.mass
-    c1, c0 = 2.0 * (a + g), 4.0 * b * m * m
+    d, c1, c0 = p.delta / p.mass, 2.0 * (p.alpha + p.gamma), 4.0 * p.beta * p.mass
 
     def poly(k):
-        return d * k * k + c1 * k * m + c0
+        return d * k + c1 + c0 / k
 
-    if d == 0.0:
-        k_max = 2.0 * abs(c0 / (c1 * m))
-        vertex = math.inf if -c1 * m > 0.0 else -math.inf  # -c1*m/(2*d) as numpy divides by zero
-    else:
-        k_max = 2.0 * max(abs(c1 * m / d), math.sqrt(abs(c0)) / math.sqrt(abs(d)))
-        vertex = -c1 * m / (2.0 * d)
-    vertex = min(max(vertex, 1e-12), k_max)
+    with np.errstate(divide="ignore"):  # -c1/(2*d) is +-inf where delta = 0
+        vertex = min(max(float(np.divide(-c1, 2.0 * d)), 1e-12), _FLOAT_MAX)
     roots = [vertex] if poly(vertex) == 0.0 else []
-    for lo, hi in ((1e-12, vertex), (vertex, k_max)):
+    for lo, hi in ((1e-12, vertex), (vertex, _FLOAT_MAX)):
         if min(poly(lo), poly(hi)) < 0.0 < max(poly(lo), poly(hi)):
             roots.append(_scalar_bisect(poly, lo, hi))
     return [r for r in roots if r > 1e-12]
@@ -329,50 +349,54 @@ def _nearest_below(x):
     return math.nextafter(x, 0.0)
 
 
-# (d, c1, m, c0, lo, hi) of _decay_poly brackets with one sign change each.
+# (d, c1, c0, lo, hi) of _decay_poly brackets, 0 < lo <= hi, with one sign change each.
 BISECT_CASES = [
-    (1.0, 0.0, 1.0, -1.0, 0.0, 2.0),  # an exact zero at the first midpoint
-    (-1.0, 0.0, 1.0, 1.0, 0.0, 16.0),  # poly(lo) > 0, an exact zero at the fourth midpoint
-    (2.0, -3.0, 0.5, 0.25, 0.0, 0.4),  # roots 0.25 and 0.5: the zero 0.25 is the third midpoint
-    (1.0, 0.0, 1.0, -2.0, 1e-12, 1e6),  # sqrt(2) from a wide bracket
-    (1.0, 0.0, 1.0, -2.0, 1.4, 1.5),  # and from a narrow one, done many steps sooner
-    (-1.0, 0.0, 1.0, 2.0, _nearest_below(math.sqrt(2.0)), math.sqrt(2.0)),  # adjacent ends from the start
-    (1.0, 0.0, 1.0, -2.0, 1.0, _nearest_below(2.0)),
-    (0.3, 1.7, 0.9, -5.0, 1e-12, 30.0),
-    (-2.5, 0.4, 1.3, 7.0, 1.0, 3.0),
-    (1e-308, 0.0, 1.0, -1e308, 0.5e308, 1.5e308),  # the first midpoint is past the float range, poly NaN there
+    (1.0, 0.0, -1.0, 0.5, 2.0),  # an exact zero at the first midpoint: 1 lies halfway between their bit patterns
+    (-1.0, 0.0, 1.0, 2.0**-7, 2.0**9),  # poly(lo) > 0, an exact zero at the fourth midpoint
+    (4.0, -3.0, 0.5, 0.203125, 0.40625),  # roots 0.25 and 0.5: the zero 0.25 is the third midpoint
+    (1.0, 0.0, -2.0, 1e-12, 1e6),  # sqrt(2) from a wide bracket
+    (1.0, 0.0, -2.0, 1.4, 1.5),  # and from a narrow one, done many steps sooner
+    (-1.0, 0.0, 2.0, _nearest_below(math.sqrt(2.0)), math.sqrt(2.0)),  # adjacent ends from the start
+    (1.0, 0.0, -2.0, 1.0, _nearest_below(2.0)),
+    (0.3, 1.7, -5.0, 1e-12, 30.0),
+    (-2.5, 0.4, 7.0, 1.0, 3.0),
+    # The widest brackets, up to the largest float: from the least positive float, where
+    # c0/k is -inf (and d*k is inf at hi), and from KAPPA_MIN, with a root near 1e300.
+    (1.5, -1.0, -1.0, 5e-324, _FLOAT_MAX),
+    (1e-300, -1.0, -1.0, 1e-12, _FLOAT_MAX),
     # adjacent ends with an exact zero at one of them
-    (1.0, 0.0, 1.0, -1.0, 1.0, math.nextafter(1.0, 2.0)),
-    (1.0, 0.0, 1.0, -1.0, _nearest_below(1.0), 1.0),
-    (-1.0, 0.0, 1.0, 1.0, 1.0, math.nextafter(1.0, 2.0)),  # poly(lo) = 0 and poly(hi) < 0
+    (1.0, 0.0, -1.0, 1.0, math.nextafter(1.0, 2.0)),
+    (1.0, 0.0, -1.0, _nearest_below(1.0), 1.0),
+    (-1.0, 0.0, 1.0, 1.0, math.nextafter(1.0, 2.0)),  # poly(lo) = 0 and poly(hi) < 0
 ]
 
 
 def test_bisect_equals_one_bracket_at_a_time():
-    d, c1, m, c0, lo, hi = (np.array(column) for column in zip(*BISECT_CASES))
-    expected, calls = [], []
+    d, c1, c0, lo, hi = (np.array(column) for column in zip(*BISECT_CASES))
+    expected, halvings = [], []
     for case in BISECT_CASES:
         evaluations = []
 
         def poly(k, case=case):
             evaluations.append(k)
-            cd, cc1, cm, cc0 = case[:4]
-            return cd * k * k + cc1 * k * cm + cc0
+            cd, cc1, cc0 = case[:3]
+            return cd * k + cc1 + cc0 / k
 
-        expected.append(_scalar_bisect(poly, *case[4:]))
-        calls.append(len(evaluations))
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = verify._bisect((d, c1, m, c0), lo, hi)
+        expected.append(_scalar_bisect(poly, *case[3:]))
+        halvings.append(len(evaluations) - 2)  # one evaluation per halving, besides the two ends
+    with np.errstate(over="ignore"):
+        got = verify._bisect((d, c1, c0), lo, hi)
     assert got.tolist() == expected
-    assert expected[:3] == [1.0, 1.0, 0.25]
-    # The brackets finish on many different steps, most of them not on a step that looks for finished ones.
-    assert len(set(calls)) >= 8
-    assert lo.tolist() == [case[4] for case in BISECT_CASES]  # the input arrays are left as they are
+    assert expected[:3] == [1.0, 1.0, 0.25] and halvings[:3] == [1, 4, 3]
+    # From the least positive float to the largest is 2**63 - 2**52 - 2 bit patterns:
+    # that bracket takes every one of the 63 halvings to end on adjacent floats.
+    assert halvings[9] == max(halvings) == 63
+    assert lo.tolist() == [case[3] for case in BISECT_CASES]  # the input arrays are left as they are
 
 
 def test_bisect_takes_an_empty_batch():
     empty = np.empty(0)
-    assert verify._bisect((empty,) * 4, empty, empty).shape == (0,)
+    assert verify._bisect((empty,) * 3, empty, empty).shape == (0,)
 
 
 def test_batched_oracle_equals_one_set_at_a_time():
@@ -414,16 +438,16 @@ def test_bound_suite_catches_a_wrong_root(monkeypatch, skew, on_delta_zero):
 
 def test_bound_and_scatter_reports_pinned():
     (bound,), _ = run_suite("bound")
-    assert bound.max_residual == 5.551115123125783e-16
+    assert bound.max_residual == 3.8080989145326524e-16
     assert bound.worst_at == {
-        "draw": 194,
+        "draw": 771,
         "params": {
-            "alpha": 1.9300850158504108,
-            "beta": -0.8052781777656577,
-            "gamma": 1.0941070613214876,
-            "delta": -1.3805411291255045,
-            "theta": 2.1521699917026327,
-            "mass": 1.6051783049988597,
+            "alpha": -2.2777357138893333,
+            "beta": 2.882385792169401,
+            "gamma": -2.2456674357292297,
+            "delta": 1.4276495988351376,
+            "theta": 3.8547572934309136,
+            "mass": 1.53124098582057,
         },
     }
     match, flux, _ = run_suite("scatter")[0]
