@@ -15,7 +15,7 @@ of members, one per entry; a float set is a batch of one.
 from __future__ import annotations
 
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,8 +52,8 @@ class InteractionParams:
         return complex(ph) if ph.ndim == 0 else ph
 
     def to_dict(self) -> dict:
-        """Plain dict with the JSON field names consumed by the CLI."""
-        return asdict(self)
+        """Plain dict of the fields with the JSON field names consumed by the CLI; array fields are not copied."""
+        return {name: getattr(self, name) for name in PARAM_FIELDS}
 
 
 def require_finite(**values) -> None:

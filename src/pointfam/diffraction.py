@@ -147,13 +147,19 @@ def no_diffraction_scan(
     params: InteractionParams,
     samples: int,
     middle_reflection: str = "minus",
-) -> tuple[float, bool]:
+) -> tuple[float, bool] | tuple[list[float], list[bool]]:
     """Max residual over a quasi-random (k, phi) sweep and the verdict.
 
     The verdict is True when the maximum residual stays at or below
-    NO_DIFFRACTION_TOL.
+    NO_DIFFRACTION_TOL. Float fields give a float and a bool; fields of
+    shape (S, 1) give S maxima and S verdicts, every set swept in one
+    array pass, each equal to that of its set alone. Array fields whose
+    last axis is not 1 raise InputError.
     """
+    shape = broadcast_shape(**vars(params))
+    if shape[-1:] not in ((), (1,)):
+        raise InputError(f"no_diffraction_scan takes float fields or fields of shape (S, 1), got shape {shape}")
     points = scan_points(samples)
     kin = ray_kinematics(points[:, 0], points[:, 1])
-    max_residual = float(outgoing_amplitudes(params, kin, middle_reflection).residual_norm.max())
-    return max_residual, max_residual <= NO_DIFFRACTION_TOL
+    max_residual = outgoing_amplitudes(params, kin, middle_reflection).residual_norm.max(axis=-1)
+    return max_residual.tolist(), (max_residual <= NO_DIFFRACTION_TOL).tolist()

@@ -74,20 +74,28 @@ def bound_spectrum(params: InteractionParams) -> list[BoundState]:
     the boundary condition, eta = exp(i*theta)*(gamma + delta*kappa/(2m));
     the first row gives -exp(i*theta)*(alpha + 2*beta*m/kappa), equal at a
     root. Raises InputError for array fields and NonFiniteResult when a
-    kappa, energy or eta overflows.
+    kappa, energy or eta overflows; the whole set is refused then, and the
+    message names the kappa of each level that stayed finite.
     """
     if any(np.ndim(getattr(params, name)) for name in PARAM_FIELDS):
         raise InputError("bound_spectrum takes one parameter set with float fields, not a batch")
     m, ph = params.mass, params.phase
-    states = []
+    states, refusal = [], None
     for kappa, branch in zip(kappa_roots(params), ("plus", "minus") if params.delta else ("single",)):
         kappa = kappa.item()
         if kappa <= KAPPA_MIN:  # NaN, delta = 0's missing root, never reaches here: the zip drops it
             continue
         energy = -kappa * kappa / (2.0 * m)
         eta = ph * (params.gamma + params.delta * kappa / (2.0 * m))
-        NonFiniteResult.check(kappa=kappa, energy=energy, eta=eta)
+        try:
+            NonFiniteResult.check(kappa=kappa, energy=energy, eta=eta)
+        except NonFiniteResult as exc:
+            refusal = refusal or exc
+            continue
         states.append(BoundState(kappa, energy, eta, eta, 1.0 + 0.0j, branch))
+    if refusal:
+        finite = "".join(f"; the {st.branch} level, kappa = {st.kappa!r}, is finite" for st in states)
+        raise NonFiniteResult(f"{refusal}{finite}")
     # A double root cannot occur over the reals; two surviving states are distinct.
     if len(states) == 2 and states[0].kappa == states[1].kappa:
         raise InvariantViolation(f"decay constants coincide: {[st.kappa for st in states]!r}")

@@ -2,7 +2,9 @@
 
 Each suite returns ResidualReport rows plus free-form notes. Sample
 counts and seeds are constants of each suite, so repeated runs produce
-identical reports.
+identical reports. Items that one check takes as a batch go to it in one
+call: the interior check gets every state of one N, the boundary check
+every pair of one state, and the contact-family sweep both of its sets.
 Checks whose purpose is to reject corrupted input ("negative controls")
 report an indicator residual: 0 when the corruption was detected, 1 when
 it slipped through; worst_at holds what each of them measured.
@@ -15,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import diffraction, many_body, one_body, scattering, verify
-from .core import InteractionParams, canonical_interaction, validate_params
+from .core import PARAM_FIELDS, InteractionParams, canonical_interaction, validate_params
 from .errors import InputError
 from .verify import ResidualReport
 
@@ -80,7 +82,7 @@ def run_scatter_suite() -> tuple[list[ResidualReport], list[str]]:
 
 
 def run_nbody_boundary_suite() -> tuple[list[ResidualReport], list[str]]:
-    """Boundary-condition residuals for three-body states on the cyclic pairs (1,2), (2,3), (3,1)."""
+    """Boundary-condition residuals of three-body states on the cyclic pairs (1,2), (2,3), (3,1), a call per state."""
     reports = []
     cases = [
         ("delta", canonical_interaction("delta", -2.0, 0.5)),
@@ -88,11 +90,8 @@ def run_nbody_boundary_suite() -> tuple[list[ResidualReport], list[str]]:
     ]
     for label, params in cases:
         for state in many_body.nbody_bound_states(params, 3):
-            for i, j in ((1, 2), (2, 3), (3, 1)):
-                rep = verify.boundary_residual_nbody(params, state, i, j)
-                reports.append(
-                    replace(rep, check_name=f"{label} {state.branch} {rep.check_name}")
-                )
+            for rep in verify.boundary_residual_nbody(params, state, (1, 2, 3), (2, 3, 1)):
+                reports.append(replace(rep, check_name=f"{label} {state.branch} {rep.check_name}"))
     params = cases[1][1]
     state = many_body.nbody_bound_states(params, 3)[0]
     corrupted = replace(state, c_odd=state.c_odd * 1.1)
@@ -105,20 +104,19 @@ def run_nbody_boundary_suite() -> tuple[list[ResidualReport], list[str]]:
 
 
 def run_nbody_interior_suite() -> tuple[list[ResidualReport], list[str]]:
-    """Finite-difference eigenvalue residuals for N = 2..5, one interior_residual call per state."""
-    reports = []
-    cases = [
-        ("delta", canonical_interaction("delta", -2.0, 0.5)),
-        ("two-state", _two_state_params()),
-    ]
-    for label, params in cases:
-        for n in range(2, 6):
-            for state in many_body.nbody_bound_states(params, n):
-                rep = verify.interior_residual(params, state, 100)
-                reports.append(
-                    replace(rep, check_name=f"{label} n={n} {state.branch} {rep.check_name}")
-                )
-    return reports, []
+    """Finite-difference eigenvalue residuals for N = 2..5, one interior_residual call per N for every state."""
+    cases = {
+        "delta": canonical_interaction("delta", -2.0, 0.5),
+        "two-state": _two_state_params(),
+    }
+    reports = {label: [] for label in cases}  # listed case by case, then by N
+    for n in range(2, 6):
+        rows = [(label, params, state) for label, params in cases.items()
+                for state in many_body.nbody_bound_states(params, n)]
+        labels, sets, states = zip(*rows)
+        for label, state, rep in zip(labels, states, verify.interior_residual(sets, states, 100)):
+            reports[label].append(replace(rep, check_name=f"{label} n={n} {state.branch} {rep.check_name}"))
+    return [rep for case in reports.values() for rep in case], []
 
 
 def _violators(rng: np.random.Generator, count: int) -> InteractionParams:
@@ -133,19 +131,16 @@ def _violators(rng: np.random.Generator, count: int) -> InteractionParams:
 
 
 def run_diffraction_suite() -> tuple[list[ResidualReport], list[str]]:
-    """No-diffraction residuals, violation detection, and the momentum identity."""
+    """No-diffraction residuals of both contact sets from one scan, violation detection, and the momentum identity."""
     samples = 2000
-    reports = []
-    for label, params in (
-        ("delta", canonical_interaction("delta", -2.0, 0.5)),
-        ("anti-delta", canonical_interaction("anti_delta", -2.0, 0.5)),
-    ):
-        max_res, _ = diffraction.no_diffraction_scan(params, samples)
-        reports.append(
-            ResidualReport.build(
-                f"{label} diffraction-free sweep", max_res, samples, diffraction.NO_DIFFRACTION_TOL
-            )
-        )
+    labels = ("delta", "anti-delta")
+    contact = [canonical_interaction("delta", -2.0, 0.5), canonical_interaction("anti_delta", -2.0, 0.5)]
+    stacked = validate_params(**{name: np.array([[getattr(p, name)] for p in contact]) for name in PARAM_FIELDS})
+    max_res, _ = diffraction.no_diffraction_scan(stacked, samples)  # one sweep for both sets
+    reports = [
+        ResidualReport.build(f"{label} diffraction-free sweep", res, samples, diffraction.NO_DIFFRACTION_TOL)
+        for label, res in zip(labels, max_res)
+    ]
     violators = _violators(np.random.default_rng(_SEED + 2), 20)
     points = diffraction.scan_points(64)
     kin = diffraction.ray_kinematics(points[:, 0], points[:, 1])

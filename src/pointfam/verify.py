@@ -17,6 +17,9 @@ any N.
 Each residual check draws its random inputs with whole-array generator
 calls, evaluates all its samples in one array pass and reports the
 largest residual with the input that gave it (ResidualReport.worst).
+The two N-body checks also take lists, of states of one N or of particle
+pairs, and check every item in that one pass, one report per item, each
+equal bit for bit to that of the item alone.
 Where numpy's complex arithmetic rounds differently from Python's, the
 oracles round as Python does, so every value equals that of the same
 formula applied one sample at a time.
@@ -248,7 +251,19 @@ def _pair_sum(coords: np.ndarray) -> np.ndarray:
     return total
 
 
-def boundary_residual_nbody(params: InteractionParams, state, i: int, j: int) -> ResidualReport:
+def _batch(name: str, value) -> list:
+    """value as a list of items: a list or tuple as given, anything else as a batch of one.
+
+    An empty list or tuple raises InputError naming len(name).
+    """
+    items = list(value) if isinstance(value, (list, tuple)) else [value]
+    validate_count(f"len({name})", len(items), 1)
+    return items
+
+
+def boundary_residual_nbody(
+    params: InteractionParams, state, i: int | list | tuple, j: int | list | tuple
+) -> ResidualReport | list[ResidualReport]:
     """Residual of the boundary condition on the coincidence hyperplane x_i = x_j.
 
     Particles are numbered 1..N and u = (x_i - x_j)/sqrt(2). Just above
@@ -271,19 +286,33 @@ def boundary_residual_nbody(params: InteractionParams, state, i: int, j: int) ->
     has the same parity). Each parity comes from the ordering's inversion
     count: a pair listed against index order is an inversion. samples
     counts the orderings checked and worst_at names the worst as
-    {"ordering": [labels from the top down]}. An i or j that is not an
-    integer of 1..N, or i = j, raises InputError. The check is named
+    {"ordering": [labels from the top down]}. The check is named
     x{i}{j} below N = 10 and x{i},{j} from there on.
+
+    Particles i and j give one report; equal-length lists or tuples i and
+    j give one report per pair (i[k], j[k]), the orderings of every pair
+    checked in one array pass, each report equal to that of its pair
+    alone. An i or j that is not an integer of 1..N, or i = j, raises
+    InputError, and so do empty lists or lists of different lengths, each
+    named (i[k], j[k], len(i), len(j)).
     """
     n = state.n
-    i, j = validate_count("i", i, 1, n), validate_count("j", j, 1, n)
-    if i == j:
-        raise InputError(f"pair must be two different particles of 1..{n}, got ({i}, {j})")
-    others = [p for p in range(1, n + 1) if p not in (i, j)]
-    orderings = [[i, j, *others]]
-    if n >= 4:
-        orderings.append([i, j, others[1], others[0], *others[2:]])
-    odd = np.array([sum(a > b for a, b in combinations(order, 2)) % 2 == 1 for order in orderings])
+    firsts, seconds = _batch("i", i), _batch("j", j)
+    validate_count("len(j)", len(seconds), len(firsts), len(firsts))
+    single = not isinstance(i, (list, tuple))
+    orderings = []  # per pair, one ordering per parity that occurs
+    for k, (a, b) in enumerate(zip(firsts, seconds)):
+        at = "" if single else f"[{k}]"
+        a, b = validate_count(f"i{at}", a, 1, n), validate_count(f"j{at}", b, 1, n)
+        if a == b:
+            entry = at and f" (i{at}, j{at})"
+            raise InputError(f"pair{entry} must be two different particles of 1..{n}, got ({a}, {b})")
+        others = [p for p in range(1, n + 1) if p not in (a, b)]
+        orderings.append([[a, b, *others]])
+        if n >= 4:
+            orderings[-1].append([a, b, others[1], others[0], *others[2:]])
+    flat = [order for pair in orderings for order in pair]
+    odd = np.array([sum(a > b for a, b in combinations(order, 2)) % 2 == 1 for order in flat])
     above = np.where(odd, state.c_odd, state.c_even)
     below = np.where(odd, state.c_even, state.c_odd)
 
@@ -291,14 +320,21 @@ def boundary_residual_nbody(params: InteractionParams, state, i: int, j: int) ->
     lhs = np.stack([-kappa * above, m2 * above], axis=1)  # (psi', 2m psi) / decay at u -> +0
     rhs = (boundary_matrix(params) @ np.stack([kappa * below, m2 * below], axis=1)[:, :, None])[:, :, 0]
     scale = np.maximum(np.abs(lhs).max(axis=1), np.abs(rhs).max(axis=1))
-    residuals = np.abs(lhs - rhs).max(axis=1) / scale
-    name = f"boundary-condition x{i}{',' if n >= 10 else ''}{j}"
-    return ResidualReport.worst(name, residuals, 1e-10, lambda k: {"ordering": orderings[k]})
+    residuals = (np.abs(lhs - rhs).max(axis=1) / scale).reshape(len(orderings), -1)
+    sep = "," if n >= 10 else ""
+    reports = [
+        ResidualReport.worst(
+            f"boundary-condition x{pair[0][0]}{sep}{pair[0][1]}", row, 1e-10,
+            lambda k, pair=pair: {"ordering": pair[k]},
+        )
+        for pair, row in zip(orderings, residuals)
+    ]
+    return reports[0] if single else reports
 
 
 def interior_residual(
-    params: InteractionParams, state, points: int = 100, seed: int = 1234
-) -> ResidualReport:
+    params: InteractionParams | list | tuple, state, points: int = 100, seed: int = 1234
+) -> ResidualReport | list[ResidualReport]:
     """Finite-difference check of the kinetic eigenvalue away from boundaries.
 
     A central second difference over every particle coordinate, with step
@@ -312,38 +348,59 @@ def interior_residual(
     |-(Laplacian(psi)/psi)/(2m) - E| / |E|. The points come from
     default_rng(seed): each point's particles sit in a random order (the
     argsort of a row of a (points, n) block of uniforms), with gaps
-    10*h + E for E a row of a (points, n - 1) block of exponentials of
-    mean 1/kappa. The mass enters through the kinetic prefactor and must
-    come from the interaction, not from the state under test. The pair
-    sums of all stencils are taken in one call. points that is not an
-    integer of 1..SIZE_CAP, or a seed that is not an integer of at least
-    0, raises InputError.
+    10*h + E/kappa for E a row of a (points, n - 1) block of standard
+    exponentials. The mass enters through the kinetic prefactor and must
+    come from the interaction, not from the state under test.
+
+    params and state are one parameter set and one state, which give one
+    report, or equal-length lists or tuples of them, states of one N, which
+    give one report per state. The draws are made once and scaled per
+    state, as default_rng scales an exponential draw, and the pair sums of
+    every stencil of every state are taken in one call, so each report
+    equals that of its state alone, bit for bit. points that is not an
+    integer of 1..SIZE_CAP, a seed that is not an integer of at least 0,
+    empty lists, lists of different lengths, or states of more than one N
+    raise InputError, each named (len(params), len(state), state[k].n).
     """
     points, seed = validate_count("points", points, 1), validate_count("seed", seed, 0, None)
-    n = state.n
-    kappa = state.kappa
+    single = not isinstance(state, (list, tuple))
+    states, sets = _batch("state", state), _batch("params", params)
+    validate_count("len(params)", len(sets), len(states), len(states))
+    n = states[0].n
+    for k, st in enumerate(states):
+        validate_count(f"state[{k}].n", st.n, n, n)
+    count = len(states)
+    kappa = np.array([st.kappa for st in states])[:, None, None]  # (states, 1, 1)
     h = 1e-4 / kappa
     rng = np.random.default_rng(seed)
     ranks = np.argsort(rng.random((points, n)), axis=1)
-    gaps = 10.0 * h + rng.exponential(1.0 / kappa, (points, n - 1))
-    offsets = np.zeros((points, n))
-    below = offsets[:, 1:]
-    np.negative(np.cumsum(gaps, axis=1, out=below), out=below)
-    coords = np.empty((points, n))
-    coords[np.arange(points)[:, None], ranks] = offsets
+    gaps = 10.0 * h + (1.0 / kappa) * rng.standard_exponential((points, n - 1))
+    offsets = np.zeros((count, points, n))
+    below = offsets[..., 1:]
+    np.negative(np.cumsum(gaps, axis=-1, out=below), out=below)
+    coords = np.empty_like(offsets)
+    coords[:, np.arange(points)[:, None], ranks] = offsets
 
     # Per point: the point itself, then for each axis the coordinate + h
     # and (coordinate + h) - 2h.
-    stencil = np.repeat(coords[:, None, :], 2 * n + 1, axis=1)
+    stencil = np.repeat(coords[:, :, None, :], 2 * n + 1, axis=2)
     axes, up = np.arange(n), coords + h
-    stencil[:, 2 * axes + 1, axes] = up
-    stencil[:, 2 * axes + 2, axes] = up - 2.0 * h
-    total = _pair_sum(stencil.reshape(-1, n)).reshape(points, 2 * n + 1)
-    exponents = -kappa * (total[:, 1:] - total[:, :1]) / _SQRT2
-    ratio = np.fromiter(map(math.exp, exponents.ravel().tolist()), float, exponents.size).reshape(points, n, 2)
+    stencil[:, :, 2 * axes + 1, axes] = up
+    stencil[:, :, 2 * axes + 2, axes] = up - 2.0 * h
+    total = _pair_sum(stencil.reshape(-1, n)).reshape(count, points, 2 * n + 1)
+    exponents = -kappa * (total[..., 1:] - total[..., :1]) / _SQRT2
+    ratio = np.fromiter(map(math.exp, exponents.ravel().tolist()), float, exponents.size)
+    ratio = ratio.reshape(count, points, n, 2)
 
-    lap = np.zeros(points)
+    lap = np.zeros((count, points))
+    h2 = h[:, 0] * h[:, 0]
     for axis in range(n):  # summed an axis at a time
-        lap += (ratio[:, axis, 0] - 2.0 + ratio[:, axis, 1]) / (h * h)
-    residuals = np.abs(-lap / (2.0 * params.mass) - state.energy) / abs(state.energy)
-    return ResidualReport.worst("interior-eigenvalue", residuals, 1e-6, lambda i: {"coords": coords[i].tolist()})
+        lap += (ratio[:, :, axis, 0] - 2.0 + ratio[:, :, axis, 1]) / h2
+    mass = np.array([[p.mass] for p in sets])
+    energy = np.array([[st.energy] for st in states])
+    residuals = np.abs(-lap / (2.0 * mass) - energy) / np.abs(energy)
+    reports = [
+        ResidualReport.worst("interior-eigenvalue", row, 1e-6, lambda i, at=at: {"coords": at[i].tolist()})
+        for row, at in zip(residuals, coords)
+    ]
+    return reports[0] if single else reports

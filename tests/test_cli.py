@@ -214,6 +214,17 @@ def test_bound_refuses_an_overflowing_determinant_in_one_line(capsys, tmp_path):
     assert (code, out, err) == (1, "", "bound: alpha*gamma - beta*delta = inf, must equal 1 within 1e-12\n")
 
 
+def test_bound_refusal_names_the_finite_level_in_one_line(capsys, tmp_path):
+    # One root past the float range, the other at kappa = 1.04e5.
+    path = tmp_path / "half.json"
+    half = dict(alpha=-7.354233193540967e-146, beta=9.624116741751103e163, gamma=-2.4264951175299004e159,
+                delta=1.8541972646579197e-150, theta=0.0, mass=1.3114032036155718)
+    path.write_text(json.dumps(half))
+    code, out, err = run_cli(capsys, "bound", "--params", str(path))
+    message = "kappa is inf, not a finite number; the minus level, kappa = 104027.38860608592, is finite"
+    assert (code, out, err) == (1, "", f"bound: {message}\n")
+
+
 @pytest.mark.parametrize("samples", ["0", "-1", "1000001"])
 def test_diffraction_scan_refuses_a_bad_sample_count_in_one_line(capsys, delta_file, samples):
     code, out, err = run_cli(capsys, "diffraction-scan", "--params", delta_file, "--samples", samples)

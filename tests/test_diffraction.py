@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pointfam import diffraction
-from pointfam.core import canonical_interaction, validate_params
+from pointfam.core import PARAM_FIELDS, canonical_interaction, validate_params
 from pointfam.diffraction import (
     NO_DIFFRACTION_TOL,
     no_diffraction_scan,
@@ -214,3 +214,23 @@ def test_array_kinematics_reject_any_bad_entry():
 
 def test_repeated_scans_are_identical():
     assert no_diffraction_scan(GENERIC, 600) == no_diffraction_scan(GENERIC, 600)
+
+
+@pytest.mark.parametrize("samples", [1, 7, 2000])
+@pytest.mark.parametrize("middle_reflection", ["minus", "plus"])
+def test_scan_batch_equals_one_call_per_set(middle_reflection, samples):
+    sets = [DELTA, ANTI, GENERIC]
+    stacked = validate_params(**{name: np.array([[getattr(p, name)] for p in sets]) for name in PARAM_FIELDS})
+    batch = no_diffraction_scan(stacked, samples, middle_reflection)
+    alone = [no_diffraction_scan(p, samples, middle_reflection) for p in sets]
+    assert all(type(worst) is float and type(verdict) is bool for worst, verdict in alone)
+    expected = ([worst for worst, _ in alone], [verdict for _, verdict in alone])
+    assert batch == expected and repr(batch) == repr(expected)
+    assert batch[1][:2] == [True, True]  # the contact family and its twin
+
+
+def test_scan_refuses_fields_without_a_set_axis():
+    # Fields of shape (S,) would pair each set with one scan point.
+    flat = validate_params(*(np.array([getattr(p, name) for p in (DELTA, ANTI)]) for name in PARAM_FIELDS))
+    with pytest.raises(InputError, match=r"fields of shape \(S, 1\), got shape \(2,\)$"):
+        no_diffraction_scan(flat, 2)

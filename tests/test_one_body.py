@@ -103,16 +103,29 @@ def test_overflowing_spectrum_is_refused():
         bound_spectrum(p)
 
 
+# A lower root 1.04e5 beside an upper one past the float range.
+HALF_OVERFLOWING = validate_params(
+    -7.354233193540967e-146, 9.624116741751103e163, -2.4264951175299004e159,
+    1.8541972646579197e-150, 0.0, 1.3114032036155718,
+)
+
+
+def test_refused_spectrum_names_the_finite_level():
+    # The set is refused whole, and the message names the level that stayed finite.
+    minus = kappa_roots(HALF_OVERFLOWING)[1].item()  # pinned in test_kappa_roots_across_the_float_range
+    message = f"kappa is inf, not a finite number; the minus level, kappa = {minus!r}, is finite"
+    with pytest.raises(NonFiniteResult) as info:
+        bound_spectrum(HALF_OVERFLOWING)
+    assert str(info.value) == message
+
+
 def test_kappa_roots_across_the_float_range():
     # Named sets first: a lower root 1.04e5 beside an upper one past the float range,
     # the roots 5e307 of a delta = 0 set and of a set where 4*beta/q overflows,
     # a beta = 0 set whose cancelling root is 0, and delta = 0 sets with alpha + gamma
     # of either sign.
     named = [
-        validate_params(
-            -7.354233193540967e-146, 9.624116741751103e163, -2.4264951175299004e159,
-            1.8541972646579197e-150, 0.0, 1.3114032036155718,
-        ),
+        HALF_OVERFLOWING,
         validate_params(-1.0, 1e308, -1.0, 0.0, 0.0, 0.5),
         validate_params(0.0, -1e308, 0.0, 1e-308, 0.0, 0.25),
         validate_params(-2.0, 0.0, -0.5, 1.0, 0.0, 1.0),

@@ -710,6 +710,37 @@ def test_boundary_check_names_tell_every_ordered_pair_apart():
     assert names[1, 11] == "boundary-condition x1,11" and names[11, 1] == "boundary-condition x11,1"
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("params", [DELTA, TWO_STATE, TWO_STATE_TILTED], ids=["contact", "two-state", "tilted"])
+def test_boundary_batch_equals_one_call_per_pair(params, n):
+    # Every ordered pair in one call, a corrupted state included so that residuals are not all round-off.
+    states = nbody_bound_states(params, n)
+    pairs = list(permutations(range(1, n + 1), 2))
+    firsts, seconds = (list(column) for column in zip(*pairs))
+    for state in states + [replace(states[0], c_odd=states[0].c_odd * 1.1)]:
+        batch = boundary_residual_nbody(params, state, firsts, seconds)
+        alone = [boundary_residual_nbody(params, state, i, j) for i, j in pairs]
+        assert batch == alone and repr(batch) == repr(alone), (n, state.branch)
+
+
+def test_boundary_batch_refuses_lists_of_different_lengths():
+    state = nbody_bound_states(DELTA, 3)[0]
+    with pytest.raises(InputError, match=r"^len\(j\) must be an integer of at least 2 and at most 2, got 1$"):
+        boundary_residual_nbody(DELTA, state, [1, 2], [2])
+
+
+@pytest.mark.parametrize("i, j, message", [
+    ([1, 2], [2, 4], "j[1] must be an integer of at least 1 and at most 3, got 4"),
+    ((1, 1.5), (2, 3), "i[1] must be an integer of at least 1 and at most 3, got 1.5"),
+    ([1, 3], [True, 1], "j[0] must be an integer of at least 1 and at most 3, got True"),
+    ([1, 2], [2, 2], "pair (i[1], j[1]) must be two different particles of 1..3, got (2, 2)"),
+], ids=["index", "float", "bool", "same-particle"])
+def test_boundary_batch_refuses_a_bad_entry(i, j, message):
+    state = nbody_bound_states(DELTA, 3)[0]
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        boundary_residual_nbody(DELTA, state, i, j)
+
+
 # -------------------------------------------------------- interior residual
 
 
@@ -912,7 +943,76 @@ def test_interior_residual_detects_wrong_mass():
     assert rep.max_residual > 1e-3
 
 
+@pytest.mark.parametrize("points", [1, 30, 100])
+@pytest.mark.parametrize("seed", [0, 1234])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_interior_batch_equals_one_call_per_state(n, seed, points):
+    # Both suite cases' states at one N, in one call.
+    sets, states = zip(*[(p, st) for p in (DELTA, TWO_STATE) for st in nbody_bound_states(p, n)])
+    batch = interior_residual(sets, states, points, seed)
+    alone = [interior_residual(p, st, points, seed) for p, st in zip(sets, states)]
+    assert len(batch) == 3 and batch == alone and repr(batch) == repr(alone)
+
+
+_EMPTY = "must be an integer of at least 1 and at most 1000000, got 0"
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda st: interior_residual([], []), "len(state)"),
+    (lambda st: interior_residual([], [st]), "len(params)"),
+    (lambda st: boundary_residual_nbody(DELTA, st, [], [2]), "len(i)"),
+    (lambda st: boundary_residual_nbody(DELTA, st, [1], ()), "len(j)"),
+], ids=["states", "params", "i", "j"])
+def test_batch_refuses_an_empty_list(call, name):
+    with pytest.raises(InputError, match=f"^{re.escape(name)} {_EMPTY}$"):
+        call(nbody_bound_states(DELTA, 3)[0])
+
+
+@pytest.mark.parametrize("params", [TWO_STATE, [TWO_STATE], (TWO_STATE, TWO_STATE, TWO_STATE)])
+def test_interior_batch_refuses_lists_of_different_lengths(params):
+    states = nbody_bound_states(TWO_STATE, 3)
+    got = 1 if isinstance(params, InteractionParams) else len(params)
+    message = f"len(params) must be an integer of at least 2 and at most 2, got {got}"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        interior_residual(params, states)
+
+
+def test_interior_batch_refuses_states_of_more_than_one_n():
+    states = [nbody_bound_states(DELTA, 3)[0], nbody_bound_states(DELTA, 4)[0]]
+    with pytest.raises(InputError, match=r"^state\[1\]\.n must be an integer of at least 3 and at most 3, got 4$"):
+        interior_residual([DELTA, DELTA], states)
+
+
 # ------------------------------------------------------------------- suites
+
+
+def _counted(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records the arguments of each call."""
+    calls, original = [], getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_suites_check_each_batch_in_one_call(monkeypatch):
+    interior = _counted(monkeypatch, verify, "interior_residual")
+    boundary = _counted(monkeypatch, verify, "boundary_residual_nbody")
+    scans = _counted(monkeypatch, diffraction, "no_diffraction_scan")
+    run_suite("nbody-interior")
+    assert [args[1][0].n for args in interior] == [2, 3, 4, 5]  # one call per N, every state of it
+    assert [len(args[1]) for args in interior] == [3, 3, 3, 3]
+    run_suite("diffraction")
+    assert len(scans) == 1 and np.shape(scans[0][0].mass) == (2, 1)  # the contact family and its twin
+    for calls in (interior, boundary, scans):
+        calls.clear()
+    run_suite("all")
+    three_body = [st for p in (DELTA, TWO_STATE_TILTED) for st in nbody_bound_states(p, 3)]
+    assert (len(interior), len(scans)) == (4, 1)
+    assert len(boundary) == len(three_body) + 1  # every state's cyclic pairs in one call, then the control
 
 
 def test_singular_system_is_a_singular_denominator():
