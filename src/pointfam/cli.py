@@ -298,17 +298,15 @@ def _float_blocks(table: np.ndarray, columns: list[str]):
 
 
 def _grid_blocks(outer: list[str], inner: list[str], table: np.ndarray):
-    """The CSV rows outer[i],inner[j],table[i, j] of a grid of small non-negative ints.
+    """The CSV rows outer[i],inner[j],table[i, j] of a grid of bound-state counts, each 0, 1 or 2.
 
-    The text of a row after its outer cell is made once per (j, int) pair
-    that occurs. Each line of fixed i, or each _BLOCK_ROWS rows of a longer
-    line, is one str.join with the outer cell as the separator.
+    The text of a row after its outer cell is made once for each inner
+    cell and each of the three counts. Each line of fixed i, or each
+    _BLOCK_ROWS rows of a longer line, is one str.join with the outer cell
+    as the separator.
     """
     width = len(inner)
-    rests = np.empty((int(table.max()) + 1, width), dtype=object)
-    for count, rest in enumerate(rests):
-        for j in np.flatnonzero((table == count).any(axis=0)).tolist():
-            rest[j] = f",{inner[j]},{count}\n"
+    rests = np.array([[f",{cell},{count}\n" for cell in inner] for count in range(3)], dtype=object)
     for label, line in zip(outer, rests[table, np.arange(width)].tolist()):
         for start in range(0, width, _BLOCK_ROWS):
             yield label + label.join(line[start:start + _BLOCK_ROWS])
@@ -479,14 +477,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add(_cmd_diffraction, "outgoing ray amplitudes at one (k, phi)", output="json")
     p.add_argument("--k", required=True, type=float)
     p.add_argument("--phi", required=True, type=float)
-    p.add_argument(
-        "--middle-reflection", choices=("minus", "plus"), default="minus",
-        help="incidence suffix of the middle reflection on the transmitted two-segment path",
-    )
 
-    p = add(_cmd_diffraction_scan, "max diffraction residual over a quasi-random sweep", output="json")
-    p.add_argument("--samples", required=True, type=int)
-    p.add_argument("--middle-reflection", choices=("minus", "plus"), default="minus")
+    scan = add(_cmd_diffraction_scan, "max diffraction residual over a quasi-random sweep", output="json")
+    scan.add_argument("--samples", required=True, type=int)
+    for cmd in (p, scan):
+        cmd.add_argument(
+            "--middle-reflection", choices=("minus", "plus"), default="minus",
+            help="incidence suffix of the middle reflection on the transmitted two-segment path",
+        )
 
     p = add(_cmd_verify, "run first-principles verification suites (exit 2 on failure)", params=False)
     p.add_argument("--suite", required=True, choices=suites.SUITE_NAMES + ("all",))

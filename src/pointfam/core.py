@@ -64,6 +64,12 @@ def require_finite(**values) -> None:
             raise InputError(f"{name} must be finite, got {float(bad[0])!r}")
 
 
+def require_single(name: str, params: InteractionParams) -> None:
+    """Raise InputError, naming name, when any field of params is an array: a batch where one set is taken."""
+    if any(np.ndim(getattr(params, field)) for field in PARAM_FIELDS):
+        raise InputError(f"{name} takes one parameter set with float fields, not a batch")
+
+
 def broadcast_shape(**values) -> tuple[int, ...]:
     """The shape the keyword values broadcast to, or InputError naming the shape of each."""
     try:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CONSTRAINT_TOL, PARAM_FIELDS, InteractionParams, require_finite
-from .errors import InputError, InvalidSlice, InvariantViolation, NonFiniteResult
+from .core import CONSTRAINT_TOL, InteractionParams, require_finite, require_single
+from .errors import InvalidSlice, InvariantViolation, NonFiniteResult
 
 # Roots at or below this are treated as non-normalizable and dropped.
 KAPPA_MIN = 1e-12
@@ -77,8 +77,7 @@ def bound_spectrum(params: InteractionParams) -> list[BoundState]:
     kappa, energy or eta overflows; the whole set is refused then, and the
     message names the kappa of each level that stayed finite.
     """
-    if any(np.ndim(getattr(params, name)) for name in PARAM_FIELDS):
-        raise InputError("bound_spectrum takes one parameter set with float fields, not a batch")
+    require_single("bound_spectrum", params)
     m, ph = params.mass, params.phase
     states, refusal = [], None
     for kappa, branch in zip(kappa_roots(params), ("plus", "minus") if params.delta else ("single",)):

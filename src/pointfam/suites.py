@@ -4,10 +4,11 @@ Each suite returns ResidualReport rows plus free-form notes. Sample
 counts and seeds are constants of each suite, so repeated runs produce
 identical reports. Items that one check takes as a batch go to it in one
 call: the interior check gets every state of one N, the boundary check
-every pair of one state, and the contact-family sweep both of its sets.
-Checks whose purpose is to reject corrupted input ("negative controls")
-report an indicator residual: 0 when the corruption was detected, 1 when
-it slipped through; worst_at holds what each of them measured.
+every pair of one state, and no_diffraction_scan both contact sets in one
+sweep and the violating sets in another. Checks whose purpose is to
+reject corrupted input ("negative controls") are all made by _control:
+an indicator residual, 0 when the corruption was detected and 1 when it
+slipped through, with what the control measured in worst_at.
 """
 
 from __future__ import annotations
@@ -35,6 +36,12 @@ def _drawn(params: InteractionParams, i: int, **at: float) -> dict:
     Its index, any further input, then its parameter set.
     """
     return {"draw": i, **at, "params": {field: float(value.flat[i]) for field, value in params.to_dict().items()}}
+
+
+def _control(name: str, residual: float, floor: float) -> ResidualReport:
+    """The report of negative control name: detected (0) when residual exceeds floor, else missed (1)."""
+    indicator = 0.0 if residual > floor else 1.0
+    return ResidualReport.build(f"negative control: {name}", indicator, 1, 0.5, {"residual": residual})
 
 
 def run_bound_suite() -> tuple[list[ResidualReport], list[str]]:
@@ -74,10 +81,7 @@ def run_scatter_suite() -> tuple[list[ResidualReport], list[str]]:
     # unitarity (beta only enters the constraint when delta != 0).
     broken = replace(_two_state_params(), beta=3.1)
     defect = float(scattering.unitarity_defect(scattering.amplitudes(broken, 1.0)))
-    indicator = 0.0 if defect > 1e-3 else 1.0
-    reports.append(
-        ResidualReport.build("negative control: constraint break detected", indicator, 1, 0.5, {"residual": defect})
-    )
+    reports.append(_control("constraint break detected", defect, 1e-3))
     return reports, []
 
 
@@ -96,10 +100,7 @@ def run_nbody_boundary_suite() -> tuple[list[ResidualReport], list[str]]:
     state = many_body.nbody_bound_states(params, 3)[0]
     corrupted = replace(state, c_odd=state.c_odd * 1.1)
     rep = verify.boundary_residual_nbody(params, corrupted, 1, 2)
-    indicator = 0.0 if rep.max_residual > 1e-2 else 1.0
-    reports.append(ResidualReport.build(
-        "negative control: corrupted coefficients detected", indicator, 1, 0.5, {"residual": rep.max_residual}
-    ))
+    reports.append(_control("corrupted coefficients detected", rep.max_residual, 1e-2))
     return reports, []
 
 
@@ -142,9 +143,7 @@ def run_diffraction_suite() -> tuple[list[ResidualReport], list[str]]:
         for label, res in zip(labels, max_res)
     ]
     violators = _violators(np.random.default_rng(_SEED + 2), 20)
-    points = diffraction.scan_points(64)
-    kin = diffraction.ray_kinematics(points[:, 0], points[:, 1])
-    peaks = diffraction.outgoing_amplitudes(violators, kin).residual_norm.max(axis=1)
+    peaks = np.array(diffraction.no_diffraction_scan(violators, 64)[0])
     missed = int(np.sum(~(peaks > 1e-6)))
     weakest = int(np.argmin(peaks))
     reports.append(

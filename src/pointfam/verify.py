@@ -37,6 +37,7 @@ from .core import (
     InteractionParams,
     boundary_matrix,
     broadcast_shape,
+    require_single,
     validate_count,
     validate_params,
     validate_wavenumber,
@@ -293,9 +294,10 @@ def boundary_residual_nbody(
     j give one report per pair (i[k], j[k]), the orderings of every pair
     checked in one array pass, each report equal to that of its pair
     alone. An i or j that is not an integer of 1..N, or i = j, raises
-    InputError, and so do empty lists or lists of different lengths, each
-    named (i[k], j[k], len(i), len(j)).
+    InputError, and so do empty lists, lists of different lengths and
+    params with array fields, each named (i[k], j[k], len(i), len(j)).
     """
+    require_single("boundary_residual_nbody", params)
     n = state.n
     firsts, seconds = _batch("i", i), _batch("j", j)
     validate_count("len(j)", len(seconds), len(firsts), len(firsts))
@@ -359,16 +361,19 @@ def interior_residual(
     every stencil of every state are taken in one call, so each report
     equals that of its state alone, bit for bit. points that is not an
     integer of 1..SIZE_CAP, a seed that is not an integer of at least 0,
-    empty lists, lists of different lengths, or states of more than one N
-    raise InputError, each named (len(params), len(state), state[k].n).
+    empty lists, lists of different lengths, states of more than one N, or
+    a parameter set with array fields raise InputError, each named
+    (len(params), len(state), state[k].n, params[k]).
     """
     points, seed = validate_count("points", points, 1), validate_count("seed", seed, 0, None)
     single = not isinstance(state, (list, tuple))
     states, sets = _batch("state", state), _batch("params", params)
     validate_count("len(params)", len(sets), len(states), len(states))
     n = states[0].n
-    for k, st in enumerate(states):
+    listed = isinstance(params, (list, tuple))
+    for k, (st, p) in enumerate(zip(states, sets)):
         validate_count(f"state[{k}].n", st.n, n, n)
+        require_single(f"interior_residual params[{k}]" if listed else "interior_residual", p)
     count = len(states)
     kappa = np.array([st.kappa for st in states])[:, None, None]  # (states, 1, 1)
     h = 1e-4 / kappa

@@ -456,6 +456,15 @@ def test_back_to_back_mains_behave_as_fresh_ones(capsys, delta_file):
     assert "usage error" in cached[0][2] and '"states"' in cached[1][1] and cached[2][1].startswith("pointfam ")
 
 
+@pytest.mark.parametrize("command", ["diffraction", "diffraction-scan"])
+def test_diffraction_help_explains_middle_reflection(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())  # argparse wraps help text at the terminal width
+    assert "--middle-reflection {minus,plus} incidence suffix of the middle reflection on the transmitted" in out
+
+
 def test_missing_params_file(capsys):
     code, _, err = run_cli(capsys, "bound", "--params", "/nonexistent/p.json")
     assert code == 1

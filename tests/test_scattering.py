@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies
 from pointfam.core import (
     CONSTRAINT_TOL, PARAM_FIELDS, InteractionParams, canonical_interaction, validate_params,
 )
-from pointfam.errors import InputError
+from pointfam.errors import InputError, SingularDenominator
 from pointfam.many_body import nbody_bound_states
 from pointfam.one_body import bound_spectrum
 from pointfam.scattering import amplitudes, unitarity_defect
@@ -51,6 +51,14 @@ def test_rejects_nonpositive_wavenumber():
         amplitudes(p, 0.0)
     with pytest.raises(InputError):
         amplitudes(p, -1.0)
+
+
+def test_tiny_denominator_is_refused():
+    # Pins today's refusal: each term of den is near 1e-320, below DENOMINATOR_MIN, though
+    # the amplitudes depend on k/m only and so equal those at m = k = 1.
+    tiny = validate_params(-2.0, 3.0, -2.0, 1.0, 0.0, 1e-160)
+    with pytest.raises(SingularDenominator, match=r"^denominator vanished at k = 1e-160$"):
+        amplitudes(tiny, 1e-160)
 
 
 def python_complex_amplitudes(p, k):

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import re
 import struct
@@ -983,6 +985,21 @@ def test_interior_batch_refuses_states_of_more_than_one_n():
         interior_residual([DELTA, DELTA], states)
 
 
+_NOT_A_BATCH = " takes one parameter set with float fields, not a batch"
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda batch, st: interior_residual(batch, st, 5), "interior_residual"),
+    (lambda batch, st: interior_residual(batch, st, 2), "interior_residual"),
+    (lambda batch, st: boundary_residual_nbody(batch, st, 1, 2), "boundary_residual_nbody"),
+    (lambda batch, st: interior_residual([DELTA, batch], [st, st]), "interior_residual params[1]"),
+], ids=["interior-5", "interior-2", "boundary", "interior-list"])
+def test_n_body_checks_refuse_a_parameter_batch(call, name):
+    batch = stack_params([DELTA, DELTA])
+    with pytest.raises(InputError, match=f"^{re.escape(name + _NOT_A_BATCH)}$"):
+        call(batch, nbody_bound_states(DELTA, 3)[0])
+
+
 # ------------------------------------------------------------------- suites
 
 
@@ -1006,13 +1023,31 @@ def test_suites_check_each_batch_in_one_call(monkeypatch):
     assert [args[1][0].n for args in interior] == [2, 3, 4, 5]  # one call per N, every state of it
     assert [len(args[1]) for args in interior] == [3, 3, 3, 3]
     run_suite("diffraction")
-    assert len(scans) == 1 and np.shape(scans[0][0].mass) == (2, 1)  # the contact family and its twin
+    # the contact family and its twin, then the 20 violating sets
+    assert [(np.shape(params.mass), samples) for params, samples in scans] == [((2, 1), 2000), ((20, 1), 64)]
+    called = {node.func.attr for node in ast.walk(ast.parse(inspect.getsource(suites)))
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    assert not called & {"scan_points", "outgoing_amplitudes"}  # every sweep goes through no_diffraction_scan
     for calls in (interior, boundary, scans):
         calls.clear()
     run_suite("all")
     three_body = [st for p in (DELTA, TWO_STATE_TILTED) for st in nbody_bound_states(p, 3)]
-    assert (len(interior), len(scans)) == (4, 1)
+    assert (len(interior), len(scans)) == (4, 2)
     assert len(boundary) == len(three_body) + 1  # every state's cyclic pairs in one call, then the control
+
+
+def test_negative_controls_share_one_report_form():
+    controls = [rep for rep in run_suite("all")[0] if rep.check_name.startswith("negative control:")]
+    assert len(controls) == 2
+    for rep in controls:
+        assert (rep.samples, rep.tolerance, rep.max_residual, rep.passed) == (1, 0.5, 0.0, True), rep
+        assert list(rep.worst_at) == ["residual"] and type(rep.worst_at["residual"]) is float, rep
+
+
+def test_unknown_suite_names_the_six_choices():
+    choices = "('bound', 'scatter', 'nbody-boundary', 'nbody-interior', 'diffraction', 'all')"
+    with pytest.raises(InputError, match=re.escape(f"unknown suite 'nope'; choose from {choices}")):
+        run_suite("nope")
 
 
 def test_singular_system_is_a_singular_denominator():
