@@ -64,6 +64,16 @@ def require_finite(**values) -> None:
             raise InputError(f"{name} must be finite, got {float(bad[0])!r}")
 
 
+def require_real(**values) -> None:
+    """Raise InputError naming the first keyword value of a complex type, and its first entry.
+
+    A float cast would keep only the real part, with no more than a warning.
+    """
+    for name, value in values.items():
+        if not isinstance(value, float) and np.iscomplexobj(value):  # a float is real, and asks no numpy call
+            raise InputError(f"{name} must be real, got {complex(np.ravel(value)[0])!r}")
+
+
 def require_single(name: str, params: InteractionParams) -> None:
     """Raise InputError, naming name, when any field of params is an array: a batch where one set is taken."""
     if any(np.ndim(getattr(params, field)) for field in PARAM_FIELDS):
@@ -95,13 +105,16 @@ def validate_params(alpha, beta, gamma, delta, theta, mass) -> InteractionParams
     """Check the inputs and return them packaged, or raise.
 
     Floats give float fields; arrays broadcast together into array fields.
-    Raises InputError when the shapes do not broadcast or any value is NaN
-    or infinite, ConstraintViolation when alpha*gamma - beta*delta strays
-    from 1 by more than CONSTRAINT_TOL, and NonPositiveMass when mass <= 0,
-    each naming the first offending entry. The values are never adjusted.
+    Raises InputError when a value is complex, the shapes do not broadcast
+    or any value is NaN or infinite, ConstraintViolation when
+    alpha*gamma - beta*delta strays from 1 by more than CONSTRAINT_TOL, and
+    NonPositiveMass when mass <= 0, each naming the first offending entry.
+    The values are never adjusted.
     """
     fields = (alpha, beta, gamma, delta, theta, mass)
-    broadcast_shape(**dict(zip(PARAM_FIELDS, fields)))
+    named = dict(zip(PARAM_FIELDS, fields))
+    require_real(**named)
+    broadcast_shape(**named)
     table = np.array(np.broadcast_arrays(*fields), dtype=float)
     if not np.isfinite(table).all():  # one check, then field by field only to name the failure
         require_finite(**dict(zip(PARAM_FIELDS, table)))
@@ -121,7 +134,12 @@ def validate_params(alpha, beta, gamma, delta, theta, mass) -> InteractionParams
 
 
 def validate_wavenumber(k: float | np.ndarray) -> float | np.ndarray:
-    """k as a float or float array, or InputError naming the first entry that is not finite and positive."""
+    """k as a float or float array.
+
+    A complex k raises InputError naming its first entry; otherwise the first
+    entry that is not finite and positive is named.
+    """
+    require_real(wavenumber=k)
     k = np.asarray(k, dtype=float)[()]
     ok = (k > 0.0) & np.isfinite(k)
     if not ok.all():

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InteractionParams, broadcast_shape, validate_count, validate_wavenumber
+from .core import InteractionParams, broadcast_shape, require_real, validate_count, validate_wavenumber
 from .errors import GrazingAngle, InputError, InvariantViolation
 from .scattering import amplitudes
 
@@ -66,11 +66,12 @@ def ray_kinematics(k: float | np.ndarray, phi: float | np.ndarray) -> RayKinemat
 
     k and phi are floats or arrays that broadcast together, else
     InputError. Every k must be finite and positive, and every phi must lie
-    strictly inside (0, pi/3) so that every k_i is positive. The
-    construction forces k1 + k3 = k2 identically; a violation raises
-    InvariantViolation.
+    strictly inside (0, pi/3) so that every k_i is positive; a complex k
+    or phi raises InputError. The construction forces k1 + k3 = k2
+    identically; a violation raises InvariantViolation.
     """
     k = validate_wavenumber(k)
+    require_real(phi=phi)
     phi = np.asarray(phi, dtype=float)[()]
     broadcast_shape(k=k, phi=phi)
     ok = (0.0 < phi) & (phi < PHI_MAX)

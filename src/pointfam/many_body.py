@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InteractionParams, require_finite, validate_count
+from .core import InteractionParams, require_finite, require_real, validate_count
 from .errors import InputError, NonBinding, NonFiniteResult, NonPositiveMass, OnBoundary
 from .one_body import bound_spectrum
 
@@ -107,11 +107,12 @@ def eval_nbody_wavefunction(state: NBodyBoundState, coords):
     sorted order, a gap at a time, so a batch equals point-by-point bit for
     bit. The coefficient is c_odd where an odd number of pairs i < j have
     x_j > x_i, that is where the sorting permutation's parity differs from
-    that of N(N-1)/2, else c_even. A NaN or infinite coordinate raises
-    InputError naming it. A gap below COINCIDENCE_TOL is a coincidence
+    that of N(N-1)/2, else c_even. A complex, NaN or infinite coordinate
+    raises InputError naming it. A gap below COINCIDENCE_TOL is a coincidence
     boundary, where the coefficient is undefined: it raises OnBoundary
     naming the pair (and, for an array, the row).
     """
+    require_real(coordinates=coords)
     points = np.asarray(coords, dtype=float)
     single = points.ndim <= 1
     points = np.atleast_2d(points)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CONSTRAINT_TOL, InteractionParams, require_finite, require_single
+from .core import CONSTRAINT_TOL, InteractionParams, broadcast_shape, require_finite, require_real, require_single
 from .errors import InvalidSlice, InvariantViolation, NonFiniteResult
 
 # Roots at or below this are treated as non-normalizable and dropped.
@@ -119,10 +119,13 @@ def phase_diagram_count(alpha, gamma, delta: float, beta: float | None = None):
     the slice is only meaningful when alpha*gamma = 1 at every point, and
     the sign of the single candidate root depends on beta, which the caller
     must supply; a beta given with delta != 0 would go unused and raises
-    InvalidSlice. A NaN or infinite alpha, gamma, delta or beta raises
-    InputError naming the field.
+    InvalidSlice. A complex, NaN or infinite alpha, gamma, delta or beta,
+    or alpha and gamma that do not broadcast, raise InputError naming the
+    field.
     """
+    require_real(alpha=alpha, gamma=gamma, delta=delta, beta=beta)
     alpha, gamma = np.asarray(alpha, dtype=float), np.asarray(gamma, dtype=float)
+    broadcast_shape(alpha=alpha, gamma=gamma)
     require_finite(alpha=alpha, gamma=gamma, delta=delta, beta=beta or 0.0)
     if delta != 0.0 and beta is not None:
         raise InvalidSlice("beta applies only to delta = 0; for delta != 0 alpha*gamma - beta*delta = 1 fixes it")

@@ -63,8 +63,7 @@ def run_scatter_suite() -> tuple[list[ResidualReport], list[str]]:
     params = verify.random_params(rng, draws)
     ks = rng.uniform(1e-3, 10.0, draws)
     amps = scattering.amplitudes(params, ks)
-    t_minus, r_minus = verify.scattering_matching_oracle(params, ks, "minus")
-    t_plus, r_plus = verify.scattering_matching_oracle(params, ks, "plus")
+    t_minus, r_minus, t_plus, r_plus = verify.scattering_matching_oracle(params, ks)
     gaps = [amps.t_minus - t_minus, amps.r_minus - r_minus, amps.t_plus - t_plus, amps.r_plus - r_plus]
     # np.hypot rounds like abs() of one complex value; np.abs on arrays may not
     match = np.max([np.hypot(z.real, z.imag) for z in gaps], axis=0)

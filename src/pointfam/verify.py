@@ -205,43 +205,37 @@ def _py_cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def scattering_matching_oracle(
-    params: InteractionParams,
-    k: float | np.ndarray,
-    incidence: str,
-) -> tuple[complex, complex] | tuple[np.ndarray, np.ndarray]:
-    """(t, r) from a direct plane-wave matching solve at wavenumber k > 0.
+    params: InteractionParams, k: float | np.ndarray
+) -> tuple[complex, complex, complex, complex] | tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(t_minus, r_minus, t_plus, r_plus) from direct plane-wave matching solves at wavenumber k > 0.
 
-    incidence "minus" sends the unit wave in from the left, "plus" from
-    the right. The boundary condition applied to the two-sided ansatz
-    gives a 2x2 complex linear system in (t, r), solved as such. The
+    The minus amplitudes send the unit wave in from the left, the plus
+    amplitudes from the right. For each direction the boundary condition
+    applied to the two-sided ansatz gives a 2x2 complex linear system in
+    (t, r). The two systems have the same two columns in swapped order, so
+    their determinants are exact negatives and one check covers both. The
     parameter fields and k are floats or arrays that broadcast together:
-    floats give complex scalars t and r, arrays give arrays of the
-    broadcast shape from one stacked solve. A k that is not finite and
-    positive anywhere, shapes that do not broadcast, or another incidence
-    raise InputError.
+    floats give four complex scalars, arrays give four arrays of the
+    broadcast shape, both directions of every entry from one stacked solve.
+    A k that is not finite and positive anywhere, or shapes that do not
+    broadcast, raise InputError; a vanishing determinant SingularSystem.
     """
     k = validate_wavenumber(k)
-    if incidence not in ("minus", "plus"):
-        raise InputError(f"incidence must be 'minus' or 'plus', got {incidence!r}")
     fields = (params.alpha, params.beta, params.gamma, params.delta, params.mass, params.phase, k)
     shape = broadcast_shape(**vars(params), k=k)
     a, b, g, d, m, ph, k = (np.broadcast_to(x, shape).ravel() for x in fields)
     ik, two_m = 1j * k, 2.0 * m
     ph_a, ph_d = _py_cmul(ph, ik * a - two_m * b), _py_cmul(ph, ik * d - two_m * g)
-    if incidence == "minus":
-        # x < 0: e^{ikx} + r e^{-ikx};  x > 0: t e^{ikx}
-        system = np.stack([ik, ph_a, two_m, ph_d], -1).reshape(-1, 2, 2)
-        rhs = np.stack([_py_cmul(ph, ik * a + two_m * b), _py_cmul(ph, ik * d + two_m * g)], -1)
-    else:
-        # x > 0: e^{-ikx} + r e^{ikx};  x < 0: t e^{-ikx}
-        system = np.stack([ph_a, ik, ph_d, two_m], -1).reshape(-1, 2, 2)
-        rhs = np.stack([ik, -two_m], -1)
-    det = _py_cmul(system[:, 0, 0], system[:, 1, 1]) - _py_cmul(system[:, 0, 1], system[:, 1, 0])
+    det = _py_cmul(ik, ph_d) - _py_cmul(ph_a, two_m)  # the minus system's; the plus system's is -det
     singular = np.hypot(det.real, det.imag) < 1e-300
     if singular.any():
         raise SingularSystem(f"matching system singular at k = {float(k[singular][0])!r}")
-    t, r = np.linalg.solve(system, rhs[:, :, None])[:, :, 0].T
-    return t.reshape(shape)[()], r.reshape(shape)[()]
+    # minus, x < 0: e^{ikx} + r e^{-ikx};  x > 0: t e^{ikx}
+    # plus,  x > 0: e^{-ikx} + r e^{ikx};  x < 0: t e^{-ikx}
+    system = np.stack([ik, ph_a, two_m, ph_d, ph_a, ik, ph_d, two_m], -1).reshape(-1, 2, 2, 2)
+    rhs = np.stack([_py_cmul(ph, ik * a + two_m * b), _py_cmul(ph, ik * d + two_m * g), ik, -two_m], -1)
+    t_r = np.linalg.solve(system, rhs.reshape(-1, 2, 2, 1)).reshape(-1, 4)  # per entry: t-, r-, t+, r+
+    return tuple(x.reshape(shape)[()] for x in t_r.T)
 
 
 def _pair_sum(coords: np.ndarray) -> np.ndarray:

@@ -65,8 +65,7 @@ def test_c04_flux_conservation(record_criterion):
     ks = rng.uniform(1e-2, 10.0, (10, 1000))
     amps = scattering.amplitudes(params, ks)
     worst_defect = float(np.max(scattering.unitarity_defect(amps)))
-    t_minus, r_minus = verify.scattering_matching_oracle(params, ks, "minus")
-    t_plus, r_plus = verify.scattering_matching_oracle(params, ks, "plus")
+    t_minus, r_minus, t_plus, r_plus = verify.scattering_matching_oracle(params, ks)
     gaps = (amps.t_minus - t_minus, amps.r_minus - r_minus, amps.t_plus - t_plus, amps.r_plus - r_plus)
     worst_match = max(float(np.max(np.abs(z))) for z in gaps)
     ok = worst_defect <= 1e-12 and worst_match <= 1e-12

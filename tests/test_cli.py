@@ -316,6 +316,14 @@ def test_verify_subcommand_reports_worst_input(capsys):
     assert len(orderings) == 9 and all(sorted(o) == [1, 2, 3] for o in orderings)
 
 
+def test_verify_diffraction_writes_null_where_no_single_input_is_worst(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "diffraction")
+    assert code == 0
+    checks = {c["check_name"]: c for c in json.loads(out)["checks"]}
+    sweeps = ("delta diffraction-free sweep", "anti-delta diffraction-free sweep", "normal-momentum additivity")
+    assert [checks[name]["worst_at"] for name in sweeps] == [None, None, None]
+
+
 @pytest.mark.parametrize("argv, env", [
     (["verify", "--suite", "scatter"], {}),  # may finish writing before the pipe closes
     # ~1 MB of CSV: the writer blocks on the full pipe until the reader closes it
@@ -479,6 +487,17 @@ def test_params_file_not_utf8_is_refused(capsys, tmp_path):
     code, out, err = run_cli(capsys, "bound", "--params", str(path))
     assert (code, out) == (1, "")
     assert err == f"bound: cannot read {str(path)!r}: the byte at offset 10082 is not UTF-8 (invalid start byte)\n"
+
+
+@pytest.mark.parametrize("text", ["", '{"alpha": 1,', "alpha = 1"], ids=["empty", "truncated", "not-json"])
+def test_params_file_not_json_is_refused_in_one_line(capsys, tmp_path, text):
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    for command in ("bound", "params-check"):
+        code, out, err = run_cli(capsys, command, "--params", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"{command}: {str(path)!r} is not valid JSON: ") and err.count("\n") == 1, err
+        assert err.endswith("\n")
 
 
 def test_params_file_with_a_byte_order_mark_is_read(capsys, two_state_file, tmp_path):

@@ -16,7 +16,8 @@ from pointfam.core import (
 )
 from pointfam.diffraction import no_diffraction_scan, outgoing_amplitudes, ray_kinematics, scan_points
 from pointfam.errors import ConstraintViolation, InputError, NonFiniteResult, NonPositiveMass
-from pointfam.many_body import mcguire_reference, nbody_bound_states
+from pointfam.many_body import eval_nbody_wavefunction, mcguire_reference, nbody_bound_states
+from pointfam.one_body import phase_diagram_count
 from pointfam.scattering import amplitudes
 from pointfam.verify import (
     boundary_residual_nbody,
@@ -38,7 +39,7 @@ def test_validate_accepts_constraint_members():
 @pytest.mark.parametrize("k", [math.inf, math.nan, -1.0, 0.0])
 @pytest.mark.parametrize("use", [
     lambda p, k: amplitudes(p, k),
-    lambda p, k: scattering_matching_oracle(p, k, "minus"),
+    lambda p, k: scattering_matching_oracle(p, k),
     lambda p, k: ray_kinematics(k, 0.5),
 ], ids=["amplitudes", "matching-oracle", "ray-kinematics"])
 def test_one_wavenumber_rule(use, k):
@@ -56,10 +57,15 @@ _PAIR = random_params(np.random.default_rng(3), 2)
 @pytest.mark.parametrize("call, shapes", [
     (lambda: validate_params(np.ones(2), 0.0, np.ones(3), 0.0, 0.0, 1.0), "alpha (2,), beta (), gamma (3,)"),
     (lambda: amplitudes(_PAIR, np.ones(3)), "mass (2,), k (3,)"),
-    (lambda: scattering_matching_oracle(_PAIR, np.ones(3), "minus"), "mass (2,), k (3,)"),
+    (lambda: scattering_matching_oracle(_PAIR, np.ones(3)), "mass (2,), k (3,)"),
     (lambda: outgoing_amplitudes(_PAIR, ray_kinematics(np.ones(3), 0.5)), "mass (2,), k (3,)"),
     (lambda: ray_kinematics(np.ones(2), np.full(3, 0.5)), "k (2,), phi (3,)"),
-], ids=["validate-params", "amplitudes", "matching-oracle", "outgoing-amplitudes", "ray-kinematics"])
+    (lambda: phase_diagram_count(np.ones(2), np.ones(3), 1.0), "alpha (2,), gamma (3,)"),
+    (lambda: phase_diagram_count(np.ones(2), np.ones(3), 0.0, 1.0), "alpha (2,), gamma (3,)"),
+], ids=[
+    "validate-params", "amplitudes", "matching-oracle", "outgoing-amplitudes", "ray-kinematics",
+    "phase-diagram-count", "phase-diagram-count-delta-0",
+])
 def test_shapes_that_do_not_broadcast_are_refused(call, shapes):
     with pytest.raises(InputError, match=re.escape("shapes do not broadcast together: ") + ".*" + re.escape(shapes)):
         call()
@@ -118,6 +124,26 @@ def test_a_numpy_integer_count_acts_as_an_int(use):
     _, call, _, _ = _COUNTS[use]
     # pickle also tells a result that holds an np.int64 from one that holds an int.
     assert pickle.dumps(call(np.int64(3))) == pickle.dumps(call(3))
+
+
+@pytest.mark.parametrize("call, name, entry", [
+    (lambda: validate_params(1j, 0.0, 1.0, 0.0, 0.0, 1.0), "alpha", "1j"),
+    (lambda: validate_params(1.0, 0.0, 1.0, 0.0, np.array([0.5 + 0j, 1.0]), 1.0), "theta", "(0.5+0j)"),
+    (lambda: amplitudes(_P, np.array([1 + 1j])), "wavenumber", "(1+1j)"),
+    (lambda: amplitudes(_P, 2j), "wavenumber", "2j"),
+    (lambda: scattering_matching_oracle(_P, 2j), "wavenumber", "2j"),
+    (lambda: ray_kinematics(1.0, 0.5 + 0j), "phi", "(0.5+0j)"),
+    (lambda: eval_nbody_wavefunction(_TRIMER, [1j, 0.0, 2.0]), "coordinates", "1j"),
+    (lambda: phase_diagram_count(np.array([1 + 0j]), 1.0, 1.0), "alpha", "(1+0j)"),
+    (lambda: phase_diagram_count(1.0, 1.0, 0.0, 1j), "beta", "1j"),
+], ids=[
+    "validate-params", "validate-params-array", "amplitudes", "amplitudes-scalar", "matching-oracle",
+    "ray-kinematics", "eval-nbody-wavefunction", "phase-diagram-count", "phase-diagram-count-beta",
+])
+def test_complex_input_is_refused(call, name, entry):
+    # A float cast would keep only the real part, or fail with a bare TypeError.
+    with pytest.raises(InputError, match=f"^{name} must be real, got {re.escape(entry)}$"):
+        call()
 
 
 def test_uncapped_counts_take_a_huge_integer():

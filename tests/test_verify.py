@@ -487,7 +487,7 @@ def test_bound_and_scatter_reports_pinned():
 
 
 def test_matching_oracle_delta():
-    t, r = scattering_matching_oracle(DELTA, 1.0, "minus")
+    t, r, _, _ = scattering_matching_oracle(DELTA, 1.0)
     assert abs(t - (1 + 1j) / 2) <= 1e-12
     assert abs(r - (-1 / (1 + 1j))) <= 1e-12
 
@@ -495,8 +495,8 @@ def test_matching_oracle_delta():
 def test_matching_oracle_free_particle():
     p = validate_params(1.0, 0.0, 1.0, 0.0, 0.0, 1.0)
     for k in (0.1, 1.0, 7.3):
-        for inc in ("minus", "plus"):
-            t, r = scattering_matching_oracle(p, k, inc)
+        t_minus, r_minus, t_plus, r_plus = scattering_matching_oracle(p, k)
+        for t, r in ((t_minus, r_minus), (t_plus, r_plus)):
             assert abs(t - 1.0) <= 1e-12
             assert abs(r) <= 1e-12
 
@@ -507,8 +507,7 @@ def test_matching_oracle_agrees_with_closed_form(rng):
         p = random_params(rng)
         k = float(rng.uniform(1e-3, 10.0))
         amps = amplitudes(p, k)
-        tm, rm = scattering_matching_oracle(p, k, "minus")
-        tp, rp = scattering_matching_oracle(p, k, "plus")
+        tm, rm, tp, rp = scattering_matching_oracle(p, k)
         worst = max(
             worst,
             abs(amps.t_minus - tm),
@@ -521,13 +520,9 @@ def test_matching_oracle_agrees_with_closed_form(rng):
 
 def test_matching_oracle_input_checks():
     with pytest.raises(InputError):
-        scattering_matching_oracle(DELTA, -1.0, "minus")
-    with pytest.raises(InputError):
-        scattering_matching_oracle(DELTA, 1.0, "left")
-    with pytest.raises(InputError, match="'left'"):
-        scattering_matching_oracle(stack_params([DELTA, TWO_STATE]), np.array([1.0, 2.0]), "left")
+        scattering_matching_oracle(DELTA, -1.0)
     with pytest.raises(InputError, match="do not broadcast"):
-        scattering_matching_oracle(stack_params([DELTA, TWO_STATE]), np.array([1.0, 2.0, 3.0]), "minus")
+        scattering_matching_oracle(stack_params([DELTA, TWO_STATE]), np.array([1.0, 2.0, 3.0]))
 
 
 def _reference_matching(p, k, incidence):
@@ -548,28 +543,27 @@ def test_matching_oracle_batch_equals_batch_of_one():
     rng = np.random.default_rng(7)
     batch = [random_params(rng) for _ in range(200)]
     ks = rng.uniform(1e-3, 10.0, size=200)
-    for incidence in ("minus", "plus"):
-        t, r = scattering_matching_oracle(stack_params(batch), ks, incidence)
-        assert t.shape == r.shape == (200,)
-        for i, (p, k) in enumerate(zip(batch, ks.tolist())):
-            one = scattering_matching_oracle(p, k, incidence)
-            assert (complex(t[i]), complex(r[i])) == one == _reference_matching(p, k, incidence)
+    amps = scattering_matching_oracle(stack_params(batch), ks)
+    assert [z.shape for z in amps] == [(200,)] * 4
+    for i, (p, k) in enumerate(zip(batch, ks.tolist())):
+        one = scattering_matching_oracle(p, k)
+        reference = _reference_matching(p, k, "minus") + _reference_matching(p, k, "plus")
+        assert tuple(complex(z[i]) for z in amps) == one == reference
 
 
 @pytest.mark.parametrize("bad", [0.0, -2.5, float("nan")])
 def test_matching_oracle_rejects_bad_k_anywhere(bad):
     ks = np.array([1.0, 2.0, bad, 3.0])
     with pytest.raises(InputError, match=re.escape(f"got {bad!r}")):
-        scattering_matching_oracle(DELTA, ks, "minus")
+        scattering_matching_oracle(DELTA, ks)
 
 
-@pytest.mark.parametrize("incidence", ["minus", "plus"])
-def test_matching_oracle_singular_entry(incidence):
+def test_matching_oracle_singular_entry():
     # Off the constraint surface on purpose: alpha + gamma = 0 and
     # delta k^2 = 4 m^2 beta at k = 0.5 make the determinant vanish.
     singular = InteractionParams(0.0, 1.0, 0.0, 4.0, 0.0, 0.5)
     with pytest.raises(SingularSystem, match="0.5"):
-        scattering_matching_oracle(stack_params([DELTA, singular]), np.array([1.0, 0.5]), incidence)
+        scattering_matching_oracle(stack_params([DELTA, singular]), np.array([1.0, 0.5]))
 
 
 # ------------------------------------------------------- boundary residual
@@ -1019,6 +1013,10 @@ def test_suites_check_each_batch_in_one_call(monkeypatch):
     interior = _counted(monkeypatch, verify, "interior_residual")
     boundary = _counted(monkeypatch, verify, "boundary_residual_nbody")
     scans = _counted(monkeypatch, diffraction, "no_diffraction_scan")
+    matching = _counted(monkeypatch, verify, "scattering_matching_oracle")
+    run_suite("scatter")
+    # both incidence directions of the 1000 draws from one call
+    assert [(np.shape(params.mass), np.shape(ks)) for params, ks in matching] == [((1000,), (1000,))]
     run_suite("nbody-interior")
     assert [args[1][0].n for args in interior] == [2, 3, 4, 5]  # one call per N, every state of it
     assert [len(args[1]) for args in interior] == [3, 3, 3, 3]
@@ -1028,11 +1026,11 @@ def test_suites_check_each_batch_in_one_call(monkeypatch):
     called = {node.func.attr for node in ast.walk(ast.parse(inspect.getsource(suites)))
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
     assert not called & {"scan_points", "outgoing_amplitudes"}  # every sweep goes through no_diffraction_scan
-    for calls in (interior, boundary, scans):
+    for calls in (interior, boundary, scans, matching):
         calls.clear()
     run_suite("all")
     three_body = [st for p in (DELTA, TWO_STATE_TILTED) for st in nbody_bound_states(p, 3)]
-    assert (len(interior), len(scans)) == (4, 2)
+    assert (len(interior), len(scans), len(matching)) == (4, 2, 1)
     assert len(boundary) == len(three_body) + 1  # every state's cyclic pairs in one call, then the control
 
 
@@ -1075,8 +1073,7 @@ def test_scatter_worst_at_reproduces_max():
     match, flux = run_suite("scatter")[0][:2]
     p, k = _one_element(match.worst_at)
     amps = amplitudes(p, k)
-    t_minus, r_minus = scattering_matching_oracle(p, k, "minus")
-    t_plus, r_plus = scattering_matching_oracle(p, k, "plus")
+    t_minus, r_minus, t_plus, r_plus = scattering_matching_oracle(p, k)
     gaps = (amps.t_minus - t_minus, amps.r_minus - r_minus, amps.t_plus - t_plus, amps.r_plus - r_plus)
     assert max(abs(complex(z[0])) for z in gaps) == match.max_residual
     p, k = _one_element(flux.worst_at)
