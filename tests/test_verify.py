@@ -525,8 +525,8 @@ def test_matching_oracle_input_checks():
         scattering_matching_oracle(stack_params([DELTA, TWO_STATE]), np.array([1.0, 2.0, 3.0]))
 
 
-def _reference_matching(p, k, incidence):
-    """The matching system built from Python complex numbers, solved alone."""
+def _reference_system(p, k, incidence):
+    """One direction's matching system built from Python complex numbers."""
     a, b, g, d, m, ph = p.alpha, p.beta, p.gamma, p.delta, p.mass, p.phase
     ik = 1j * k
     if incidence == "minus":
@@ -535,7 +535,12 @@ def _reference_matching(p, k, incidence):
     else:
         system = [[ph * (ik * a - 2.0 * m * b), ik], [ph * (ik * d - 2.0 * m * g), 2.0 * m]]
         rhs = [ik, -2.0 * m]
-    t, r = np.linalg.solve(np.array(system, dtype=complex), np.array(rhs, dtype=complex))
+    return np.array(system, dtype=complex), np.array(rhs, dtype=complex)
+
+
+def _reference_matching(p, k, incidence):
+    """The matching system of one direction, solved alone."""
+    t, r = np.linalg.solve(*_reference_system(p, k, incidence))
     return complex(t), complex(r)
 
 
@@ -558,10 +563,14 @@ def test_matching_oracle_rejects_bad_k_anywhere(bad):
         scattering_matching_oracle(DELTA, ks)
 
 
-def test_matching_oracle_singular_entry():
+@pytest.mark.parametrize("incidence", ["minus", "plus"])
+def test_matching_oracle_singular_entry(incidence):
     # Off the constraint surface on purpose: alpha + gamma = 0 and
     # delta k^2 = 4 m^2 beta at k = 0.5 make the determinant vanish.
     singular = InteractionParams(0.0, 1.0, 0.0, 4.0, 0.0, 0.5)
+    # this direction's own system is singular there, and the oracle's one
+    # determinant check refuses it for both directions
+    assert np.linalg.det(_reference_system(singular, 0.5, incidence)[0]) == 0
     with pytest.raises(SingularSystem, match="0.5"):
         scattering_matching_oracle(stack_params([DELTA, singular]), np.array([1.0, 0.5]))
 
